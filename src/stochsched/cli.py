@@ -337,31 +337,7 @@ def _run_lowerbound(config: RunConfig) -> Report:
 
 def _run_appendix(config: RunConfig) -> Report:
     cases = 500
-    rng = random.Random(f"{config.seed}:appendix")
-    b1_failures = 0
-    for _ in range(cases):
-        dist = oracle.random_dist(rng)
-        starts = sorted(rng.sample(range(8), rng.randint(1, 3)))
-        raw = [rng.randint(1, 9) for _ in starts]
-        total = sum(raw)
-        x = {t: Fraction(a, total) for t, a in zip(starts, raw)}
-        if not oracle.check_b1(dist, x).passed:
-            b1_failures += 1
-    b1 = Report("single-job-identity[fuzz]", b1_failures == 0,
-                {"cases": cases, "failures": b1_failures})
-
-    moment_failures = 0
-    for _ in range(cases):
-        dist = oracle.random_dist(rng)
-        top = dist.max_value
-        tails = sum((dist.tail(r) for r in range(top + 1)), Fraction(0))
-        weighted = sum(((Fraction(r) + Fraction(1, 2)) * dist.tail(r)
-                        for r in range(top + 1)), Fraction(0))
-        if tails != dist.mean or weighted != dist.second_moment / 2:
-            moment_failures += 1
-    moments = Report("moment-identities[fuzz]", moment_failures == 0,
-                     {"cases": cases, "failures": moment_failures})
-
+    b1, moments = oracle.identity_fuzz(random.Random(f"{config.seed}:appendix"), cases)
     threshold = Fraction(8)
     processes = [
         oracle.constant_process(threshold),
@@ -539,6 +515,13 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
+def _speed_factor(text: str) -> Fraction:
+    try:
+        return as_fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"speed factor {text!r} has a zero denominator") from None
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     instance = None
     if getattr(args, "instance", None) is not None:
@@ -546,7 +529,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         subcommand=args.subcommand,
         instance=instance,
-        f=as_fraction(getattr(args, "f", "2")),
+        f=_speed_factor(getattr(args, "f", "2")),
         samples=getattr(args, "samples", 10000),
         seed=getattr(args, "seed", 0),
         horizon=getattr(args, "horizon", None),

@@ -3,13 +3,14 @@ expected increase in total weighted completion time is smallest.
 
 The increase accounts for the job's own expected completion in priority
 order plus the delay it inflicts on lower-priority jobs already there.
+The release-date greedy in `greedy_time` runs the same kernel.
 """
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .core import Instance, fixed_assignment_cost
 from .errors import ForbiddenPairError
@@ -62,11 +63,14 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int],
     return job.weight * work_before + mean * weight_after
 
 
-def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
-    """Run the greedy over jobs in arrival order.
+def _dispatch(inst: Instance, f: Optional[Fraction]) -> tuple[Assignment, tuple[Fraction, ...]]:
+    """The greedy shared by the arrival-order and release-date models.
 
-    Returns the assignment and, per job, the expected increase it was
-    accepted at.  Ties go to the lowest machine index.  Per-machine
+    Each job, in arrival order, goes to the permitted machine with the
+    smallest score `w*work_before + mean*weight_after`; with a speed
+    factor `f` (the release-date model) the score also carries the job's
+    own charge 2*w*max{f*r, mean}.  Ties go to the lowest machine index.
+    Returns the assignment and each job's accepted score.  Per-machine
     totals are bucketed by priority ratio so one pass over the distinct
     ratios answers each probe; this keeps large instances (thousands of
     jobs) tractable without changing any outcome.
@@ -85,6 +89,10 @@ def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
     increases: list[Fraction] = []
     for job in inst.jobs:
         w = job.weight
+        w_key = (w.numerator, w.denominator)
+        if f is not None:
+            scaled_release = f * job.release
+            twice_w = 2 * w
         best = None
         best_machine = -1
         best_ratio = None
@@ -94,9 +102,8 @@ def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
         for machine0, dist in enumerate(job.proc):
             if dist is None:
                 continue
-            machine = machine0 + 1
             mean = dist.mean
-            key = (w.numerator, w.denominator, mean.numerator, mean.denominator)
+            key = w_key + (mean.numerator, mean.denominator)
             ratio = ratio_memo.get(key)
             if ratio is None:
                 ratio = w / mean
@@ -108,8 +115,8 @@ def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
             else:
                 work_before = mean
                 weight_after = Fraction(0)
-                bucket = buckets[machine - 1]
-                for r in ratios[machine - 1]:
+                bucket = buckets[machine0]
+                for r in ratios[machine0]:
                     pair = bucket[r]
                     if r < ratio:
                         weight_after += pair[1]
@@ -117,9 +124,11 @@ def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
                         work_before += pair[0]
                 incr = w * work_before + mean * weight_after
                 probe_memo[pkey] = [version[machine0], incr]
+            if f is not None:
+                incr += twice_w * max(scaled_release, mean)
             if best is None or incr < best:
                 best = incr
-                best_machine = machine
+                best_machine = machine0 + 1
                 best_ratio = ratio
                 best_mean = mean
         chosen.append(best_machine)
@@ -134,6 +143,15 @@ def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
             pair[0] += best_mean
             pair[1] += w
     return Assignment(tuple(chosen)), tuple(increases)
+
+
+def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
+    """Run the greedy over jobs in arrival order.
+
+    Returns the assignment and, per job, the expected increase it was
+    accepted at.  Ties go to the lowest machine index.
+    """
+    return _dispatch(inst, None)
 
 
 def greedy_cost(inst: Instance) -> Fraction:

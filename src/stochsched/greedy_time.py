@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
-from .core import FractionLike, Instance, as_fraction
+from .core import FractionLike, Instance, as_fraction, machine_order
 from .errors import ForbiddenPairError
-from .greedy_list import Assignment
+from .greedy_list import Assignment, _dispatch
 
 __all__ = [
     "Realization",
@@ -97,54 +95,6 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int], job_id: int,
     return job.weight * (2 * release + work_before) + mean * weight_after
 
 
-def _assign(inst: Instance, f: Fraction) -> tuple[Assignment, tuple[Fraction, ...]]:
-    from bisect import insort
-
-    ratios: list[list[Fraction]] = [[] for _ in range(inst.machines)]
-    buckets: list[dict[Fraction, list[Fraction]]] = [{} for _ in range(inst.machines)]
-    chosen: list[int] = []
-    increases: list[Fraction] = []
-    for job in inst.jobs:
-        w = job.weight
-        best = None
-        best_machine = -1
-        best_ratio = None
-        best_mean = None
-        for machine0, dist in enumerate(job.proc):
-            if dist is None:
-                continue
-            machine = machine0 + 1
-            mean = dist.mean
-            ratio = w / mean
-            work_before = mean
-            weight_after = Fraction(0)
-            bucket = buckets[machine - 1]
-            for r in ratios[machine - 1]:
-                pair = bucket[r]
-                if r < ratio:
-                    weight_after += pair[1]
-                else:
-                    work_before += pair[0]
-            release = max(f * job.release, mean)
-            incr = w * (2 * release + work_before) + mean * weight_after
-            if best is None or incr < best:
-                best = incr
-                best_machine = machine
-                best_ratio = ratio
-                best_mean = mean
-        chosen.append(best_machine)
-        increases.append(best)
-        bucket = buckets[best_machine - 1]
-        pair = bucket.get(best_ratio)
-        if pair is None:
-            bucket[best_ratio] = [best_mean, w]
-            insort(ratios[best_machine - 1], best_ratio)
-        else:
-            pair[0] += best_mean
-            pair[1] += w
-    return Assignment(tuple(chosen)), tuple(increases)
-
-
 def assign(inst: Instance, f: FractionLike) -> Assignment:
     """Assign jobs in arrival order by smallest expected increase.
 
@@ -152,12 +102,12 @@ def assign(inst: Instance, f: FractionLike) -> Assignment:
     durations by f scales every score by 1/f, so the chosen machines are
     the same on the original and the speed-f instance.
     """
-    return _assign(inst, _check_f(f))[0]
+    return _dispatch(inst, _check_f(f))[0]
 
 
 def assign_with_increases(inst: Instance, f: FractionLike) -> tuple[Assignment, tuple[Fraction, ...]]:
     """Like `assign`, but also return each job's accepted score."""
-    return _assign(inst, _check_f(f))
+    return _dispatch(inst, _check_f(f))
 
 
 @dataclass(frozen=True)
@@ -229,9 +179,7 @@ def _rank_jobs(inst: Instance, assignment: Assignment) -> dict[int, list[int]]:
     per_machine: dict[int, list[int]] = {}
     for job in inst.jobs:
         per_machine.setdefault(assignment.machine_of(job.id), []).append(job.id)
-    for machine, ids in per_machine.items():
-        ids.sort(key=lambda j: (-inst.ratio(machine, j), j))
-    return per_machine
+    return {machine: machine_order(inst, machine, ids) for machine, ids in per_machine.items()}
 
 
 def _run_machine(entries):
@@ -273,28 +221,37 @@ def _trace_from(inst: Instance, assignment: Assignment, per_machine_entries) -> 
     return ScheduleTrace(tuple(rows))
 
 
+def _sped_trace(inst: Instance, assignment: Assignment, f: Fraction,
+                timing: Callable[[int, int, Fraction], tuple[Fraction, Fraction]]) -> ScheduleTrace:
+    """Trace on the speed-f clock: each job is released at
+    max{r_j, E[P_ij]/f} and served in priority order, with the
+    (hold, proc) pair that `timing(job_id, machine, mean)` returns."""
+    entries = {}
+    for machine, ids in _rank_jobs(inst, assignment).items():
+        rows = []
+        for rank, job_id in enumerate(ids):
+            job = inst.job(job_id)
+            mean = job.dist(machine).mean
+            hold, proc = timing(job_id, machine, mean)
+            rows.append((max(Fraction(job.release), mean / f), rank, job_id, hold, proc))
+        entries[machine] = rows
+    return _trace_from(inst, assignment, entries)
+
+
 def simulate(inst: Instance, assignment: Assignment, realization: Realization,
              f: FractionLike, mode: str = "forced-idle") -> ScheduleTrace:
     """Trace of the policy on the speed-f clock for one realization."""
     f = _check_f(f)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    ranked = _rank_jobs(inst, assignment)
-    entries = {}
-    for machine, ids in ranked.items():
-        rows = []
-        for rank, job_id in enumerate(ids):
-            job = inst.job(job_id)
-            mean = job.dist(machine).mean
-            drawn = Fraction(realization.value(job_id, machine))
-            release = max(Fraction(job.release), mean / f)
-            if mode == "forced-idle":
-                hold, proc = mean / f, drawn / f
-            else:
-                hold, proc = Fraction(0), max(drawn, mean) / f
-            rows.append((release, rank, job_id, hold, proc))
-        entries[machine] = rows
-    return _trace_from(inst, assignment, entries)
+
+    def timing(job_id: int, machine: int, mean: Fraction) -> tuple[Fraction, Fraction]:
+        drawn = Fraction(realization.value(job_id, machine))
+        if mode == "forced-idle":
+            return mean / f, drawn / f
+        return Fraction(0), max(drawn, mean) / f
+
+    return _sped_trace(inst, assignment, f, timing)
 
 
 def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Realization,
@@ -332,17 +289,8 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
     f = _check_f(f)
     if assignment is None:
         assignment = assign(inst, f)
-    ranked = _rank_jobs(inst, assignment)
-    entries = {}
-    for machine, ids in ranked.items():
-        rows = []
-        for rank, job_id in enumerate(ids):
-            job = inst.job(job_id)
-            mean = job.dist(machine).mean
-            release = max(Fraction(job.release), mean / f)
-            rows.append((release, rank, job_id, Fraction(0), mean / f))
-        entries[machine] = rows
-    trace = _trace_from(inst, assignment, entries)
+    trace = _sped_trace(inst, assignment, f,
+                        lambda job_id, machine, mean: (Fraction(0), mean / f))
     return trace, trace.cost(inst)
 
 
@@ -359,15 +307,6 @@ class CostEstimate:
     per_job_ci95: tuple[float, ...]
 
 
-def _worker_count(samples: int) -> int:
-    raw = os.environ.get("SCHED_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, samples) or 1
-
-
 def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
     mean = total / n
     if n < 2:
@@ -381,9 +320,9 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     """Monte Carlo mean and 95% interval of the wall-clock policy cost.
 
     Each replication draws from its own child generator keyed by
-    (seed, index), so results do not depend on worker scheduling and are
-    reproducible for a fixed (seed, samples).  Event times inside a
-    replication are floats; serving priority still uses exact ratios.
+    (seed, index), so results are reproducible for a fixed (seed,
+    samples).  Event times inside a replication are floats; serving
+    priority still uses exact ratios.
     """
     f = _check_f(f)
     if mode not in MODES:
@@ -404,7 +343,9 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
             layout.append((machine, rank, job_id, release, hold, dist))
     weights = [float(job.weight) for job in inst.jobs]
 
-    def run_replication(rep: int) -> tuple[float, list[float]]:
+    totals = []
+    per_job = []
+    for rep in range(samples):
         rng = random.Random(f"{seed}:{rep}")
         per_machine: dict[int, list] = {}
         # draw in fixed (machine-block) order for reproducibility
@@ -418,18 +359,8 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
             for job_id, _, _, end in _run_machine(entries):
                 completions[job_id - 1] = end
                 total += weights[job_id - 1] * end
-        return total, completions
-
-    totals = [0.0] * samples
-    per_job = [None] * samples
-    workers = _worker_count(samples)
-    if workers == 1:
-        for rep in range(samples):
-            totals[rep], per_job[rep] = run_replication(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rep, result in enumerate(pool.map(run_replication, range(samples))):
-                totals[rep], per_job[rep] = result
+        totals.append(total)
+        per_job.append(completions)
 
     total = sum(totals)
     total_sq = sum(t * t for t in totals)

@@ -28,6 +28,7 @@ __all__ = [
     "gen_lower_bound",
     "lower_bound_ratio",
     "check_b1",
+    "identity_fuzz",
     "StoppingProcess",
     "constant_process",
     "doubling_process",
@@ -303,6 +304,38 @@ def check_b1(dist: ProcDist, x: Mapping[int, FractionLike]) -> Report:
         passed=lhs == rhs,
         metrics={"direct": lhs, "from_slots": rhs, "mean": dist.mean, "scv": dist.scv},
     )
+
+
+def identity_fuzz(rng: random.Random, cases: int) -> tuple[Report, Report]:
+    """Fuzz the exact identities on `cases` random distributions each.
+
+    First the start-profile identity (`check_b1`) for profiles on up to
+    three of the slots 0..7 with integer weights 1..4, then the tail
+    moments sum_r P(X > r) = E[X] and sum_r (r + 1/2) P(X > r) = E[X^2]/2.
+    Returns one report per family with its case and failure counts.
+    """
+    b1_failures = 0
+    for _ in range(cases):
+        dist = random_dist(rng)
+        starts = sorted(rng.sample(range(8), rng.randint(1, 3)))
+        raw = [rng.randint(1, 4) for _ in starts]
+        total = sum(raw)
+        profile = {t: Fraction(a, total) for t, a in zip(starts, raw)}
+        if not check_b1(dist, profile).passed:
+            b1_failures += 1
+
+    moment_failures = 0
+    for _ in range(cases):
+        dist = random_dist(rng)
+        rows = range(dist.max_value + 1)
+        tails = sum((dist.tail(r) for r in rows), Fraction(0))
+        weighted = sum(((r + Fraction(1, 2)) * dist.tail(r) for r in rows), Fraction(0))
+        if tails != dist.mean or weighted != dist.second_moment / 2:
+            moment_failures += 1
+    return (Report("single-job-identity[fuzz]", b1_failures == 0,
+                   {"cases": cases, "failures": b1_failures}),
+            Report("moment-identities[fuzz]", moment_failures == 0,
+                   {"cases": cases, "failures": moment_failures}))
 
 
 @dataclass(frozen=True)

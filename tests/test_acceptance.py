@@ -238,21 +238,8 @@ def test_criterion_6_speed_scaling_pipeline():
 
 def test_criterion_7_moment_and_stopping_bounds():
     def body() -> str:
-        rng = random.Random(700)
-        for _ in range(500):
-            dist = oracle.random_dist(rng)
-            starts = sorted(rng.sample(range(8), rng.randint(1, 3)))
-            weights = [rng.randint(1, 4) for _ in starts]
-            total = sum(weights)
-            profile = {s: F(a, total) for s, a in zip(starts, weights)}
-            assert oracle.check_b1(dist, profile).passed
-
-        for _ in range(500):
-            dist = oracle.random_dist(rng)
-            rows = range(dist.max_value + 1)
-            assert sum(dist.tail(r) for r in rows) == dist.mean
-            assert sum((F(r) + F(1, 2)) * dist.tail(r) for r in rows) \
-                == dist.second_moment / 2
+        for report in oracle.identity_fuzz(random.Random(700), 500):
+            assert report.passed, (report.name, report.metrics)
 
         threshold = F(8)
         names = []

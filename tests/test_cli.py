@@ -93,9 +93,13 @@ class TestExitCodes:
     def test_oversized_family_is_five(self):
         assert cli.main(["lowerbound", "9"]) == 5
 
-    def test_low_speed_factor_is_six(self, worked_path):
+    def test_low_speed_factor_is_six(self, worked_path, capsys):
         assert cli.main(["verify", worked_path, "--f", "3/2"]) == 6
         assert cli.main(["list", worked_path, "--f", "1/2"]) == 6
+        capsys.readouterr()
+        assert cli.main(["list", worked_path, "--f", "1/0"]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file_is_six(self):
         assert cli.main(["list", "/nonexistent/nope.json"]) == 6
@@ -145,6 +149,13 @@ class TestOutputs:
         for _ in range(2):
             assert cli.main(["time", worked_path, "--samples", "150",
                              "--format", "json"]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    def test_appendix_is_byte_deterministic(self, capsys):
+        outputs = set()
+        for _ in range(2):
+            assert cli.main(["appendix", "--samples", "50", "--format", "json"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
 

@@ -378,7 +378,10 @@ def _human_value(value) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value)
-        return f"{value} ({float(value):.6g})"
+        try:
+            return f"{value} ({float(value):.6g})"
+        except OverflowError:  # beyond float range: the exact value alone
+            return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     if isinstance(value, bool):

@@ -174,7 +174,7 @@ class Instance:
             raise ValueError("machine count must be a positive integer")
         jobs = tuple(jobs)
         small = 0
-        seen_rows: set[int] = set()  # id()s are stable here: all rows stay alive
+        seen_dists: set[int] = set()  # id()s are stable here: all dists stay alive
         for pos, job in enumerate(jobs, start=1):
             if job.id != pos:
                 raise ValueError(f"job ids must be 1..n in order; position {pos} has id {job.id}")
@@ -182,12 +182,10 @@ class Instance:
                 raise ValueError(f"job {job.id} lists {len(job.proc)} machines, expected {machines}")
             if pos > 1 and job.release < jobs[pos - 2].release:
                 raise ValueError(f"releases must be nondecreasing in id; job {job.id} breaks this")
-            if id(job.proc) in seen_rows:
-                continue  # shared row already validated
-            seen_rows.add(id(job.proc))
             for d in job.proc:
-                if d is None:
-                    continue
+                if d is None or id(d) in seen_dists:
+                    continue  # shared distribution already validated
+                seen_dists.add(id(d))
                 if d.mean == 0:
                     raise ZeroMeanError(
                         f"job {job.id} has zero expected processing time on some machine")

@@ -4,9 +4,14 @@ the tightness family for the list greedy, and simulation checkers for
 the single-job completion identity, the stopped-sum bound, and the
 per-job completion bound.
 
-Everything here is deliberately brute force.  The point is not speed
-but independence: none of these paths share logic with the algorithms
-they judge.
+The two optima are exhaustive: `det_opt` tries every assignment and
+`stoch_opt` every information state.  Each scales its instance to
+integers once (weights by the lcm of their denominators, probabilities
+by the lcm of each pmf's) and builds a single `Fraction` at the end, so
+it stays exact while doing the work in ints.  Neither optimum shares
+logic with the greedy rules it judges: no priority order, expected
+increase or dispatch step of theirs is reused, so a fault in a greedy
+rule cannot also sit in the yardstick it is measured against.
 """
 from __future__ import annotations
 
@@ -58,67 +63,64 @@ def _require_deterministic(inst: Instance) -> None:
 def det_opt(inst: Instance) -> Fraction:
     """Exhaustive optimum for point-mass instances.
 
-    Without releases each machine serves in priority order, so only the
+    Without releases each machine serves in ratio order (Smith's rule),
+    whose cost is every job's w_j p_j plus, for every pair of its jobs,
+    the cheaper of their two orders, min(w_j p_k, w_k p_j); so only the
     assignment is enumerated.  With releases the per-machine order is
     enumerated too, every job starting as early as its release allows.
     Per-machine orders are independent, so each machine takes the
-    minimum over its own permutations.
+    minimum over its own permutations, and each (machine, job set) chain
+    is priced once however many assignments share it.
+
+    Point-mass means are integers, and the weights are scaled by the lcm
+    of their denominators, so the search runs on ints and one `Fraction`
+    is built at the end.
     """
     _require_deterministic(inst)
-    limit = DET_OPT_MAX_JOBS_RELEASED if inst.has_releases else DET_OPT_MAX_JOBS
+    released = inst.has_releases
+    limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
     if inst.n > limit:
         raise TooLargeError(f"{inst.n} jobs exceeds the exhaustive limit of {limit}")
 
-    # per machine: precomputed priority rank, mean, weight, release
-    rank: list[dict[int, int]] = []
-    for machine in range(1, inst.machines + 1):
-        runnable = [job.id for job in inst.jobs if job.allows(machine)]
-        order = sorted(runnable, key=lambda j: (-inst.ratio(machine, j), j))
-        rank.append({job_id: pos for pos, job_id in enumerate(order)})
-    mean: list[list[Fraction | int | None]]
-    weight: list[Fraction | int]
-    mean = [[job.dist(m).mean if job.allows(m) else None
-             for m in range(1, inst.machines + 1)] for job in inst.jobs]
-    weight = [job.weight for job in inst.jobs]
+    scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
+    weight = [job.weight.numerator * (scale // job.weight.denominator) for job in inst.jobs]
     release = [job.release for job in inst.jobs]
-    # exhaustive sweeps hammer this loop; integral instances can skip
-    # Fraction arithmetic entirely without losing exactness
-    if all(w.denominator == 1 for w in weight) and all(
-            v is None or v.denominator == 1 for row in mean for v in row):
-        mean = [[None if v is None else v.numerator for v in row] for row in mean]
-        weight = [w.numerator for w in weight]
+    duration = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in inst.jobs]
+    jobs = range(inst.n)
+    chains: list[dict[int, int]] = [{} for _ in range(inst.machines)]
 
-    def chain_cost(machine0: int, ids: list[int]) -> Fraction | int:
-        if not inst.has_releases:
-            ids = sorted(ids, key=lambda j: rank[machine0][j])
-            clock = 0
-            total = 0
-            for job_id in ids:
-                clock += mean[job_id - 1][machine0]
-                total += weight[job_id - 1] * clock
+    def chain_cost(machine0: int, members: int) -> int:
+        ids = [j for j in jobs if members >> j & 1]
+        if not released:
+            total = sum(weight[j] * duration[j][machine0] for j in ids)
+            for j, k in itertools.combinations(ids, 2):
+                total += min(weight[j] * duration[k][machine0], weight[k] * duration[j][machine0])
             return total
         best = None
         for perm in itertools.permutations(ids):
-            clock = 0
-            total = 0
-            for job_id in perm:
-                start = max(clock, release[job_id - 1])
-                clock = start + mean[job_id - 1][machine0]
-                total += weight[job_id - 1] * clock
+            clock = total = 0
+            for j in perm:
+                clock = max(clock, release[j]) + duration[j][machine0]
+                total += weight[j] * clock
             if best is None or total < best:
                 best = total
         return best
 
     best = None
-    options = [job.permitted for job in inst.jobs]
-    for combo in itertools.product(*options):
-        per_machine: dict[int, list[int]] = {}
-        for job_id, machine in enumerate(combo, start=1):
-            per_machine.setdefault(machine, []).append(job_id)
-        total = sum(chain_cost(m - 1, ids) for m, ids in per_machine.items())
+    for combo in itertools.product(*(job.permitted for job in inst.jobs)):
+        members = [0] * inst.machines
+        for j, machine in enumerate(combo):
+            members[machine - 1] |= 1 << j
+        total = 0
+        for machine0, subset in enumerate(members):
+            if subset:
+                cost = chains[machine0].get(subset)
+                if cost is None:
+                    cost = chains[machine0][subset] = chain_cost(machine0, subset)
+                total += cost
         if best is None or total < best:
             best = total
-    return best if isinstance(best, Fraction) else Fraction(best)
+    return Fraction(best, scale)
 
 
 def stoch_opt(inst: Instance) -> Fraction:
@@ -136,6 +138,19 @@ def stoch_opt(inst: Instance) -> Fraction:
     pays its weight for each elapsed unit, which sums to the weighted
     completion total.  The benchmark knows the full job list up front
     (releases must be zero) but never a duration before it finishes.
+
+    The program runs on ints.  Job j's pmf on machine i is held as
+    counts a_v over its common denominator t_ij, with tail counts
+    T_ij(e) = sum_{v>e} a_v; L_j is the lcm of j's t_ij and W the lcm of
+    the weight denominators.  A state's value V is carried as
+    U = V * W * prod_busy T(e) * prod_unstarted L_j, an integer:
+    starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)),
+    advancing gives pay * W * prod T(e) * prod L plus, over completion
+    patterns, prod_completing a_{e+1} * U(next).  All candidates of one
+    state share its scale, so the minimum is taken on U directly, and
+    the answer is U(start) / (W * prod_j L_j).  The scaling is the
+    program's own and follows the state space, not the greedy's
+    priorities, so the optimum stays an independent check on them.
     """
     if inst.has_releases:
         raise ValueError("the adaptive-optimum program handles release-free instances only")
@@ -148,73 +163,92 @@ def stoch_opt(inst: Instance) -> Fraction:
                 raise TooLargeError(f"support values above {STOCH_OPT_MAX_VALUE} "
                                     "blow up the state space")
 
-    weight = {job.id: job.weight for job in inst.jobs}
+    n = inst.n
+    machines = range(inst.machines)
+    w_scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
+    weight = [job.weight.numerator * (w_scale // job.weight.denominator) for job in inst.jobs]
+    # count[j][i][v] = a_v and tail[j][i][e] = T(e) of job j on machine i
+    count: list[list[Optional[list[int]]]] = []
+    tail: list[list[Optional[list[int]]]] = []
+    for job in inst.jobs:
+        count.append([])
+        tail.append([])
+        for d in job.proc:
+            a = None
+            if d is not None:
+                t = math.lcm(*(p.denominator for _, p in d.pmf))
+                a = [0] * (d.max_value + 1)
+                for v, p in d.pmf:
+                    a[v] = p.numerator * (t // p.denominator)
+            count[-1].append(a)
+            tail[-1].append(None if a is None else [sum(a[e + 1:]) for e in range(len(a))])
+    lcm = [math.lcm(*(sum(a) for a in row if a is not None)) for row in count]
+    # L_j / t_ij, the factor of starting job j on machine i
+    widen = [[None if a is None else lcm[j] // sum(a) for a in row]
+             for j, row in enumerate(count)]
+    # per unstarted set, a bitmask of 0-based jobs: prod L_j and sum of weights
+    subsets = range(1 << n)
+    lcm_prod = [math.prod(lcm[j] for j in range(n) if mask >> j & 1) for mask in subsets]
+    pay_of = [sum(weight[j] for j in range(n) if mask >> j & 1) for mask in subsets]
+    patterns = {k: list(itertools.product((True, False), repeat=k))
+                for k in range(1, inst.machines + 1)}
 
-    def hazard(job_id: int, machine: int, elapsed: int) -> Fraction:
-        # P(duration = elapsed + 1 | duration > elapsed)
-        d = inst.job(job_id).dist(machine)
-        tail = d.tail(elapsed)
-        hit = sum((p for v, p in d.pmf if v == elapsed + 1), Fraction(0))
-        return hit / tail
+    idle = (None,) * inst.machines
+    memo: dict[tuple, int] = {(idle, 0): 0}
 
-    memo: dict[tuple, Fraction] = {}
-
-    def value(running: tuple, unstarted: frozenset) -> Fraction:
-        if not unstarted and all(slot is None for slot in running):
-            return Fraction(0)
+    def value(running: tuple, unstarted: int) -> int:
         key = (running, unstarted)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        best: Optional[Fraction] = None
+        best: Optional[int] = None
 
-        for job_id in sorted(unstarted):
-            job = inst.job(job_id)
-            rest = unstarted - {job_id}
-            for idx in range(inst.machines):
-                if running[idx] is not None or not job.allows(idx + 1):
+        for j in range(n):
+            if not unstarted >> j & 1:
+                continue
+            rest = unstarted & ~(1 << j)
+            for i in machines:
+                a = count[j][i]
+                if running[i] is not None or a is None:
                     continue
-                d = job.dist(idx + 1)
-                p_zero = sum((p for v, p in d.pmf if v == 0), Fraction(0))
-                v = Fraction(0)
-                if p_zero > 0:
+                u = 0
+                if a[0]:
                     # completes instantly at the current epoch: zero cost
-                    v += p_zero * value(running, rest)
-                if p_zero < 1:
-                    occupied = running[:idx] + ((job_id, 0),) + running[idx + 1:]
-                    v += (1 - p_zero) * value(occupied, rest)
-                if best is None or v < best:
-                    best = v
+                    u += a[0] * value(running, rest)
+                if tail[j][i][0]:
+                    u += value(running[:i] + ((j, 0),) + running[i + 1:], rest)
+                u *= widen[j][i]
+                if best is None or u < best:
+                    best = u
 
-        busy = [(idx, slot) for idx, slot in enumerate(running) if slot is not None]
+        busy = [(i, slot) for i, slot in enumerate(running) if slot is not None]
         if busy:
             # advance one unit: everyone uncompleted pays its weight
-            pay = sum((weight[j] for j in unstarted), Fraction(0))
-            pay += sum((weight[slot[0]] for _, slot in busy), Fraction(0))
-            expected = Fraction(0)
-            hazards = [hazard(slot[0], idx + 1, slot[1]) for idx, slot in busy]
-            for pattern in itertools.product((True, False), repeat=len(busy)):
-                prob = Fraction(1)
+            pay = pay_of[unstarted] + sum(weight[j] for _, (j, _) in busy)
+            u = pay * math.prod(tail[j][i][e] for i, (j, e) in busy) * lcm_prod[unstarted]
+            for pattern in patterns[len(busy)]:
+                factor = 1
                 nxt = list(running)
-                for (idx, slot), h, completes in zip(busy, hazards, pattern):
+                for (i, (j, e)), completes in zip(busy, pattern):
                     if completes:
-                        prob *= h
-                        nxt[idx] = None
+                        factor *= count[j][i][e + 1]
+                        nxt[i] = None
+                    elif tail[j][i][e + 1]:
+                        nxt[i] = (j, e + 1)
                     else:
-                        prob *= 1 - h
-                        nxt[idx] = (slot[0], slot[1] + 1)
-                if prob == 0:
-                    continue
-                expected += prob * value(tuple(nxt), unstarted)
-            v = pay + expected
-            if best is None or v < best:
-                best = v
+                        factor = 0
+                    if not factor:
+                        break  # the pattern has probability zero
+                else:
+                    u += factor * value(tuple(nxt), unstarted)
+            if best is None or u < best:
+                best = u
 
         memo[key] = best
         return best
 
-    start = (None,) * inst.machines
-    return value(start, frozenset(job.id for job in inst.jobs))
+    everyone = (1 << n) - 1
+    return Fraction(value(idle, everyone), w_scale * lcm_prod[everyone])
 
 
 def gen_lower_bound(k: int, m: int) -> Instance:

@@ -101,6 +101,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_speed_factor_beyond_float_range(self, worked_path, capsys):
+        # the chain factor is a non-integer rational near 1e400, which no
+        # float holds: the human format prints it exactly, with no hint
+        assert cli.main(["list", worked_path, "--f", "1e400", "--format", "json"]) == 0
+        exact = json.loads(capsys.readouterr().out)["metrics"]["chain_factor"]
+        assert "/" in exact
+        assert cli.main(["list", worked_path, "--f", "1e400"]) == 0
+        assert f"  chain_factor: {exact}" in capsys.readouterr().out.splitlines()
+
     def test_missing_file_is_six(self):
         assert cli.main(["list", "/nonexistent/nope.json"]) == 6
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,25 @@ class TestJobAndInstance:
         dist = ProcDist({0: F(1, 2), 1: F(1, 2)})
         with pytest.warns(SmallMeanWarning):
             Instance(1, [Job(1, F(1), 0, (dist,))])
+
+    def test_zero_mean_names_the_first_offending_job(self):
+        # distributions are validated once each, so the error must come
+        # from the job where the shared zero-mean one first appears
+        unit, zero = ProcDist.point(1), ProcDist.point(0)
+        jobs = [Job(1, F(1), 0, (unit, unit)),
+                Job(2, F(1), 0, (unit, zero)),
+                Job(3, F(1), 0, (zero, ProcDist.point(0)))]
+        with pytest.raises(ZeroMeanError, match="job 2 "):
+            Instance(2, jobs)
+
+    def test_shared_small_mean_warns_once(self):
+        small = ProcDist({0: F(1, 2), 1: F(1, 2)})
+        jobs = [Job(j, F(1), 0, (small, small if j % 2 else ProcDist.point(1)))
+                for j in range(1, 6)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Instance(2, jobs)
+        assert [w.category for w in caught] == [SmallMeanWarning]
 
     def test_accessors(self):
         inst = worked_instance()

@@ -7,6 +7,7 @@ from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import BadMError, HypothesisViolatedError, TooLargeError
 from stochsched import greedy_list, oracle
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -108,6 +109,61 @@ class TestStochOpt:
         long_support = Instance(1, [Job(1, F(1), 0, (ProcDist.point(5),))])
         with pytest.raises(TooLargeError):
             oracle.stoch_opt(long_support)
+
+
+WEIGHTS = (F(1), F(3, 2), F(2, 3), F(5, 4), F(7))
+
+
+def _mask(rng: random.Random, machines: int) -> list[bool]:
+    mask = [rng.random() < 0.7 for _ in range(machines)]
+    if not any(mask):
+        mask[rng.randrange(machines)] = True
+    return mask
+
+
+class TestReferenceCrossCheck:
+    """The oracles run on scaled integers; the references in
+    `tests/reference.py` run on Fractions with no scaling.  They must
+    agree exactly."""
+
+    def test_stoch_opt_matches_reference(self):
+        rng = random.Random(211)
+        seen = {"zero": 0, "fractional": 0, "forbidden": 0}
+        for _ in range(200):
+            machines = rng.randint(1, 2)
+            jobs = []
+            for job_id in range(1, rng.randint(1, 4) + 1):
+                row = []
+                for allowed in _mask(rng, machines):
+                    dist = None
+                    while allowed and (dist is None or dist.mean < 1):
+                        dist = oracle.random_dist(rng, max_value=4)
+                    row.append(dist)
+                jobs.append(Job(job_id, rng.choice(WEIGHTS), 0, row))
+            inst = Instance(machines, jobs)
+            seen["zero"] += any(d is not None and 0 in d.support
+                                for job in inst.jobs for d in job.proc)
+            seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
+            seen["forbidden"] += any(None in job.proc for job in inst.jobs)
+            assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("releases", [False, True])
+    def test_det_opt_matches_reference(self, releases):
+        rng = random.Random(223)
+        released = 0
+        for _ in range(150):
+            machines = rng.randint(1, 3)
+            n = rng.randint(1, 5)
+            starts = sorted(rng.randint(0, 6) for _ in range(n)) if releases else [0] * n
+            jobs = [Job(job_id, rng.choice(WEIGHTS), starts[job_id - 1],
+                        [ProcDist.point(rng.randint(1, 4)) if allowed else None
+                         for allowed in _mask(rng, machines)])
+                    for job_id in range(1, n + 1)]
+            inst = Instance(machines, jobs)
+            released += inst.has_releases
+            assert oracle.det_opt(inst) == reference.det_opt(inst), inst
+        assert released >= 100 if releases else released == 0
 
 
 class TestTightnessFamily:

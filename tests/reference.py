@@ -1,18 +1,23 @@
-"""Slow, plainly written references for the exhaustive oracles.
+"""Slow, plainly written references for the exhaustive oracles and
+the simplex.
 
 `stoch_opt` is the adaptive-optimum program written directly in
 `Fraction` arithmetic, conditioning on per-step hazards instead of
 carrying scaled integer counts; `det_opt` tries every assignment and, on
-every machine, every order.  The property tests require exact equality
-between these and the oracles, so they share no code with them.
+every machine, every order.  `solve_standard` is the two-phase Bland
+simplex on a `Fraction` tableau, with no row scaling and no common
+denominator.  The property tests require exact equality between these
+and the package's versions, so they share no code with them.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from stochsched.core import Instance
+from stochsched.errors import InfeasibleError, UnboundedError
 
 
 def stoch_opt(inst: Instance) -> Fraction:
@@ -107,3 +112,173 @@ def det_opt(inst: Instance) -> Fraction:
         if best is None or total < best:
             best = total
     return best
+
+
+# ------------------------------------------------------------- the simplex
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(tableau, objrow, row: int, col: int) -> None:
+    pivot_row = tableau[row]
+    inv = _ONE / pivot_row[col]
+    if inv != 1:
+        tableau[row] = pivot_row = [v * inv for v in pivot_row]
+    for other in tableau:
+        if other is pivot_row:
+            continue
+        factor = other[col]
+        if factor:
+            for k, v in enumerate(pivot_row):
+                if v:
+                    other[k] -= factor * v
+    factor = objrow[col]
+    if factor:
+        for k, v in enumerate(pivot_row):
+            if v:
+                objrow[k] -= factor * v
+
+
+def _objective_row(tableau, basis, costs, width: int):
+    objrow = list(costs) + [_ZERO]
+    for i, b in enumerate(basis):
+        cb = costs[b]
+        if cb:
+            row = tableau[i]
+            for k in range(width + 1):
+                if row[k]:
+                    objrow[k] -= cb * row[k]
+    return objrow
+
+
+def _run_simplex(tableau, objrow, basis, allowed) -> None:
+    """Bland iterations until no allowed column prices out negative."""
+    width = len(objrow) - 1
+    while True:
+        entering = -1
+        for j in range(width):
+            if allowed[j] and objrow[j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            return
+        leaving = -1
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            raise UnboundedError("objective decreases without bound")
+        _pivot(tableau, objrow, leaving, entering)
+        basis[leaving] = entering
+
+
+def solve_standard(costs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
+                   senses: Sequence[str], rhs: Sequence[Fraction],
+                   paths: Optional[Counter] = None):
+    """The exact simplex on a `Fraction` tableau: two phases, Bland's
+    rule, duals off the final tableau.  Same contract as
+    `stochsched.simplex.solve_standard`.  When `paths` is given, it
+    counts the rows flipped for a negative right-hand side and the rows
+    dropped as redundant after phase 1."""
+    n = len(costs)
+    m = len(rows)
+    rows = [list(r) for r in rows]
+    rhs = list(rhs)
+    senses = list(senses)
+    flipped = [False] * m
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise ValueError(f"row {i} has {len(rows[i])} coefficients, expected {n}")
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
+            flipped[i] = True
+            if paths is not None:
+                paths["flipped"] += 1
+
+    # column layout: structural | one slack/surplus per inequality | artificials
+    slack_of = [-1] * m
+    n_slack = 0
+    for i, s in enumerate(senses):
+        if s in ("<=", ">="):
+            slack_of[i] = n + n_slack
+            n_slack += 1
+        elif s != "=":
+            raise ValueError(f"unknown sense {s!r}")
+    art_of = [-1] * m
+    n_art = 0
+    for i, s in enumerate(senses):
+        if s in ("=", ">="):
+            art_of[i] = n + n_slack + n_art
+            n_art += 1
+    width = n + n_slack + n_art
+
+    tableau = []
+    basis = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]] + [_ZERO] * (n_slack + n_art) + [Fraction(rhs[i])]
+        if slack_of[i] >= 0:
+            row[slack_of[i]] = _ONE if senses[i] == "<=" else -_ONE
+        if art_of[i] >= 0:
+            row[art_of[i]] = _ONE
+            basis.append(art_of[i])
+        else:
+            basis.append(slack_of[i])
+        tableau.append(row)
+
+    structural = [j < n + n_slack for j in range(width)]
+
+    if n_art:
+        phase1 = [_ZERO] * (n + n_slack) + [_ONE] * n_art
+        objrow = _objective_row(tableau, basis, phase1, width)
+        _run_simplex(tableau, objrow, basis, structural)
+        residue = sum((tableau[i][-1] for i in range(m) if basis[i] >= n + n_slack), _ZERO)
+        if residue != 0:
+            raise InfeasibleError("no point satisfies every constraint")
+        # pivot leftover zero-level artificials out; drop rows that went redundant
+        drop = []
+        for i in range(m):
+            if basis[i] < n + n_slack:
+                continue
+            col = next((j for j in range(n + n_slack) if tableau[i][j] != 0), -1)
+            if col < 0:
+                drop.append(i)
+            else:
+                _pivot(tableau, objrow, i, col)
+                basis[i] = col
+        if paths is not None:
+            paths["dropped"] += len(drop)
+        kept = [i for i in range(m) if i not in drop]
+        tableau = [tableau[i] for i in kept]
+        basis = [basis[i] for i in kept]
+    else:
+        kept = list(range(m))
+
+    full_costs = [Fraction(c) for c in costs] + [_ZERO] * (n_slack + n_art)
+    objrow = _objective_row(tableau, basis, full_costs, width)
+    _run_simplex(tableau, objrow, basis, structural)
+
+    x = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[i][-1]
+    value = sum((c * v for c, v in zip(costs, x) if v), _ZERO)
+
+    # duals come off the priced-out identity columns of each surviving row
+    duals = [_ZERO] * m
+    for pos, orig in enumerate(kept):
+        if art_of[orig] >= 0:
+            y = -objrow[art_of[orig]]
+        elif senses[orig] == "<=":
+            y = -objrow[slack_of[orig]]
+        else:
+            y = objrow[slack_of[orig]]
+        duals[orig] = -y if flipped[orig] else y
+    return value, x, duals

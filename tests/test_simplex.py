@@ -102,6 +102,52 @@ def test_against_scipy_on_random_programs():
     assert checked > 40        # the generator must produce real solves
 
 
+def _fractional_program(rng):
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+    n = rng.randint(1, 6)
+    m = rng.randint(1, 5)
+    costs = [abs(entry()) for _ in range(n)]
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    return costs, rows, senses, rhs
+
+
+def test_against_scipy_on_fractional_signed_programs():
+    # row scaling and negative-rhs flips, which integer entries never reach
+    rng = random.Random(2025)
+    checked = 0
+    for _ in range(200):
+        costs, rows, senses, rhs = _fractional_program(rng)
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+        for row, sense, b in zip(rows, senses, rhs):
+            if sense == "<=":
+                a_ub.append([float(c) for c in row]); b_ub.append(float(b))
+            elif sense == ">=":
+                a_ub.append([-float(c) for c in row]); b_ub.append(-float(b))
+            else:
+                a_eq.append([float(c) for c in row]); b_eq.append(float(b))
+        ref = linprog([float(c) for c in costs],
+                      A_ub=np.array(a_ub) if a_ub else None,
+                      b_ub=np.array(b_ub) if b_ub else None,
+                      A_eq=np.array(a_eq) if a_eq else None,
+                      b_eq=np.array(b_eq) if b_eq else None,
+                      method="highs")
+        try:
+            value, x, _ = solve_standard(costs, rows, senses, rhs)
+        except InfeasibleError:
+            assert ref.status == 2
+            continue
+        except UnboundedError:
+            assert ref.status == 3
+            continue
+        assert ref.status == 0
+        assert abs(float(value) - ref.fun) < 1e-7
+        checked += 1
+    assert checked > 40
+
+
 def test_duals_price_rhs_perturbations():
     costs = [F(3), F(5)]
     rows = [[F(1), F(0)], [F(0), F(2)], [F(3), F(2)]]

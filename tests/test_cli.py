@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,70 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "verify: PASS" in out
         assert "online-certificate" in out
+
+
+# ------------------------------------------------------- byte-for-byte goldens
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FORMATS = ("human", "csv", "json")
+
+
+def _golden_instances() -> dict:
+    """The worked instance plus two seeded release-date ones.  The
+    oracle solves the deterministic one and refuses the stochastic one
+    (exit 6), so both of its paths are pinned."""
+    rng = random.Random(8)
+    rows = sorted(((rng.randint(1, 5), rng.randint(0, 4),
+                    (rng.randint(1, 4), rng.randint(1, 4))) for _ in range(3)),
+                  key=lambda row: row[1])
+    return {
+        "worked": worked_instance(),
+        "stochastic": random_instance(random.Random(5), max_machines=2, max_jobs=3,
+                                      releases=True),
+        "point": point_instance(2, rows),
+    }
+
+
+def _golden_invocations() -> list:
+    calls = []
+    for name in _golden_instances():
+        for extra in (["list"], ["time", "--samples", "50"], ["lp", "--variant", "P_o"],
+                      ["verify"], ["oracle"]):
+            calls.extend([extra[0], name, *extra[1:], "--format", fmt] for fmt in FORMATS)
+    for extra in (["lowerbound", "3"], ["appendix", "--samples", "20"]):
+        calls.extend([*extra, "--format", fmt] for fmt in FORMATS)
+    return calls
+
+
+def _cli_outputs(directory: Path) -> dict:
+    """Exit code, stdout and stderr of every golden invocation, keyed by
+    its command line with instance names in place of file paths."""
+    instances = _golden_instances()
+    for name, inst in instances.items():
+        (directory / f"{name}.json").write_text(cli.emit_instance(inst))
+    outputs = {}
+    for args in _golden_invocations():
+        argv = [str(directory / f"{a}.json") if a in instances else a for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        outputs[" ".join(args)] = {"exit": code, "stdout": out.getvalue(),
+                                   "stderr": err.getvalue()}
+    return outputs
+
+
+def test_output_bytes_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = _cli_outputs(tmp_path)
+    assert list(actual) == list(expected)
+    for key, record in expected.items():
+        assert actual[key] == record, key
+
+
+if __name__ == "__main__":
+    # rerecord: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        text = json.dumps(_cli_outputs(Path(scratch)), indent=1, ensure_ascii=False)
+    GOLDEN.write_text(text + "\n", encoding="utf-8")

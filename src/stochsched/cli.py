@@ -89,6 +89,8 @@ def parse_instance(text: str) -> Instance:
     if machines < 1:
         raise SchemaError("machines must be at least 1")
     rows = _field(payload, "instance", "jobs", list)
+    if not rows:
+        raise SchemaError("instance must have at least one job")
     jobs = []
     for pos, row in enumerate(rows):
         context = f"jobs[{pos}]"
@@ -192,8 +194,6 @@ def _run_list(config: RunConfig) -> Report:
     factor = config.f * config.f / (config.f - 1) if config.f > 1 else None
     chain_ok = factor is not None and alg <= factor * optimum
     weak_ok = speed.metrics["objective_actual"] <= optimum
-    rows = [{"job": job.id, "machine": assignment.machine_of(job.id),
-             "increase": increases[job.id - 1]} for job in inst.jobs]
     return Report(
         name="list",
         passed=feasibility.passed and speed.passed and chain_ok and weak_ok,
@@ -205,9 +205,10 @@ def _run_list(config: RunConfig) -> Report:
             "chain_factor": factor,
             "alg_within_chain": chain_ok,
             "weak_duality_ok": weak_ok,
-            "checks": [feasibility, speed],
-            "rows": rows,
         },
+        checks=(feasibility, speed),
+        rows=tuple({"job": job.id, "machine": assignment.machine_of(job.id),
+                    "increase": increases[job.id - 1]} for job in inst.jobs),
     )
 
 
@@ -239,9 +240,9 @@ def _run_time(config: RunConfig) -> Report:
             "estimate_ci95": estimate.ci95,
             "samples": config.samples,
             "seed": config.seed,
-            "checks": [bound],
-            "rows": rows,
         },
+        checks=(bound,),
+        rows=tuple(rows),
     )
 
 
@@ -256,8 +257,6 @@ def _run_lp(config: RunConfig) -> Report:
             with open(config.export, "w", encoding="utf-8") as fh:
                 fh.write(text)
     solution = lp.solve_lp(model)
-    rows = [{"variable": name, "value": value}
-            for name, value in solution.primal.items() if value != 0]
     metrics = {
         "variant": config.variant,
         "horizon": model.horizon,
@@ -267,24 +266,26 @@ def _run_lp(config: RunConfig) -> Report:
     }
     if config.export is not None:
         metrics["exported"] = config.export
-    metrics["rows"] = rows
-    return Report(name="lp", passed=True, metrics=metrics)
+    return Report(name="lp", passed=True, metrics=metrics,
+                  rows=tuple({"variable": name, "value": value}
+                             for name, value in solution.primal.items() if value != 0))
 
 
 def _run_verify(config: RunConfig) -> Report:
     inst = config.instance
     cert = dualfit.build_list_certificate(inst)
-    checks = [
+    checks = (
         dualfit.check_list_feasibility(inst, cert),
         dualfit.check_speedf(inst, config.f),
         dualfit.check_online(inst, config.f, solve=True, horizon=config.horizon),
-    ]
-    rows = [{"check": c.name, "passed": c.passed, "min_slack": c.min_slack,
-             "violations": len(c.violations)} for c in checks]
+    )
     return Report(
         name="verify",
         passed=all(c.passed for c in checks),
-        metrics={"f": config.f, "checks": checks, "rows": rows},
+        metrics={"f": config.f},
+        checks=checks,
+        rows=tuple({"check": c.name, "passed": c.passed, "min_slack": c.min_slack,
+                    "violations": len(c.violations)} for c in checks),
     )
 
 
@@ -331,7 +332,8 @@ def _run_lowerbound(config: RunConfig) -> Report:
         name="lowerbound",
         passed=increasing and below_four,
         metrics={"k": config.k, "strictly_increasing": increasing,
-                 "below_four": below_four, "rows": rows},
+                 "below_four": below_four},
+        rows=tuple(rows),
     )
 
 
@@ -345,14 +347,14 @@ def _run_appendix(config: RunConfig) -> Report:
         oracle.staged_process(threshold),
         oracle.heavy_process(threshold),
     ]
-    checks = [b1, moments]
-    checks.extend(oracle.check_b2(p, config.samples, config.seed) for p in processes)
-    rows = [{"check": c.name, "passed": c.passed} for c in checks]
+    checks = (b1, moments, *(oracle.check_b2(p, config.samples, config.seed)
+                             for p in processes))
     return Report(
         name="appendix",
         passed=all(c.passed for c in checks),
-        metrics={"cases": cases, "trials": config.samples, "seed": config.seed,
-                 "checks": checks, "rows": rows},
+        metrics={"cases": cases, "trials": config.samples, "seed": config.seed},
+        checks=checks,
+        rows=tuple({"check": c.name, "passed": c.passed} for c in checks),
     )
 
 
@@ -403,19 +405,16 @@ def _csv_value(value) -> str:
 
 def _render_human(report: Report) -> str:
     lines = [f"{report.name}: {'PASS' if report.passed else 'FAIL'}"]
-    metrics = dict(report.metrics)
-    checks = metrics.pop("checks", None)
-    rows = metrics.pop("rows", None)
-    for key, value in metrics.items():
+    for key, value in report.metrics.items():
         lines.append(f"  {key}: {_human_value(value)}")
     if report.min_slack is not None:
         lines.append(f"  min_slack: {_human_value(report.min_slack)}")
     for violation in report.violations[:5]:
         lines.append(f"  violated {violation.constraint}: "
                      f"{_human_value(violation.lhs)} > {_human_value(violation.rhs)}")
-    if checks:
+    if report.checks:
         lines.append("  checks:")
-        for child in checks:
+        for child in report.checks:
             mark = "PASS" if child.passed else "FAIL"
             extras = []
             if child.min_slack is not None:
@@ -426,9 +425,9 @@ def _render_human(report: Report) -> str:
             lines.append(f"    [{mark}] {child.name}{suffix}")
             for key, value in child.metrics.items():
                 lines.append(f"        {key}: {_human_value(value)}")
-    if rows:
-        columns = list(rows[0].keys())
-        table = [columns] + [[_human_value(row[c]) for c in columns] for row in rows]
+    if report.rows:
+        columns = list(report.rows[0])
+        table = [columns] + [[_human_value(row[c]) for c in columns] for row in report.rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
         for line in table:
             lines.append(("  " + "  ".join(v.ljust(w) for v, w in zip(line, widths))).rstrip())
@@ -438,19 +437,14 @@ def _render_human(report: Report) -> str:
 def _render_csv(report: Report) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    rows = report.metrics.get("rows")
-    if rows:
-        columns = list(rows[0].keys())
+    if report.rows:
+        columns = list(report.rows[0])
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_value(row[c]) for c in columns])
+        writer.writerows([_csv_value(row[c]) for c in columns] for row in report.rows)
     else:
         writer.writerow(["key", "value"])
         writer.writerow(["passed", _csv_value(report.passed)])
-        for key, value in report.metrics.items():
-            if key in ("rows", "checks"):
-                continue
-            writer.writerow([key, _csv_value(value)])
+        writer.writerows([key, _csv_value(value)] for key, value in report.metrics.items())
     return buffer.getvalue()
 
 
@@ -467,47 +461,44 @@ def render(report: Report, fmt: str) -> str:
 # ------------------------------------------------------------------ entry point
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Options carry no defaults: one left out never reaches the
+    namespace, so RunConfig's field defaults apply."""
     parser = argparse.ArgumentParser(
         prog="stochsched",
         description="Greedy scheduling policies for stochastic jobs on unrelated "
                     "machines, with LP relaxations and verifiable bound certificates.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, instance=True, f=False, samples=False, horizon=False, mode=False):
+    def add(name, summary, instance=True, f=False, samples=False, horizon=False, mode=False):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if instance:
             p.add_argument("instance", help="instance file (SCHED v1 JSON), or - for stdin")
         if f:
-            p.add_argument("--f", default="2", help="speed factor, a rational like 2 or 5/2")
+            p.add_argument("--f", help="speed factor, a rational like 2 or 5/2")
         if samples:
-            p.add_argument("--samples", type=int, default=10000,
-                           help="Monte Carlo replications")
-            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+            p.add_argument("--samples", type=int, help="Monte Carlo replications")
+            p.add_argument("--seed", type=int, help="RNG seed")
         if horizon:
-            p.add_argument("--horizon", type=int, default=None,
-                           help="override the time-indexed horizon")
+            p.add_argument("--horizon", type=int, help="override the time-indexed horizon")
         if mode:
-            p.add_argument("--mode", choices=greedy_time.MODES, default="forced-idle",
+            p.add_argument("--mode", choices=greedy_time.MODES,
                            help="idle for the expected duration, or stretch short runs")
-        p.add_argument("--format", choices=FORMATS, default="human", dest="fmt")
+        p.add_argument("--format", choices=FORMATS, dest="fmt")
+        return p
 
-    p = sub.add_parser("list", help="arrival-order greedy, certificates, LP cross-check")
-    add_common(p, f=True, horizon=True)
-    p = sub.add_parser("time", help="release-aware greedy with Monte Carlo estimate")
-    add_common(p, f=True, samples=True, mode=True)
-    p = sub.add_parser("lp", help="build, solve, optionally export one LP variant")
-    add_common(p, horizon=True)
-    p.add_argument("--variant", choices=lp.VARIANTS, default="S")
-    p.add_argument("--export", default=None, metavar="PATH",
+    add("list", "arrival-order greedy, certificates, LP cross-check", f=True, horizon=True)
+    add("time", "release-aware greedy with Monte Carlo estimate", f=True, samples=True,
+        mode=True)
+    p = add("lp", "build, solve, optionally export one LP variant", horizon=True)
+    p.add_argument("--variant", choices=lp.VARIANTS)
+    p.add_argument("--export", metavar="PATH",
                    help="write the model text here ('-' for stdout)")
-    p = sub.add_parser("verify", help="build and verify all bound certificates")
-    add_common(p, f=True, horizon=True)
-    p = sub.add_parser("oracle", help="exhaustive or adaptive optimum on a tiny instance")
-    add_common(p)
-    p = sub.add_parser("lowerbound", help="tightness family table up to k")
+    add("verify", "build and verify all bound certificates", f=True, horizon=True)
+    add("oracle", "exhaustive or adaptive optimum on a tiny instance")
+    p = add("lowerbound", "tightness family table up to k", instance=False)
     p.add_argument("k", type=int)
-    p.add_argument("--format", choices=FORMATS, default="human", dest="fmt")
-    p = sub.add_parser("appendix", help="identity fuzz and stopped-sum simulations")
-    add_common(p, instance=False, samples=True)
+    add("appendix", "identity fuzz and stopped-sum simulations", instance=False,
+        samples=True)
     return parser
 
 
@@ -526,48 +517,34 @@ def _speed_factor(text: str) -> Fraction:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    instance = None
-    if getattr(args, "instance", None) is not None:
-        instance = _load_instance(args.instance)
-    return RunConfig(
-        subcommand=args.subcommand,
-        instance=instance,
-        f=_speed_factor(getattr(args, "f", "2")),
-        samples=getattr(args, "samples", 10000),
-        seed=getattr(args, "seed", 0),
-        horizon=getattr(args, "horizon", None),
-        fmt=args.fmt,
-        mode=getattr(args, "mode", "forced-idle"),
-        variant=getattr(args, "variant", "S"),
-        k=getattr(args, "k", 2),
-        export=getattr(args, "export", None),
-    )
+    settings = dict(vars(args))
+    if "instance" in settings:
+        settings["instance"] = _load_instance(settings["instance"])
+    if "f" in settings:
+        settings["f"] = _speed_factor(settings["f"])
+    return RunConfig(**settings)
+
+
+# first match wins, so subclasses come before their bases
+_EXIT_CODES = (
+    ((SchemaError, ZeroMeanError), EXIT_SCHEMA),  # SchemaError includes ProbSumError
+    ((UnschedulableError,), EXIT_UNSCHEDULABLE),
+    ((HorizonTooSmallError, InfeasibleError, UnboundedError), EXIT_LP),
+    ((TooLargeError, BadMError), EXIT_TOO_LARGE),
+    ((SchedError, ValueError, OSError), EXIT_USAGE),
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = run(_config_from(args))
-        sys.stdout.write(render(report, args.fmt))
+        config = _config_from(args)
+        report = run(config)
+        sys.stdout.write(render(report, config.fmt))
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    except SchemaError as exc:  # includes ProbSumError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ZeroMeanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except UnschedulableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSCHEDULABLE
-    except (HorizonTooSmallError, InfeasibleError, UnboundedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LP
-    except (TooLargeError, BadMError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except (SchedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

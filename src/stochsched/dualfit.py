@@ -65,6 +65,8 @@ class DualCertificate:
             raise ValueError("alpha values must be nonnegative")
         if any(v < 0 for v in self.beta.values()):
             raise ValueError("beta values must be nonnegative")
+        if any(v <= 0 for v in self.scale):
+            raise ValueError("scale entries must be positive")
 
     @property
     def alpha_sum(self) -> Fraction:
@@ -227,11 +229,9 @@ def check_list_feasibility(inst: Instance, cert: DualCertificate) -> Report:
         raise ValueError(f"expected a list certificate, got kind {cert.kind!r}")
     report = verify_certificate(inst, cert)
     alg = greedy_list.greedy_cost(inst)
-    report.name = "list-certificate"
-    report.metrics["alg_value"] = alg
-    report.metrics["alpha_matches_alg"] = cert.alpha_sum == alg
-    report.metrics["beta_matches_alg"] = cert.beta_sum == alg
-    return report
+    return dataclasses.replace(report, name="list-certificate", metrics={
+        **report.metrics, "alg_value": alg, "alpha_matches_alg": cert.alpha_sum == alg,
+        "beta_matches_alg": cert.beta_sum == alg})
 
 
 def check_speedf(inst: Instance, f: FractionLike) -> Report:
@@ -250,12 +250,9 @@ def check_speedf(inst: Instance, f: FractionLike) -> Report:
     alg = greedy_list.greedy_cost(inst)
     actual = cert.objective()
     formula = (f - 1) / (f * f) * alg
-    report.name = "speed-certificate"
-    report.metrics["alg_value"] = alg
-    report.metrics["objective_formula"] = formula
-    report.metrics["objective_actual"] = actual
-    report.metrics["objective_exact"] = formula == actual
-    return report
+    return dataclasses.replace(report, name="speed-certificate", metrics={
+        **report.metrics, "alg_value": alg, "objective_formula": formula,
+        "objective_actual": actual, "objective_exact": formula == actual})
 
 
 def check_online(inst: Instance, f: FractionLike, solve: bool = True,
@@ -278,23 +275,18 @@ def check_online(inst: Instance, f: FractionLike, solve: bool = True,
 
     cost_le_alpha = det_cost <= cert.alpha_sum
     beta_matches = cert.beta_sum == det_cost
-    report.name = "online-certificate"
-    report.metrics["det_cost"] = det_cost
-    report.metrics["cost_le_alpha"] = cost_le_alpha
-    report.metrics["beta_matches_cost"] = beta_matches
-    report.metrics["lower_bound"] = lower
+    metrics = {**report.metrics, "det_cost": det_cost, "cost_le_alpha": cost_le_alpha,
+               "beta_matches_cost": beta_matches, "lower_bound": lower}
     ok = report.passed and cost_le_alpha and beta_matches
 
     if solve:
         optimum = lp.solve_lp(lp.build_primal(inst, "P_o", horizon)).value
         bound_ok = lower <= optimum
         chain_ok = det_cost <= 3 * f / (f - 1) * optimum
-        report.metrics["lp_value"] = optimum
-        report.metrics["lower_bound_le_lp"] = bound_ok
-        report.metrics["cost_within_chain"] = chain_ok
+        metrics.update(lp_value=optimum, lower_bound_le_lp=bound_ok,
+                       cost_within_chain=chain_ok)
         ok = ok and bound_ok and chain_ok
-    report.passed = ok
-    return report
+    return dataclasses.replace(report, name="online-certificate", passed=ok, metrics=metrics)
 
 
 def perturbed(cert: DualCertificate, job_id: int, delta: FractionLike) -> DualCertificate:
@@ -318,7 +310,13 @@ def serialize_certificate(cert: DualCertificate) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_certificate(text: str) -> DualCertificate:
+    """Strict reader for `CERT v1`: rationals are integers or 'p/q'
+    strings, never floats or bools, and keys are integers."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -327,18 +325,18 @@ def parse_certificate(text: str) -> DualCertificate:
         raise SchemaError("missing or wrong format marker, expected 'CERT v1'")
     try:
         kind = payload["kind"]
-        f = Fraction(payload["f"])
-        scale = (Fraction(payload["scale"][0]), Fraction(payload["scale"][1]))
+        f = as_fraction(payload["f"])
+        scale = (as_fraction(payload["scale"][0]), as_fraction(payload["scale"][1]))
         alpha = {}
         for job_id, value in payload["alpha"]:
-            if not isinstance(job_id, int):
+            if not _is_int(job_id):
                 raise SchemaError(f"alpha key {job_id!r} is not an integer job id")
-            alpha[job_id] = Fraction(value)
+            alpha[job_id] = as_fraction(value)
         beta = {}
         for machine, slot, value in payload["beta"]:
-            if not isinstance(machine, int) or not isinstance(slot, int):
+            if not _is_int(machine) or not _is_int(slot):
                 raise SchemaError(f"beta key {(machine, slot)!r} must be integer pairs")
-            beta[(machine, slot)] = Fraction(value)
+            beta[(machine, slot)] = as_fraction(value)
     except SchemaError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:

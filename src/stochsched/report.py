@@ -1,15 +1,14 @@
 """Structured results for certificate and bound checks."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-__all__ = ["Violation", "Report", "jsonable"]
+__all__ = ["Scalar", "Violation", "Report", "jsonable"]
 
-# scalars mostly; the CLI also tucks row tables and child reports in here
-Metric = object
-
+Scalar = Union[Fraction, float, int, bool, str, None]
 
 Number = Union[Fraction, float]
 
@@ -28,23 +27,35 @@ class Violation:
         return self.rhs - self.lhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
+    """Verdict of one check: named scalar metrics, the inequalities it
+    found broken, the sub-checks it is made of, and a table of rows."""
+
     name: str
     passed: bool
-    metrics: dict[str, Metric] = field(default_factory=dict)
+    metrics: Mapping[str, Scalar] = field(default_factory=dict)
     violations: tuple[Violation, ...] = ()
     min_slack: Optional[Number] = None
+    checks: tuple[Report, ...] = ()
+    rows: tuple[Mapping[str, Scalar], ...] = ()
 
 
 def jsonable(value):
     """Recursively convert report pieces to JSON-safe primitives;
-    rationals become canonical 'p/q' strings so nothing is rounded."""
+    rationals become canonical 'p/q' strings so nothing is rounded.
+    Sub-checks, then rows, are the last keys inside "metrics", present
+    only when nonempty."""
     if isinstance(value, Report):
+        metrics = {k: jsonable(v) for k, v in value.metrics.items()}
+        if value.checks:
+            metrics["checks"] = jsonable(value.checks)
+        if value.rows:
+            metrics["rows"] = jsonable(value.rows)
         return {
             "name": value.name,
             "passed": value.passed,
-            "metrics": {k: jsonable(v) for k, v in value.metrics.items()},
+            "metrics": metrics,
             "violations": [jsonable(v) for v in value.violations],
             "min_slack": jsonable(value.min_slack),
         }
@@ -55,6 +66,6 @@ def jsonable(value):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}
     return value

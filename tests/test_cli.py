@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 from stochsched import cli, lp
 from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import SchemaError
+from stochsched.report import Report, Violation, jsonable
 
 from helpers import point_instance, random_instance, worked_instance
 
@@ -51,6 +53,7 @@ class TestInstanceIO:
          '"r": 0, "proc": [[[1, "2/3"]]]}]}', "sum"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
          '"r": 0}]}', "proc"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": []}', "at least one job"),
     ])
     def test_schema_errors(self, text, hint):
         with pytest.raises(SchemaError) as err:
@@ -82,6 +85,15 @@ class TestExitCodes:
         path.write_text("{}")
         assert cli.main(["list", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_instance_is_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"format":"SCHED v1","machines":1,"jobs":[]}')
+        for sub in ("oracle", "list", "time", "lp", "verify"):
+            assert cli.main([sub, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: instance must have at least one job\n"
 
     def test_unschedulable_is_three(self, tmp_path):
         path = tmp_path / "unsched.json"
@@ -175,6 +187,28 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "verify: PASS" in out
         assert "online-certificate" in out
+
+
+class TestReport:
+    def test_frozen(self):
+        report = Report("r", True, {"x": 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = False
+
+    def test_json_puts_checks_then_rows_last_in_metrics(self):
+        child = Report("child", False, {"a": F(1, 2)},
+                       violations=(Violation("c", F(2), F(1)),), min_slack=F(-1))
+        report = Report("parent", False, {"x": F(3), "y": 1.5},
+                        checks=(child,), rows=({"k": 1, "v": F(1, 3)},))
+        payload = jsonable(report)
+        assert list(payload) == ["name", "passed", "metrics", "violations", "min_slack"]
+        assert list(payload["metrics"]) == ["x", "y", "checks", "rows"]
+        assert payload["metrics"]["checks"][0]["violations"] == [
+            {"constraint": "c", "lhs": "2", "rhs": "1", "slack": "-1"}]
+        assert payload["metrics"]["rows"] == [{"k": 1, "v": "1/3"}]
+
+    def test_json_omits_empty_checks_and_rows(self):
+        assert jsonable(Report("r", True, {"x": 1}))["metrics"] == {"x": 1}
 
 
 # ------------------------------------------------------- byte-for-byte goldens

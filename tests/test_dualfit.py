@@ -194,3 +194,44 @@ class TestSerialization:
             dualfit.parse_certificate(good.replace('"list"', '"wat"'))
         with pytest.raises(SchemaError):
             dualfit.parse_certificate(good.replace('[[1,"2"]', '[[1,"-2"]'))
+
+    def test_round_trip_seeded_release_instances(self):
+        rng = random.Random(17)
+        for _ in range(10):
+            inst = random_instance(rng, max_machines=3, max_jobs=5, releases=True)
+            for cert in (dualfit.build_list_certificate(inst),
+                         dualfit.build_speed_certificate(inst, F(2)),
+                         dualfit.build_online_certificate(inst, F(3))):
+                text = dualfit.serialize_certificate(cert)
+                assert dualfit.parse_certificate(text) == cert
+
+
+GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
+             '"alpha":[[1,"2"],[2,"2"]],"beta":[[1,0,"1"],[1,1,"1"],[2,0,"2"]]}')
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param('"f":"1"', '"f":Infinity', id="f-infinity"),
+    pytest.param('"f":"1"', '"f":NaN', id="f-nan"),
+    pytest.param('"f":"1"', '"f":0.1', id="f-float"),
+    pytest.param('"f":"1"', '"f":true', id="f-bool"),
+    pytest.param('"f":"1"', '"f":"1/0"', id="f-zero-denominator"),
+    pytest.param('[[1,"2"]', '[[1,1e400]', id="alpha-overflow"),
+    pytest.param('[[1,"2"]', '[[1,0.5]', id="alpha-float"),
+    pytest.param('[[1,"2"]', '[[1,"x"]', id="alpha-garbage"),
+    pytest.param('[[1,"2"]', '[[true,"2"]', id="alpha-bool-id"),
+    pytest.param('[[1,"2"]', '[["1","2"]', id="alpha-string-id"),
+    pytest.param('[[1,0,"1"]', '[[true,0,"1"]', id="beta-bool-machine"),
+    pytest.param('[[1,0,"1"]', '[[1,false,"1"]', id="beta-bool-slot"),
+    pytest.param('[[1,0,"1"]', '[[1,0,-Infinity]', id="beta-minus-infinity"),
+    pytest.param('["2","2"]', '["0","2"]', id="scale-zero"),
+    pytest.param('["2","2"]', '["2","-1"]', id="scale-negative"),
+    pytest.param('["2","2"]', '[2.0,2]', id="scale-floats"),
+    pytest.param('["2","2"]', '["2"]', id="scale-short"),
+])
+def test_malformed_certificate_is_a_schema_error(old, new):
+    assert dualfit.parse_certificate(GOOD_CERT) == dualfit.build_list_certificate(
+        worked_instance())
+    assert GOOD_CERT.count(old) == 1
+    with pytest.raises(SchemaError):
+        dualfit.parse_certificate(GOOD_CERT.replace(old, new))

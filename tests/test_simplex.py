@@ -8,10 +8,6 @@ from stochsched.simplex import solve_standard
 
 F = Fraction
 
-scipy = pytest.importorskip("scipy", reason="float cross-check only")
-import numpy as np               # noqa: E402  (scipy implies numpy)
-from scipy.optimize import linprog  # noqa: E402
-
 
 def test_bounded_maximum_via_negation():
     # max x s.t. x <= 3 written as min -x
@@ -69,25 +65,35 @@ def _random_program(rng):
     return costs, rows, senses, rhs
 
 
+def _scipy_reference(costs, rows, senses, rhs):
+    """scipy's float solve of the same program; skips the calling test
+    when scipy is not installed."""
+    pytest.importorskip("scipy", reason="float cross-check only")
+    import numpy as np  # scipy implies numpy
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, sense, b in zip(rows, senses, rhs):
+        if sense == "<=":
+            a_ub.append([float(c) for c in row]); b_ub.append(float(b))
+        elif sense == ">=":
+            a_ub.append([-float(c) for c in row]); b_ub.append(-float(b))
+        else:
+            a_eq.append([float(c) for c in row]); b_eq.append(float(b))
+    return linprog([float(c) for c in costs],
+                   A_ub=np.array(a_ub) if a_ub else None,
+                   b_ub=np.array(b_ub) if b_ub else None,
+                   A_eq=np.array(a_eq) if a_eq else None,
+                   b_eq=np.array(b_eq) if b_eq else None,
+                   method="highs")
+
+
 def test_against_scipy_on_random_programs():
     rng = random.Random(2024)
     checked = 0
     for _ in range(120):
         costs, rows, senses, rhs = _random_program(rng)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, sense, b in zip(rows, senses, rhs):
-            if sense == "<=":
-                a_ub.append([float(c) for c in row]); b_ub.append(float(b))
-            elif sense == ">=":
-                a_ub.append([-float(c) for c in row]); b_ub.append(-float(b))
-            else:
-                a_eq.append([float(c) for c in row]); b_eq.append(float(b))
-        ref = linprog([float(c) for c in costs],
-                      A_ub=np.array(a_ub) if a_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(a_eq) if a_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      method="highs")
+        ref = _scipy_reference(costs, rows, senses, rhs)
         try:
             value, x, _ = solve_standard(costs, rows, senses, rhs)
         except InfeasibleError:
@@ -120,20 +126,7 @@ def test_against_scipy_on_fractional_signed_programs():
     checked = 0
     for _ in range(200):
         costs, rows, senses, rhs = _fractional_program(rng)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, sense, b in zip(rows, senses, rhs):
-            if sense == "<=":
-                a_ub.append([float(c) for c in row]); b_ub.append(float(b))
-            elif sense == ">=":
-                a_ub.append([-float(c) for c in row]); b_ub.append(-float(b))
-            else:
-                a_eq.append([float(c) for c in row]); b_eq.append(float(b))
-        ref = linprog([float(c) for c in costs],
-                      A_ub=np.array(a_ub) if a_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(a_eq) if a_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      method="highs")
+        ref = _scipy_reference(costs, rows, senses, rhs)
         try:
             value, x, _ = solve_standard(costs, rows, senses, rhs)
         except InfeasibleError:

@@ -239,6 +239,9 @@ def _golden_invocations() -> list:
         for extra in (["list"], ["time", "--samples", "50"], ["lp", "--variant", "P_o"],
                       ["verify"], ["oracle"]):
             calls.extend([extra[0], name, *extra[1:], "--format", fmt] for fmt in FORMATS)
+    # max-proc runs the per-job bound on its own forced-idle estimate
+    calls.extend(["time", "stochastic", "--mode", "max-proc", "--samples", "50", "--format", fmt]
+                 for fmt in FORMATS)
     for extra in (["lowerbound", "3"], ["appendix", "--samples", "20"]):
         calls.extend([*extra, "--format", fmt] for fmt in FORMATS)
     return calls

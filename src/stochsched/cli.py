@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import Instance, Job, ProcDist, as_fraction, max_scv
+from .core import Instance, Job, ProcDist, as_fraction, fixed_assignment_cost, max_scv
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -134,7 +135,7 @@ def parse_instance(text: str) -> Instance:
             raise SchemaError(f"{context}: {exc}") from None
     try:
         return Instance(machines, jobs)
-    except ValueError as exc:
+    except (ValueError, ZeroMeanError) as exc:
         raise SchemaError(str(exc)) from None
 
 
@@ -183,13 +184,20 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}")
 
 
+def _list_checks(inst: Instance, f: Fraction) -> tuple[
+        greedy_list.GreedyRun, Fraction, dualfit.DualCertificate, Report, Report]:
+    """The list greedy run once, its cost from the assignment alone, the
+    list certificate, and the list and speed-f checks on them."""
+    run = greedy_list.assign(inst)
+    alg = fixed_assignment_cost(inst, run.assignment.as_mapping())
+    cert = dualfit.build_list_certificate(inst, run)
+    return (run, alg, cert, dualfit.check_list_feasibility(inst, cert, alg),
+            dualfit.check_speedf(inst, f, run, alg))
+
+
 def _run_list(config: RunConfig) -> Report:
     inst = config.instance
-    assignment, increases = greedy_list.assign(inst)
-    alg = greedy_list.greedy_cost(inst)
-    cert = dualfit.build_list_certificate(inst)
-    feasibility = dualfit.check_list_feasibility(inst, cert)
-    speed = dualfit.check_speedf(inst, config.f)
+    (assignment, increases), alg, cert, feasibility, speed = _list_checks(inst, config.f)
     optimum = lp.solve_lp(lp.build_primal(inst, "P", config.horizon)).value
     factor = config.f * config.f / (config.f - 1) if config.f > 1 else None
     chain_ok = factor is not None and alg <= factor * optimum
@@ -215,10 +223,13 @@ def _run_list(config: RunConfig) -> Report:
 def _run_time(config: RunConfig) -> Report:
     inst = config.instance
     assignment = greedy_time.assign(inst, config.f)
-    det_cost = greedy_time.deterministic_cost(inst, config.f)
+    det_cost = greedy_time.deterministic_cost(inst, config.f, assignment)
     estimate = greedy_time.estimate_cost(inst, config.f, config.samples,
-                                         config.seed, config.mode)
-    bound = oracle.check_lemma5(inst, config.f, config.samples, config.seed)
+                                         config.seed, config.mode, assignment)
+    # the bound judges the forced-idle policy, so a max-proc estimate
+    # cannot stand in for its own draws
+    bound = oracle.check_lemma5(inst, config.f, config.samples, config.seed, assignment,
+                                estimate if config.mode == "forced-idle" else None)
     rows = []
     for job in inst.jobs:
         machine = assignment.machine_of(job.id)
@@ -273,10 +284,10 @@ def _run_lp(config: RunConfig) -> Report:
 
 def _run_verify(config: RunConfig) -> Report:
     inst = config.instance
-    cert = dualfit.build_list_certificate(inst)
+    *_, feasibility, speed = _list_checks(inst, config.f)
     checks = (
-        dualfit.check_list_feasibility(inst, cert),
-        dualfit.check_speedf(inst, config.f),
+        feasibility,
+        speed,
         dualfit.check_online(inst, config.f, solve=True, horizon=config.horizon),
     )
     return Report(
@@ -460,9 +471,11 @@ def render(report: Report, fmt: str) -> str:
 
 # ------------------------------------------------------------------ entry point
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """Options carry no defaults: one left out never reaches the
-    namespace, so RunConfig's field defaults apply."""
+    namespace, so RunConfig's field defaults apply.  Built on the first
+    `main` call and reused: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="stochsched",
         description="Greedy scheduling policies for stochastic jobs on unrelated "
@@ -503,10 +516,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str) -> Instance:
-    if path == "-":
-        return parse_instance(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"instance is not UTF-8 text: {exc}") from None
+    return parse_instance(text)
 
 
 def _speed_factor(text: str) -> Fraction:

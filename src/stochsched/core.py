@@ -5,7 +5,9 @@ Everything exact: probabilities, weights and all derived quantities are
 """
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,9 +74,25 @@ class ProcDist:
     def point(cls, value: int) -> "ProcDist":
         return cls({value: Fraction(1)})
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.pmf)
+
+    @cached_property
+    def cuts(self) -> tuple[float, ...]:
+        """Per support point, the smallest float at or above the exact
+        cumulative probability up to and including it.  No float lies
+        strictly between a partial sum and its cut, so a float draw is
+        below the cut exactly when it is below the partial sum."""
+        cuts = []
+        acc = Fraction(0)
+        for _, prob in self.pmf:
+            acc += prob
+            cut = float(acc)
+            if Fraction(cut) < acc:
+                cut = math.nextafter(cut, math.inf)
+            cuts.append(cut)
+        return tuple(cuts)
 
     @property
     def max_value(self) -> int:
@@ -109,15 +127,12 @@ class ProcDist:
         return sum((p for v, p in self.pmf if v > r), Fraction(0))
 
     def sample(self, rng) -> int:
-        """Draw one value.  Exact: the uniform draw is compared against
-        the rational CDF, so no support point is ever mis-binned."""
-        u = rng.random()
-        acc = Fraction(0)
-        for value, prob in self.pmf:
-            acc += prob
-            if u < acc:
-                return value
-        return self.pmf[-1][0]
+        """Draw one value: the first support point whose cumulative
+        probability exceeds the uniform draw `rng.random()`.  Exact: the
+        draw is bisected into the float `cuts`, which bin every float
+        as the rational CDF does, so no support point is ever
+        mis-binned and one `rng.random()` is consumed per draw."""
+        return self.support[bisect_right(self.cuts, rng.random())]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ Three kinds:
 
 All arithmetic is exact; the verifier covers every slot up to one past
 the last nonzero beta entry and the remaining tail by monotonicity.
+
+The list and speed builders and checks take the list greedy's run
+(`greedy_list.assign`) and its cost (`core.fixed_assignment_cost` of
+that assignment) when the caller already has them, so one subcommand
+runs the greedy once.  The cost is computed from the assignment alone,
+apart from the scores the certificate holds, so the identities between
+the two stay checks.
 """
 from __future__ import annotations
 
@@ -116,17 +123,19 @@ def _beta_table(completions: Mapping[int, list[tuple[Fraction, Fraction]]],
     return beta
 
 
-def build_list_certificate(inst: Instance) -> DualCertificate:
+def build_list_certificate(inst: Instance,
+                           run: Optional[greedy_list.GreedyRun] = None) -> DualCertificate:
     """Tables of the list greedy: accepted scores and the unfinished
     weight per slot of its expected-duration schedule.  Halving both
     gives a feasible dual point."""
-    assignment, increases = greedy_list.assign(inst)
+    assignment, increases = greedy_list.assign(inst) if run is None else run
     alpha = {job.id: increases[job.id - 1] for job in inst.jobs}
     beta = _beta_table(_machine_completions(inst, assignment))
     return DualCertificate("list", Fraction(1), alpha, beta, (Fraction(2), Fraction(2)))
 
 
-def build_speed_certificate(inst: Instance, f: FractionLike) -> DualCertificate:
+def build_speed_certificate(inst: Instance, f: FractionLike,
+                            run: Optional[greedy_list.GreedyRun] = None) -> DualCertificate:
     """List-greedy tables reread on a clock running f times faster.
 
     Scores shrink by f; the unfinished-weight table is sampled at times
@@ -136,7 +145,7 @@ def build_speed_certificate(inst: Instance, f: FractionLike) -> DualCertificate:
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed certificates need f >= 2, got {f}")
-    assignment, increases = greedy_list.assign(inst)
+    assignment, increases = greedy_list.assign(inst) if run is None else run
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     beta = _beta_table(_machine_completions(inst, assignment), stretch=f)
     return DualCertificate("speed", f, alpha, beta, (Fraction(1), f))
@@ -155,8 +164,15 @@ def build_online_certificate(inst: Instance, f: FractionLike) -> DualCertificate
     if f < 2:
         raise RequiresFGeq2Error(f"online certificates need f >= 2, got {f}")
     assignment, increases = greedy_time.assign_with_increases(inst, f)
-    alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     trace, _ = greedy_time.deterministic_schedule(inst, f, assignment)
+    return _online_certificate(inst, f, increases, trace)
+
+
+def _online_certificate(inst: Instance, f: Fraction, increases: tuple[Fraction, ...],
+                        trace: greedy_time.ScheduleTrace) -> DualCertificate:
+    """The online tables from the greedy's scores and its deterministic
+    speed-f trace."""
+    alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     completions: dict[int, list[tuple[Fraction, Fraction]]] = {}
     for row in trace.jobs:
         completions.setdefault(row.machine, []).append(
@@ -223,31 +239,38 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
     )
 
 
-def check_list_feasibility(inst: Instance, cert: DualCertificate) -> Report:
-    """Feasibility scan plus the bookkeeping identities of the list run."""
+def check_list_feasibility(inst: Instance, cert: DualCertificate,
+                           alg: Optional[Fraction] = None) -> Report:
+    """Feasibility scan plus the bookkeeping identities of the list run;
+    `alg` is `greedy_list.greedy_cost(inst)` if the caller has it."""
     if cert.kind != "list":
         raise ValueError(f"expected a list certificate, got kind {cert.kind!r}")
     report = verify_certificate(inst, cert)
-    alg = greedy_list.greedy_cost(inst)
+    if alg is None:
+        alg = greedy_list.greedy_cost(inst)
     return dataclasses.replace(report, name="list-certificate", metrics={
         **report.metrics, "alg_value": alg, "alpha_matches_alg": cert.alpha_sum == alg,
         "beta_matches_alg": cert.beta_sum == alg})
 
 
-def check_speedf(inst: Instance, f: FractionLike) -> Report:
+def check_speedf(inst: Instance, f: FractionLike,
+                 run: Optional[greedy_list.GreedyRun] = None,
+                 alg: Optional[Fraction] = None) -> Report:
     """Build and verify the speed-f certificate, f >= 2.
 
     Reports two objective values: the closed-form (f-1)/f^2 times the
     greedy cost, exact whenever every expected completion is a multiple
     of f, and the actual objective of the scaled feasible point, which
-    is never larger and is the one weak duality applies to.
+    is never larger and is the one weak duality applies to.  `run` and
+    `alg` are the list greedy's run and cost if the caller has them.
     """
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed analysis needs f >= 2, got {f}")
-    cert = build_speed_certificate(inst, f)
+    cert = build_speed_certificate(inst, f, run)
     report = verify_certificate(inst, cert)
-    alg = greedy_list.greedy_cost(inst)
+    if alg is None:
+        alg = greedy_list.greedy_cost(inst)
     actual = cert.objective()
     formula = (f - 1) / (f * f) * alg
     return dataclasses.replace(report, name="speed-certificate", metrics={
@@ -264,13 +287,15 @@ def check_online(inst: Instance, f: FractionLike, solve: bool = True,
     the deterministic completions to land on integers); and, when
     `solve` is set, the certificate's lower bound is at most the online
     LP optimum, which chains into cost <= 3f/(f-1) times the optimum.
+    The certificate and the cost read one greedy run and one trace.
     """
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"online analysis needs f >= 2, got {f}")
-    cert = build_online_certificate(inst, f)
+    assignment, increases = greedy_time.assign_with_increases(inst, f)
+    trace, det_cost = greedy_time.deterministic_schedule(inst, f, assignment)
+    cert = _online_certificate(inst, f, increases, trace)
     report = verify_certificate(inst, cert)
-    _, det_cost = greedy_time.deterministic_schedule(inst, f, greedy_time.assign(inst, f))
     lower = cert.objective()
 
     cost_le_alpha = det_cost <= cert.alpha_sum
@@ -323,19 +348,29 @@ def parse_certificate(text: str) -> DualCertificate:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "CERT v1":
         raise SchemaError("missing or wrong format marker, expected 'CERT v1'")
+    extra = set(payload) - {"format", "kind", "f", "scale", "alpha", "beta"}
+    if extra:
+        raise SchemaError(f"unknown top-level fields {sorted(extra)}")
     try:
         kind = payload["kind"]
         f = as_fraction(payload["f"])
-        scale = (as_fraction(payload["scale"][0]), as_fraction(payload["scale"][1]))
+        entries = payload["scale"]
+        if not isinstance(entries, list) or len(entries) != 2:
+            raise SchemaError(f"scale must list exactly two rationals, got {entries!r}")
+        scale = (as_fraction(entries[0]), as_fraction(entries[1]))
         alpha = {}
         for job_id, value in payload["alpha"]:
             if not _is_int(job_id):
                 raise SchemaError(f"alpha key {job_id!r} is not an integer job id")
+            if job_id in alpha:
+                raise SchemaError(f"alpha lists job {job_id} twice")
             alpha[job_id] = as_fraction(value)
         beta = {}
         for machine, slot, value in payload["beta"]:
             if not _is_int(machine) or not _is_int(slot):
                 raise SchemaError(f"beta key {(machine, slot)!r} must be integer pairs")
+            if (machine, slot) in beta:
+                raise SchemaError(f"beta lists machine {machine}, slot {slot} twice")
             beta[(machine, slot)] = as_fraction(value)
     except SchemaError:
         raise

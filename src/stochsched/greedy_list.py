@@ -10,12 +10,12 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import Instance, fixed_assignment_cost
 from .errors import ForbiddenPairError
 
-__all__ = ["Assignment", "expected_increase", "assign", "greedy_cost"]
+__all__ = ["Assignment", "GreedyRun", "expected_increase", "assign", "greedy_cost"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,15 @@ class Assignment:
 
     def as_mapping(self) -> dict[int, int]:
         return {j + 1: m for j, m in enumerate(self.machines)}
+
+
+class GreedyRun(NamedTuple):
+    """One pass of the greedy: where each job went and the score it was
+    accepted at (`increases[j - 1]` for job j).  Certificate builders
+    and checks take it so that one subcommand dispatches once."""
+
+    assignment: Assignment
+    increases: tuple[Fraction, ...]
 
 
 def expected_increase(inst: Instance, assigned: Mapping[int, int],
@@ -63,7 +72,7 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int],
     return job.weight * work_before + mean * weight_after
 
 
-def _dispatch(inst: Instance, f: Optional[Fraction]) -> tuple[Assignment, tuple[Fraction, ...]]:
+def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
     """The greedy shared by the arrival-order and release-date models.
 
     Each job, in arrival order, goes to the permitted machine with the
@@ -142,10 +151,10 @@ def _dispatch(inst: Instance, f: Optional[Fraction]) -> tuple[Assignment, tuple[
         else:
             pair[0] += best_mean
             pair[1] += w
-    return Assignment(tuple(chosen)), tuple(increases)
+    return GreedyRun(Assignment(tuple(chosen)), tuple(increases))
 
 
-def assign(inst: Instance) -> tuple[Assignment, tuple[Fraction, ...]]:
+def assign(inst: Instance) -> GreedyRun:
     """Run the greedy over jobs in arrival order.
 
     Returns the assignment and, per job, the expected increase it was

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import FractionLike, Instance, as_fraction, machine_order
 from .errors import ForbiddenPairError
-from .greedy_list import Assignment, _dispatch
+from .greedy_list import Assignment, GreedyRun, _dispatch
 
 __all__ = [
     "Realization",
@@ -105,7 +105,7 @@ def assign(inst: Instance, f: FractionLike) -> Assignment:
     return _dispatch(inst, _check_f(f))[0]
 
 
-def assign_with_increases(inst: Instance, f: FractionLike) -> tuple[Assignment, tuple[Fraction, ...]]:
+def assign_with_increases(inst: Instance, f: FractionLike) -> GreedyRun:
     """Like `assign`, but also return each job's accepted score."""
     return _dispatch(inst, _check_f(f))
 
@@ -294,8 +294,9 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
     return trace, trace.cost(inst)
 
 
-def deterministic_cost(inst: Instance, f: FractionLike) -> Fraction:
-    return deterministic_schedule(inst, f)[1]
+def deterministic_cost(inst: Instance, f: FractionLike,
+                       assignment: Optional[Assignment] = None) -> Fraction:
+    return deterministic_schedule(inst, f, assignment)[1]
 
 
 @dataclass(frozen=True)
@@ -316,20 +317,23 @@ def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
 
 
 def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
-                  mode: str = "forced-idle") -> CostEstimate:
+                  mode: str = "forced-idle",
+                  assignment: Optional[Assignment] = None) -> CostEstimate:
     """Monte Carlo mean and 95% interval of the wall-clock policy cost.
 
     Each replication draws from its own child generator keyed by
     (seed, index), so results are reproducible for a fixed (seed,
     samples).  Event times inside a replication are floats; serving
-    priority still uses exact ratios.
+    priority still uses exact ratios.  `assignment` is the greedy's
+    `assign(inst, f)` when the caller already has it.
     """
     f = _check_f(f)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if samples < 1:
         raise ValueError("need at least one replication")
-    assignment = assign(inst, f)
+    if assignment is None:
+        assignment = assign(inst, f)
     ranked = _rank_jobs(inst, assignment)
     # static per-machine layout; only `proc` varies across replications
     layout = []

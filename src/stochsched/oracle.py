@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, Job, ProcDist, as_fraction, priority_split
+from .core import FractionLike, Instance, Job, ProcDist, as_fraction, machine_order
 from .errors import BadMError, HypothesisViolatedError, TooLargeError
 from .report import Report, Violation
 
@@ -486,23 +486,46 @@ def check_b2(process: StoppingProcess, trials: int, seed: int) -> Report:
     )
 
 
-def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int) -> Report:
+def _lemma5_bounds(inst: Instance, f: Fraction,
+                   assignment: greedy_list.Assignment) -> dict[int, Fraction]:
+    """Per job: four times its modified release plus twice the expected
+    work at or above its priority on its machine, in linear time after
+    one sort per machine."""
+    per_machine: dict[int, list[int]] = {}
+    for job in inst.jobs:
+        per_machine.setdefault(assignment.machine_of(job.id), []).append(job.id)
+    bounds: dict[int, Fraction] = {}
+    for machine, ids in per_machine.items():
+        # the jobs at or above one's priority are a prefix of this order
+        work = Fraction(0)
+        for job_id in machine_order(inst, machine, ids):
+            work += inst.mean(machine, job_id)
+            release = greedy_time.modified_release(inst, job_id, machine, f)
+            bounds[job_id] = 4 * release + 2 * work
+    return bounds
+
+
+def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
+                 assignment: Optional[greedy_list.Assignment] = None,
+                 estimate: Optional[greedy_time.CostEstimate] = None) -> Report:
     """Per-job completion bound of the release-aware greedy.
 
     Each job's bound is four times its modified release plus twice the
     expected work at or above its priority on its machine.  Point-mass
     instances are checked exactly on the single trace; otherwise the
     Monte Carlo mean must stay within three intervals of the bound.
+
+    A caller that already has them passes `assignment`, the greedy's
+    `greedy_time.assign(inst, f)`, and `estimate`, the forced-idle
+    `greedy_time.estimate_cost(inst, f, samples, seed)`; the check
+    always judges the forced-idle policy.
     """
     f = as_fraction(f)
-    assignment = greedy_time.assign(inst, f)
-    bounds: dict[int, Fraction] = {}
-    for job in inst.jobs:
-        machine = assignment.machine_of(job.id)
-        ahead = priority_split(inst, machine, job.id).before
-        work = sum((inst.mean(machine, k) for k in ahead
-                    if assignment.machine_of(k) == machine), Fraction(0))
-        bounds[job.id] = 4 * greedy_time.modified_release(inst, job.id, machine, f) + 2 * work
+    if assignment is None:
+        assignment = greedy_time.assign(inst, f)
+    if estimate is not None and estimate.samples != samples:
+        raise ValueError(f"estimate has {estimate.samples} samples, expected {samples}")
+    bounds = _lemma5_bounds(inst, f, assignment)
 
     deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)
     violations = []
@@ -527,7 +550,8 @@ def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int) -> Re
             min_slack=worst,
         )
 
-    est = greedy_time.estimate_cost(inst, f, samples, seed)
+    est = estimate if estimate is not None else greedy_time.estimate_cost(
+        inst, f, samples, seed, assignment=assignment)
     worst_gap = None
     for job in inst.jobs:
         got = est.per_job_mean[job.id - 1]

@@ -1,12 +1,14 @@
-"""Slow, plainly written references for the exhaustive oracles and
-the simplex.
+"""Slow, plainly written references for the exhaustive oracles, the
+simplex and distribution sampling.
 
 `stoch_opt` is the adaptive-optimum program written directly in
 `Fraction` arithmetic, conditioning on per-step hazards instead of
 carrying scaled integer counts; `det_opt` tries every assignment and, on
 every machine, every order.  `solve_standard` is the two-phase Bland
 simplex on a `Fraction` tableau, with no row scaling and no common
-denominator.  The property tests require exact equality between these
+denominator.  `sample` walks the rational CDF of a `ProcDist` in
+`Fraction`s, and `lemma5_bounds` prices each job's per-job bound
+through `core.priority_split`.  The property tests require exact equality between these
 and the package's versions, so they share no code with them.
 """
 from __future__ import annotations
@@ -16,7 +18,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from stochsched.core import Instance
+from stochsched import greedy_time
+from stochsched.core import Instance, priority_split
 from stochsched.errors import InfeasibleError, UnboundedError
 
 
@@ -282,3 +285,28 @@ def solve_standard(costs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
             y = objrow[slack_of[orig]]
         duals[orig] = -y if flipped[orig] else y
     return value, x, duals
+
+
+def sample(dist, rng) -> int:
+    """One draw of `dist`: the first support point whose exact
+    cumulative probability exceeds `rng.random()`."""
+    u = rng.random()
+    acc = Fraction(0)
+    for value, prob in dist.pmf:
+        acc += prob
+        if u < acc:
+            return value
+    return dist.pmf[-1][0]
+
+
+def lemma5_bounds(inst: Instance, f: Fraction, assignment) -> dict[int, Fraction]:
+    """Per job: 4 times its modified release plus twice the mean work of
+    the jobs on its machine that `priority_split` puts before it."""
+    bounds = {}
+    for job in inst.jobs:
+        machine = assignment.machine_of(job.id)
+        ahead = priority_split(inst, machine, job.id).before
+        work = sum((inst.mean(machine, k) for k in ahead
+                    if assignment.machine_of(k) == machine), Fraction(0))
+        bounds[job.id] = 4 * greedy_time.modified_release(inst, job.id, machine, f) + 2 * work
+    return bounds

@@ -3,12 +3,14 @@ import dataclasses
 import io
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from stochsched import cli, lp
+from stochsched import cli, dualfit, greedy_list, greedy_time, lp
 from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import SchemaError
 from stochsched.report import Report, Violation, jsonable
@@ -54,6 +56,8 @@ class TestInstanceIO:
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
          '"r": 0}]}', "proc"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": []}', "at least one job"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": [[[0, "1"]]]}]}', "zero expected"),
     ])
     def test_schema_errors(self, text, hint):
         with pytest.raises(SchemaError) as err:
@@ -209,6 +213,115 @@ class TestReport:
 
     def test_json_omits_empty_checks_and_rows(self):
         assert jsonable(Report("r", True, {"x": 1}))["metrics"] == {"x": 1}
+
+
+# ------------------------------------------------------------ malformed input
+
+# bytes that JSON and the rational syntax give meaning to, plus noise
+FUZZ_BYTES = b'0123456789-+/.eE,:[]{}" nultrfa\\\x00\x7f\xc3\xff'
+
+
+def _mutants(text: str, rng: random.Random, count: int) -> list:
+    data = text.encode("utf-8")
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            out.append(data[:rng.randrange(len(data))])
+            continue
+        mutant = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            mutant[rng.randrange(len(mutant))] = rng.choice(FUZZ_BYTES)
+        out.append(bytes(mutant))
+    return out
+
+
+def test_fuzzed_texts_are_schema_errors(tmp_path, capsys):
+    """Truncated and byte-mutated SCHED v1 and CERT v1 texts either parse
+    or raise SchemaError; `verify` exits 2 on every one that does not
+    parse."""
+    rng = random.Random(2)
+    instances = list(_golden_instances().values())
+    rejected = 0
+    for index, mutant in enumerate(m for inst in instances
+                                   for m in _mutants(cli.emit_instance(inst), rng, 150)):
+        try:
+            cli.parse_instance(mutant.decode("utf-8"))
+            continue
+        except (SchemaError, UnicodeDecodeError):
+            rejected += 1
+        path = tmp_path / f"mutant{index}.json"
+        path.write_bytes(mutant)
+        assert cli.main(["verify", str(path)]) == 2, mutant
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert rejected >= 300
+    certs = [dualfit.serialize_certificate(build(inst)) for inst in instances
+             for build in (dualfit.build_list_certificate,
+                           lambda inst: dualfit.build_online_certificate(inst, 2))]
+    rejected = 0
+    for mutant in (m for text in certs for m in _mutants(text, rng, 100)):
+        try:
+            dualfit.parse_certificate(mutant.decode("latin-1"))
+        except SchemaError:
+            rejected += 1
+    assert rejected >= 400
+
+
+# ------------------------------------------------------- work done once per run
+
+def _count_work(argv: list, monkeypatch) -> Counter:
+    """Run one CLI call with the greedy dispatch, the Monte Carlo and the
+    deterministic schedule counted wherever a module holds them."""
+    counts: Counter = Counter()
+
+    def counted(function, label):
+        def wrapper(*args, **kwargs):
+            counts[label(*args, **kwargs)] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    wrappers = {
+        id(greedy_list._dispatch): counted(
+            greedy_list._dispatch, lambda inst, f: "list" if f is None else "online"),
+        id(greedy_time.estimate_cost): counted(
+            greedy_time.estimate_cost, lambda *a, **k: "estimate_cost"),
+        id(greedy_time.deterministic_schedule): counted(
+            greedy_time.deterministic_schedule, lambda *a, **k: "deterministic_schedule"),
+    }
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stochsched"):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["list"], {"list": 1}),
+    (["time", "--samples", "20"],
+     {"online": 1, "estimate_cost": 1, "deterministic_schedule": 1}),
+    (["time", "--samples", "20", "--mode", "max-proc"],
+     {"online": 1, "estimate_cost": 2, "deterministic_schedule": 1}),
+    (["verify"], {"list": 1, "online": 1, "deterministic_schedule": 1}),
+])
+def test_each_subcommand_runs_the_greedy_once(argv, expected, tmp_path, monkeypatch):
+    path = tmp_path / "stochastic.json"
+    path.write_text(cli.emit_instance(_golden_instances()["stochastic"]))
+    assert _count_work([argv[0], str(path), *argv[1:]], monkeypatch) == expected
+
+
+def test_cached_parser_survives_usage_errors(worked_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["list", worked_path, "--mode", "max-proc"])
+    with pytest.raises(SystemExit):
+        cli.main(["time", worked_path, "--samples", "x"])
+    capsys.readouterr()
+    assert cli.main(["time", worked_path, "--samples", "20", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("job,machine,modified_release")
 
 
 # ------------------------------------------------------- byte-for-byte goldens

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ from stochsched.core import (
 )
 from stochsched.errors import ProbSumError, SmallMeanWarning, UnschedulableError, ZeroMeanError
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -87,6 +89,45 @@ class TestProcDist:
             assert abs(draws.count(v) / 3000 - 1 / 3) < 0.05
         rng2 = random.Random(7)
         assert draws == [d.sample(rng2) for _ in range(3000)]
+
+    # partial sums 1/2, 3/4 are floats; 1/3, 2/3, 1/10, 3/10 are not
+    CDF_CASES = [
+        {1: F(1, 2), 2: F(1, 4), 3: F(1, 4)},
+        {0: F(1, 3), 2: F(1, 3), 5: F(1, 3)},
+        {1: F(1, 10), 2: F(1, 5), 4: F(7, 10)},
+        {3: F(1, 7), 4: F(3, 7), 9: F(3, 7)},
+        {1: F(1)},
+    ]
+
+    def test_sample_matches_rational_cdf_stream(self):
+        dists = [ProcDist(pmf) for pmf in self.CDF_CASES]
+        from stochsched.oracle import random_dist
+        dists += [random_dist(random.Random(seed)) for seed in range(40)]
+        for index, d in enumerate(dists):
+            fast, slow = random.Random(f"cdf:{index}"), random.Random(f"cdf:{index}")
+            assert [d.sample(fast) for _ in range(2000)] == \
+                [reference.sample(d, slow) for _ in range(2000)]
+
+    def test_sample_bins_floats_next_to_each_partial_sum_like_the_cdf(self):
+        class Replay:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        for pmf in self.CDF_CASES:
+            d = ProcDist(pmf)
+            acc, draws = F(0), [0.0, math.nextafter(1.0, 0.0)]
+            for _, prob in d.pmf:
+                acc += prob
+                near = float(acc)
+                draws += [math.nextafter(near, 0.0), near, math.nextafter(near, 1.0)]
+            draws = [u for u in draws if 0.0 <= u < 1.0]
+            assert [d.sample(Replay([u])) for u in draws] == \
+                [reference.sample(d, Replay([u])) for u in draws]
+            assert all(F(cut) >= q and F(math.nextafter(cut, 0.0)) < q for cut, q in
+                       zip(d.cuts, itertools.accumulate(p for _, p in d.pmf)))
 
 
 class TestJobAndInstance:

@@ -228,6 +228,11 @@ GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
     pytest.param('["2","2"]', '["2","-1"]', id="scale-negative"),
     pytest.param('["2","2"]', '[2.0,2]', id="scale-floats"),
     pytest.param('["2","2"]', '["2"]', id="scale-short"),
+    pytest.param('["2","2"]', '["2","2","0"]', id="scale-long"),
+    pytest.param('["2","2"]', '"22"', id="scale-string"),
+    pytest.param('"kind":"list"', '"kind":"list","junk":1', id="unknown-field"),
+    pytest.param('[[1,"2"],[2,"2"]]', '[[1,"2"],[1,"2"]]', id="alpha-repeated-id"),
+    pytest.param('[1,1,"1"]', '[1,0,"1"]', id="beta-repeated-key"),
 ])
 def test_malformed_certificate_is_a_schema_error(old, new):
     assert dualfit.parse_certificate(GOOD_CERT) == dualfit.build_list_certificate(

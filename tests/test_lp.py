@@ -63,6 +63,15 @@ class TestHorizon:
         inst = point_instance(1, [(1, 0, (4,))])
         assert lp.solve_lp(lp.build_primal(inst, "P", horizon=4)).value == 4
 
+    def test_default_horizon_holds_the_greedy_witness(self):
+        # build_primal and build_dual skip the witness at the default
+        rng = random.Random(61)
+        for _ in range(40):
+            inst = random_instance(rng, max_machines=3, max_jobs=6, max_value=5,
+                                   releases=True)
+            for variant in lp.VARIANTS:
+                lp._check_witness(inst, variant, lp.default_horizon(inst, variant))
+
     def test_enlarging_horizon_never_raises_value(self):
         rng = random.Random(47)
         for _ in range(8):

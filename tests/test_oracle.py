@@ -5,7 +5,7 @@ import pytest
 
 from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import BadMError, HypothesisViolatedError, TooLargeError
-from stochsched import greedy_list, oracle
+from stochsched import greedy_list, greedy_time, oracle
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -270,6 +270,34 @@ class TestStoppedSums:
 
 
 class TestPerJobBound:
+    def test_bounds_match_priority_split(self):
+        # weights and means in {1, 2, 4} tie many ratios; about one pair
+        # in five is forbidden
+        rng = random.Random(139)
+        choices = (1, 2, 4)
+        for trial in range(60):
+            machines = rng.randint(1, 3)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                durations = [rng.choice(choices) if rng.random() < 0.8 else None
+                             for _ in range(machines)]
+                if all(d is None for d in durations):
+                    durations[rng.randrange(machines)] = rng.choice(choices)
+                rows.append((rng.choice(choices), rng.randint(0, 5), tuple(durations)))
+            rows.sort(key=lambda row: row[1])
+            inst = point_instance(machines, rows)
+            if trial % 2:  # the same shape with two-point supports
+                inst = Instance(machines, [
+                    Job(job.id, job.weight, job.release, tuple(
+                        None if d is None else ProcDist({d.max_value - 1: F(1, 2),
+                                                         d.max_value + 1: F(1, 2)})
+                        for d in job.proc))
+                    for job in inst.jobs])
+            for f in (F(1), F(2), F(5, 2)):
+                assignment = greedy_time.assign(inst, f)
+                assert oracle._lemma5_bounds(inst, f, assignment) == \
+                    reference.lemma5_bounds(inst, f, assignment)
+
     def test_exact_on_the_worked_instance(self):
         report = oracle.check_lemma5(worked_instance(), F(2), 10, 0)
         assert report.passed and report.name == "per-job-bound[exact]"

@@ -8,8 +8,9 @@ every machine, every order.  `solve_standard` is the two-phase Bland
 simplex on a `Fraction` tableau, with no row scaling and no common
 denominator.  `sample` walks the rational CDF of a `ProcDist` in
 `Fraction`s, and `lemma5_bounds` prices each job's per-job bound
-through `core.priority_split`.  The property tests require exact equality between these
-and the package's versions, so they share no code with them.
+through `core.priority_split`.  The property tests require exact
+equality between these and the package's versions, so they share no
+code with them.
 """
 from __future__ import annotations
 

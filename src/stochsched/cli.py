@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import Instance, Job, ProcDist, as_fraction, fixed_assignment_cost, max_scv
+from .core import Instance, Job, ProcDist, as_fraction, max_scv
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -185,19 +185,20 @@ class RunConfig:
 
 
 def _list_checks(inst: Instance, f: Fraction) -> tuple[
-        greedy_list.GreedyRun, Fraction, dualfit.DualCertificate, Report, Report]:
-    """The list greedy run once, its cost from the assignment alone, the
-    list certificate, and the list and speed-f checks on them."""
-    run = greedy_list.assign(inst)
-    alg = fixed_assignment_cost(inst, run.assignment.as_mapping())
+        dualfit.ListRun, dualfit.DualCertificate, Report, Report]:
+    """The list greedy run once with its cost, the list certificate, and
+    the list and speed-f checks on them."""
+    run = dualfit.list_run(inst)
     cert = dualfit.build_list_certificate(inst, run)
-    return (run, alg, cert, dualfit.check_list_feasibility(inst, cert, alg),
-            dualfit.check_speedf(inst, f, run, alg))
+    return (run, cert, dualfit.check_list_feasibility(inst, cert, run),
+            dualfit.check_speedf(inst, f, run))
 
 
 def _run_list(config: RunConfig) -> Report:
     inst = config.instance
-    (assignment, increases), alg, cert, feasibility, speed = _list_checks(inst, config.f)
+    run, cert, feasibility, speed = _list_checks(inst, config.f)
+    assignment, increases = run.greedy
+    alg = run.cost
     optimum = lp.solve_lp(lp.build_primal(inst, "P", config.horizon)).value
     factor = config.f * config.f / (config.f - 1) if config.f > 1 else None
     chain_ok = factor is not None and alg <= factor * optimum
@@ -223,7 +224,7 @@ def _run_list(config: RunConfig) -> Report:
 def _run_time(config: RunConfig) -> Report:
     inst = config.instance
     assignment = greedy_time.assign(inst, config.f)
-    det_cost = greedy_time.deterministic_cost(inst, config.f, assignment)
+    _, det_cost = greedy_time.deterministic_schedule(inst, config.f, assignment)
     estimate = greedy_time.estimate_cost(inst, config.f, config.samples,
                                          config.seed, config.mode, assignment)
     # the bound judges the forced-idle policy, so a max-proc estimate

@@ -17,12 +17,9 @@ Three kinds:
 All arithmetic is exact; the verifier covers every slot up to one past
 the last nonzero beta entry and the remaining tail by monotonicity.
 
-The list and speed builders and checks take the list greedy's run
-(`greedy_list.assign`) and its cost (`core.fixed_assignment_cost` of
-that assignment) when the caller already has them, so one subcommand
-runs the greedy once.  The cost is computed from the assignment alone,
-apart from the scores the certificate holds, so the identities between
-the two stay checks.
+The list and speed builders and checks take a `ListRun`, the list
+greedy's run and its cost, when the caller already has one, so one
+subcommand runs the greedy once.
 """
 from __future__ import annotations
 
@@ -33,13 +30,15 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, as_fraction
+from .core import FractionLike, Instance, as_fraction, fixed_assignment_cost
 from .errors import RequiresFGeq2Error, SchemaError
 from .report import Report, Violation
 
 __all__ = [
     "KINDS",
     "DualCertificate",
+    "ListRun",
+    "list_run",
     "build_list_certificate",
     "build_speed_certificate",
     "build_online_certificate",
@@ -53,6 +52,21 @@ __all__ = [
 ]
 
 KINDS = ("list", "speed", "online")
+
+
+@dataclass(frozen=True)
+class ListRun:
+    """One run of the list greedy and its expected cost.  The cost is
+    computed from the assignment alone, apart from the scores the
+    certificate holds, so the identities between the two stay checks."""
+
+    greedy: greedy_list.GreedyRun
+    cost: Fraction
+
+
+def list_run(inst: Instance) -> ListRun:
+    greedy = greedy_list.assign(inst)
+    return ListRun(greedy, fixed_assignment_cost(inst, greedy.assignment.as_mapping()))
 
 
 @dataclass(frozen=True)
@@ -123,19 +137,18 @@ def _beta_table(completions: Mapping[int, list[tuple[Fraction, Fraction]]],
     return beta
 
 
-def build_list_certificate(inst: Instance,
-                           run: Optional[greedy_list.GreedyRun] = None) -> DualCertificate:
+def build_list_certificate(inst: Instance, run: Optional[ListRun] = None) -> DualCertificate:
     """Tables of the list greedy: accepted scores and the unfinished
     weight per slot of its expected-duration schedule.  Halving both
     gives a feasible dual point."""
-    assignment, increases = greedy_list.assign(inst) if run is None else run
+    assignment, increases = greedy_list.assign(inst) if run is None else run.greedy
     alpha = {job.id: increases[job.id - 1] for job in inst.jobs}
     beta = _beta_table(_machine_completions(inst, assignment))
     return DualCertificate("list", Fraction(1), alpha, beta, (Fraction(2), Fraction(2)))
 
 
 def build_speed_certificate(inst: Instance, f: FractionLike,
-                            run: Optional[greedy_list.GreedyRun] = None) -> DualCertificate:
+                            run: Optional[ListRun] = None) -> DualCertificate:
     """List-greedy tables reread on a clock running f times faster.
 
     Scores shrink by f; the unfinished-weight table is sampled at times
@@ -145,7 +158,7 @@ def build_speed_certificate(inst: Instance, f: FractionLike,
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed certificates need f >= 2, got {f}")
-    assignment, increases = greedy_list.assign(inst) if run is None else run
+    assignment, increases = greedy_list.assign(inst) if run is None else run.greedy
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     beta = _beta_table(_machine_completions(inst, assignment), stretch=f)
     return DualCertificate("speed", f, alpha, beta, (Fraction(1), f))
@@ -240,37 +253,32 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
 
 
 def check_list_feasibility(inst: Instance, cert: DualCertificate,
-                           alg: Optional[Fraction] = None) -> Report:
-    """Feasibility scan plus the bookkeeping identities of the list run;
-    `alg` is `greedy_list.greedy_cost(inst)` if the caller has it."""
+                           run: Optional[ListRun] = None) -> Report:
+    """Feasibility scan plus the bookkeeping identities of the list run
+    the certificate was built from."""
     if cert.kind != "list":
         raise ValueError(f"expected a list certificate, got kind {cert.kind!r}")
     report = verify_certificate(inst, cert)
-    if alg is None:
-        alg = greedy_list.greedy_cost(inst)
+    alg = greedy_list.greedy_cost(inst) if run is None else run.cost
     return dataclasses.replace(report, name="list-certificate", metrics={
         **report.metrics, "alg_value": alg, "alpha_matches_alg": cert.alpha_sum == alg,
         "beta_matches_alg": cert.beta_sum == alg})
 
 
-def check_speedf(inst: Instance, f: FractionLike,
-                 run: Optional[greedy_list.GreedyRun] = None,
-                 alg: Optional[Fraction] = None) -> Report:
+def check_speedf(inst: Instance, f: FractionLike, run: Optional[ListRun] = None) -> Report:
     """Build and verify the speed-f certificate, f >= 2.
 
     Reports two objective values: the closed-form (f-1)/f^2 times the
     greedy cost, exact whenever every expected completion is a multiple
     of f, and the actual objective of the scaled feasible point, which
-    is never larger and is the one weak duality applies to.  `run` and
-    `alg` are the list greedy's run and cost if the caller has them.
+    is never larger and is the one weak duality applies to.
     """
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed analysis needs f >= 2, got {f}")
     cert = build_speed_certificate(inst, f, run)
     report = verify_certificate(inst, cert)
-    if alg is None:
-        alg = greedy_list.greedy_cost(inst)
+    alg = greedy_list.greedy_cost(inst) if run is None else run.cost
     actual = cert.objective()
     formula = (f - 1) / (f * f) * alg
     return dataclasses.replace(report, name="speed-certificate", metrics={

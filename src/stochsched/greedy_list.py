@@ -37,7 +37,7 @@ class Assignment:
 class GreedyRun(NamedTuple):
     """One pass of the greedy: where each job went and the score it was
     accepted at (`increases[j - 1]` for job j).  Certificate builders
-    and checks take it so that one subcommand dispatches once."""
+    read one run, so one subcommand dispatches once."""
 
     assignment: Assignment
     increases: tuple[Fraction, ...]

@@ -294,9 +294,8 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
     return trace, trace.cost(inst)
 
 
-def deterministic_cost(inst: Instance, f: FractionLike,
-                       assignment: Optional[Assignment] = None) -> Fraction:
-    return deterministic_schedule(inst, f, assignment)[1]
+def deterministic_cost(inst: Instance, f: FractionLike) -> Fraction:
+    return deterministic_schedule(inst, f)[1]
 
 
 @dataclass(frozen=True)
@@ -306,6 +305,8 @@ class CostEstimate:
     samples: int
     per_job_mean: tuple[float, ...]
     per_job_ci95: tuple[float, ...]
+    mode: str
+    seed: int
 
 
 def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -377,4 +378,4 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
         jm, jc = _mean_ci(s, ssq, samples)
         job_means.append(jm)
         job_cis.append(jc)
-    return CostEstimate(mean, ci, samples, tuple(job_means), tuple(job_cis))
+    return CostEstimate(mean, ci, samples, tuple(job_means), tuple(job_cis), mode, seed)

@@ -518,13 +518,16 @@ def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
     A caller that already has them passes `assignment`, the greedy's
     `greedy_time.assign(inst, f)`, and `estimate`, the forced-idle
     `greedy_time.estimate_cost(inst, f, samples, seed)`; the check
-    always judges the forced-idle policy.
+    always judges the forced-idle policy and rejects an estimate of
+    another mode, sample count or seed.
     """
     f = as_fraction(f)
     if assignment is None:
         assignment = greedy_time.assign(inst, f)
-    if estimate is not None and estimate.samples != samples:
-        raise ValueError(f"estimate has {estimate.samples} samples, expected {samples}")
+    if estimate is not None and (estimate.mode, estimate.samples, estimate.seed) != (
+            "forced-idle", samples, seed):
+        raise ValueError(f"need the forced-idle estimate of {samples} samples at seed {seed}, "
+                         f"got {estimate.mode} with {estimate.samples} at seed {estimate.seed}")
     bounds = _lemma5_bounds(inst, f, assignment)
 
     deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)

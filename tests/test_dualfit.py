@@ -12,6 +12,22 @@ from helpers import point_instance, random_instance, worked_instance
 F = Fraction
 
 
+
+def test_shared_list_run_gives_the_same_certificates_and_reports():
+    rng = random.Random(41)
+    for _ in range(20):
+        inst = random_instance(rng, max_machines=3, max_jobs=6)
+        run = dualfit.list_run(inst)
+        assert run.greedy == greedy_list.assign(inst)
+        assert run.cost == greedy_list.greedy_cost(inst)
+        cert = dualfit.build_list_certificate(inst, run)
+        assert cert == dualfit.build_list_certificate(inst)
+        assert dualfit.build_speed_certificate(inst, F(3), run) == \
+            dualfit.build_speed_certificate(inst, F(3))
+        assert dualfit.check_list_feasibility(inst, cert, run) == \
+            dualfit.check_list_feasibility(inst, cert)
+        assert dualfit.check_speedf(inst, F(2), run) == dualfit.check_speedf(inst, F(2))
+
 class TestListCertificate:
     def test_worked_instance_tables(self):
         cert = dualfit.build_list_certificate(worked_instance())

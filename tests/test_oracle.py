@@ -327,3 +327,17 @@ class TestPerJobBound:
         report = oracle.check_lemma5(inst, F(2), 400, 3)
         assert report.name == "per-job-bound[mc]"
         assert report.passed, report.violations
+
+    def test_shared_estimate_must_be_the_forced_idle_draws(self):
+        two_point = ProcDist({1: F(1, 2), 3: F(1, 2)})
+        inst = Instance(2, [Job(1, F(1), 0, (two_point, two_point)),
+                            Job(2, F(2), 1, (two_point, None)),
+                            Job(3, F(1), 2, (None, two_point))])
+        own = oracle.check_lemma5(inst, F(2), 30, 4)
+        shared = greedy_time.estimate_cost(inst, F(2), 30, 4)
+        assert oracle.check_lemma5(inst, F(2), 30, 4, estimate=shared) == own
+        for other in (greedy_time.estimate_cost(inst, F(2), 30, 4, "max-proc"),
+                      greedy_time.estimate_cost(inst, F(2), 30, 5),
+                      greedy_time.estimate_cost(inst, F(2), 31, 4)):
+            with pytest.raises(ValueError, match="forced-idle estimate"):
+                oracle.check_lemma5(inst, F(2), 30, 4, estimate=other)

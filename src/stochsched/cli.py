@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import Instance, Job, ProcDist, as_fraction, max_scv
+from .core import Instance, Job, ProcDist, as_fraction, max_scv, strict_fraction
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -68,7 +68,7 @@ def _rational(value, context: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{context}: rationals are integers or 'p/q' strings, got {value!r}")
     try:
-        return as_fraction(value)
+        return strict_fraction(value)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{context}: cannot parse rational {value!r}") from None
 
@@ -77,7 +77,7 @@ def parse_instance(text: str) -> Instance:
     """Strict reader for the `SCHED v1` schema."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError("top level must be an object")

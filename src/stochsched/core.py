@@ -1,17 +1,27 @@
 """Instance model: discrete processing-time distributions, jobs, machines.
 
 Everything exact: probabilities, weights and all derived quantities are
-`fractions.Fraction`, so identities tested elsewhere hold to the bit.
+`fractions.Fraction` or integers over a known common denominator, so
+identities tested elsewhere hold to the bit.  `ProcDist` checks its
+probabilities and sums its moments as integer counts over the lcm of
+their denominators.  `Instance.scaled` holds every weight and mean as an
+integer over one weight scale and one mean scale; the greedy dispatch,
+`machine_order` and `fixed_assignment_cost` run on it and build a
+`Fraction` only for what they return.  `Instance.ratio`,
+`priority_split` and the `expected_increase` references stay on
+`Fraction`s, independent of that view.
 """
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ForbiddenPairError,
@@ -27,8 +37,10 @@ __all__ = [
     "ProcDist",
     "Job",
     "Instance",
+    "Scaled",
     "PrioritySplit",
     "as_fraction",
+    "strict_fraction",
     "max_scv",
     "priority_split",
     "fixed_assignment_cost",
@@ -46,29 +58,59 @@ def as_fraction(value: FractionLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def strict_fraction(value: Union[int, str]) -> Fraction:
+    """`as_fraction` for the exchange formats: an int, or a string that
+    is an integer or 'p/q' in ASCII digits with an optional sign.  A
+    decimal point or an exponent raises ValueError, so a short text can
+    never stand for a huge integer."""
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"{value!r} is not an integer or 'p/q' string")
+    return as_fraction(value)
+
+
 @dataclass(frozen=True)
 class ProcDist:
     """Finite distribution over integer processing times >= 0.
 
     `pmf` maps value -> probability; probabilities are positive and sum
-    to one.  Instances are immutable and safe to share between jobs.
+    to one.  `mean` is computed on construction, since every instance
+    that holds the distribution reads it.  Instances are immutable and
+    safe to share between jobs.
     """
 
     pmf: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, pmf: Union[Mapping[int, FractionLike], Iterable[tuple[int, FractionLike]]]):
         items = pmf.items() if isinstance(pmf, Mapping) else pmf
-        norm = {}
+        norm: dict[int, Fraction] = {}
         for value, prob in items:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"support value {value!r} must be a nonnegative integer")
             p = as_fraction(prob)
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ValueError(f"probability of {value} must be positive, got {p}")
-            norm[value] = norm.get(value, Fraction(0)) + p
-        if sum(norm.values(), Fraction(0)) != 1:
-            raise ProbSumError(f"probabilities sum to {sum(norm.values(), Fraction(0))}, not 1")
-        object.__setattr__(self, "pmf", tuple(sorted(norm.items())))
+            if value in norm:
+                p += norm[value]
+            norm[value] = p
+        pmf = tuple(sorted(norm.items()))
+        # probability k is counts[k] / scale, so the sum check and the
+        # moments are integer sums
+        scale = math.lcm(*[p.denominator for _, p in pmf])
+        counts = tuple([p.numerator * (scale // p.denominator) for _, p in pmf])
+        total = sum(counts)
+        if total != scale:
+            raise ProbSumError(f"probabilities sum to {Fraction(total, scale)}, not 1")
+        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "mean", self._moment(1))
+
+    def _moment(self, power: int) -> Fraction:
+        return Fraction(sum([v ** power * c for (v, _), c in zip(self.pmf, self._counts)]),
+                        self._scale)
 
     @classmethod
     def point(cls, value: int) -> "ProcDist":
@@ -103,12 +145,8 @@ class ProcDist:
         return len(self.pmf) == 1
 
     @cached_property
-    def mean(self) -> Fraction:
-        return sum((Fraction(v) * p for v, p in self.pmf), Fraction(0))
-
-    @cached_property
     def second_moment(self) -> Fraction:
-        return sum((Fraction(v * v) * p for v, p in self.pmf), Fraction(0))
+        return self._moment(2)
 
     @property
     def variance(self) -> Fraction:
@@ -177,6 +215,19 @@ class Job:
         return tuple(i + 1 for i, d in enumerate(self.proc) if d is not None)
 
 
+class Scaled(NamedTuple):
+    """An instance on integers.  Job j's weight is
+    `weights[j - 1] / weight_scale`, and a distribution `d` of the
+    instance has mean `means[id(d)] / mean_scale`; each scale is the lcm
+    of the denominators it clears.  Means are stored once per distinct
+    distribution, so shared rows cost nothing per slot."""
+
+    weight_scale: int
+    mean_scale: int
+    weights: tuple[int, ...]
+    means: dict[int, int]
+
+
 @dataclass(frozen=True)
 class Instance:
     """m unrelated machines and jobs numbered 1..n in arrival order."""
@@ -189,7 +240,8 @@ class Instance:
             raise ValueError("machine count must be a positive integer")
         jobs = tuple(jobs)
         small = 0
-        seen_dists: set[int] = set()  # id()s are stable here: all dists stay alive
+        # id()s are stable here: the jobs keep every distribution alive
+        seen_dists: dict[int, ProcDist] = {}
         for pos, job in enumerate(jobs, start=1):
             if job.id != pos:
                 raise ValueError(f"job ids must be 1..n in order; position {pos} has id {job.id}")
@@ -200,11 +252,12 @@ class Instance:
             for d in job.proc:
                 if d is None or id(d) in seen_dists:
                     continue  # shared distribution already validated
-                seen_dists.add(id(d))
-                if d.mean == 0:
+                seen_dists[id(d)] = d
+                mean = d.mean
+                if mean.numerator == 0:
                     raise ZeroMeanError(
                         f"job {job.id} has zero expected processing time on some machine")
-                if d.mean < 1:
+                if mean.numerator < mean.denominator:
                     small += 1
         if small:
             warnings.warn(
@@ -213,6 +266,23 @@ class Instance:
                 SmallMeanWarning, stacklevel=2)
         object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "_dists", seen_dists)
+
+    def __reduce__(self):
+        # rebuild rather than copy state: `_dists` and `scaled` key by id()
+        return Instance, (self.machines, self.jobs)
+
+    @cached_property
+    def scaled(self) -> Scaled:
+        """The integer view, built on first use."""
+        means = [(key, d.mean) for key, d in self._dists.items()]
+        weights = [job.weight for job in self.jobs]
+        mean_scale = math.lcm(*[m.denominator for _, m in means])
+        weight_scale = math.lcm(*[w.denominator for w in weights])
+        return Scaled(
+            weight_scale, mean_scale,
+            tuple([w.numerator * (weight_scale // w.denominator) for w in weights]),
+            {key: m.numerator * (mean_scale // m.denominator) for key, m in means})
 
     @property
     def n(self) -> int:
@@ -276,9 +346,22 @@ def max_scv(inst: Instance) -> Fraction:
     return best
 
 
+def _priority_order(inst: Instance, machine: int,
+                    job_ids: Iterable[int]) -> list[tuple[int, int, int]]:
+    """(id, scaled weight, scaled mean) of each job on `machine`, ratio
+    descending and id ascending.  The sort key w * K / mean is an exact
+    integer: K is the lcm of the scaled means."""
+    scaled = inst.scaled
+    weights, means = scaled.weights, scaled.means
+    rows = [(j, weights[j - 1], means[id(inst.job(j).dist(machine))]) for j in job_ids]
+    common = math.lcm(*{mean for _, _, mean in rows})
+    rows.sort(key=lambda row: (-row[1] * (common // row[2]), row[0]))
+    return rows
+
+
 def machine_order(inst: Instance, machine: int, job_ids: Iterable[int]) -> list[int]:
     """Processing order on one machine: ratio descending, id ascending."""
-    return sorted(job_ids, key=lambda j: (-inst.ratio(machine, j), j))
+    return [j for j, _, _ in _priority_order(inst, machine, job_ids)]
 
 
 def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
@@ -288,7 +371,8 @@ def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Frac
     `assignment` maps job ids to machine ids; a partial mapping prices
     just the assigned prefix, which is what the greedy's score-equals-
     cost-delta invariant is stated over.  Release dates are ignored
-    here; this is the list-model objective.
+    here; this is the list-model objective.  The clock runs on the
+    scaled integers, and the total becomes one `Fraction` at the end.
     """
     per_machine: dict[int, list[int]] = {}
     for job_id, machine in assignment.items():
@@ -296,10 +380,11 @@ def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Frac
         if not job.allows(machine):
             raise ForbiddenPairError(f"job {job.id} assigned to forbidden machine {machine}")
         per_machine.setdefault(machine, []).append(job.id)
-    total = Fraction(0)
+    total = 0
     for machine, ids in per_machine.items():
-        clock = Fraction(0)
-        for job_id in machine_order(inst, machine, ids):
-            clock += inst.mean(machine, job_id)
-            total += inst.job(job_id).weight * clock
-    return total
+        clock = 0
+        for _, weight, mean in _priority_order(inst, machine, ids):
+            clock += mean
+            total += weight * clock
+    scaled = inst.scaled
+    return Fraction(total, scaled.weight_scale * scaled.mean_scale)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, as_fraction, fixed_assignment_cost
+from .core import FractionLike, Instance, as_fraction, fixed_assignment_cost, strict_fraction
 from .errors import RequiresFGeq2Error, SchemaError
 from .report import Report, Violation
 
@@ -352,7 +352,7 @@ def parse_certificate(text: str) -> DualCertificate:
     strings, never floats or bools, and keys are integers."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "CERT v1":
         raise SchemaError("missing or wrong format marker, expected 'CERT v1'")
@@ -361,25 +361,25 @@ def parse_certificate(text: str) -> DualCertificate:
         raise SchemaError(f"unknown top-level fields {sorted(extra)}")
     try:
         kind = payload["kind"]
-        f = as_fraction(payload["f"])
+        f = strict_fraction(payload["f"])
         entries = payload["scale"]
         if not isinstance(entries, list) or len(entries) != 2:
             raise SchemaError(f"scale must list exactly two rationals, got {entries!r}")
-        scale = (as_fraction(entries[0]), as_fraction(entries[1]))
+        scale = (strict_fraction(entries[0]), strict_fraction(entries[1]))
         alpha = {}
         for job_id, value in payload["alpha"]:
             if not _is_int(job_id):
                 raise SchemaError(f"alpha key {job_id!r} is not an integer job id")
             if job_id in alpha:
                 raise SchemaError(f"alpha lists job {job_id} twice")
-            alpha[job_id] = as_fraction(value)
+            alpha[job_id] = strict_fraction(value)
         beta = {}
         for machine, slot, value in payload["beta"]:
             if not _is_int(machine) or not _is_int(slot):
                 raise SchemaError(f"beta key {(machine, slot)!r} must be integer pairs")
             if (machine, slot) in beta:
                 raise SchemaError(f"beta lists machine {machine}, slot {slot} twice")
-            beta[(machine, slot)] = as_fraction(value)
+            beta[(machine, slot)] = strict_fraction(value)
     except SchemaError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:

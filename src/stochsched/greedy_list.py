@@ -7,7 +7,7 @@ The release-date greedy in `greedy_time` runs the same kernel.
 """
 from __future__ import annotations
 
-from bisect import insort
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
@@ -79,78 +79,71 @@ def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
     smallest score `w*work_before + mean*weight_after`; with a speed
     factor `f` (the release-date model) the score also carries the job's
     own charge 2*w*max{f*r, mean}.  Ties go to the lowest machine index.
-    Returns the assignment and each job's accepted score.  Per-machine
-    totals are bucketed by priority ratio so one pass over the distinct
-    ratios answers each probe; this keeps large instances (thousands of
-    jobs) tractable without changing any outcome.
+    Returns the assignment and each job's accepted score.
+
+    Scores run on `inst.scaled`: with weights over W and means over L,
+    and f = p/q, every score is an integer over W*L*q, so probes compare
+    integers and each accepted score becomes one `Fraction`.  Each
+    machine keeps one bucket per priority ratio, keyed by the reduced
+    pair (w, mean) and holding the bucket's total mean and weight; a
+    probe sums the buckets, comparing ratios by cross-multiplication.
     """
-    # per machine: sorted distinct ratios + ratio -> [total mean, total weight]
-    ratios: list[list[Fraction]] = [[] for _ in range(inst.machines)]
-    buckets: list[dict[Fraction, list[Fraction]]] = [{} for _ in range(inst.machines)]
-    ratio_memo: dict[tuple[int, int, int, int], Fraction] = {}
-    # a probe's answer only changes when its machine accepts a job, so
-    # stamp cached answers with a per-machine version; the tightness
-    # families repeat one (weight, mean) pair millions of times
-    version = [0] * inst.machines
-    probe_memo: dict[tuple[int, int, int, int, int], list] = {}
+    scaled = inst.scaled
+    weights, means = scaled.weights, scaled.means
+    q = 1 if f is None else f.denominator
+    release_scale = 0 if f is None else f.numerator * scaled.mean_scale
+    denominator = scaled.weight_scale * scaled.mean_scale * q
+    # per machine: [ratio numerator, ratio denominator, total mean, total weight]
+    buckets: list[list[list[int]]] = [[] for _ in range(inst.machines)]
+    bucket_of: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(inst.machines)]
 
     chosen: list[int] = []
     increases: list[Fraction] = []
     for job in inst.jobs:
-        w = job.weight
-        w_key = (w.numerator, w.denominator)
+        w = weights[job.id - 1]
         if f is not None:
-            scaled_release = f * job.release
             twice_w = 2 * w
+            release = release_scale * job.release
         best = None
-        best_machine = -1
-        best_ratio = None
-        best_mean = None
+        best_machine0 = -1
+        best_mean = 0
+        last = None
         # enumerate() instead of job.permitted: the latter materializes a
         # tuple per job, noticeable on the ~5000-job tightness instances
         for machine0, dist in enumerate(job.proc):
             if dist is None:
                 continue
-            mean = dist.mean
-            key = w_key + (mean.numerator, mean.denominator)
-            ratio = ratio_memo.get(key)
-            if ratio is None:
-                ratio = w / mean
-                ratio_memo[key] = ratio
-            pkey = (machine0,) + key
-            hit = probe_memo.get(pkey)
-            if hit is not None and hit[0] == version[machine0]:
-                incr = hit[1]
-            else:
-                work_before = mean
-                weight_after = Fraction(0)
-                bucket = buckets[machine0]
-                for r in ratios[machine0]:
-                    pair = bucket[r]
-                    if r < ratio:
-                        weight_after += pair[1]
-                    else:
-                        work_before += pair[0]
-                incr = w * work_before + mean * weight_after
-                probe_memo[pkey] = [version[machine0], incr]
+            if dist is not last:  # rows often repeat one distribution
+                last = dist
+                mean = means[id(dist)]
+                if f is not None:
+                    own = twice_w * max(release, q * mean)
+            work_before = mean
+            weight_after = 0
+            for a, b, work, weight in buckets[machine0]:
+                if a * mean < w * b:
+                    weight_after += weight
+                else:
+                    work_before += work
+            score = w * work_before + mean * weight_after
             if f is not None:
-                incr += twice_w * max(scaled_release, mean)
-            if best is None or incr < best:
-                best = incr
-                best_machine = machine0 + 1
-                best_ratio = ratio
+                score = q * score + own
+            if best is None or score < best:
+                best = score
+                best_machine0 = machine0
                 best_mean = mean
-        chosen.append(best_machine)
-        increases.append(best)
-        version[best_machine - 1] += 1
-        bucket = buckets[best_machine - 1]
-        pair = bucket.get(best_ratio)
-        if pair is None:
-            bucket[best_ratio] = [best_mean, w]
-            insort(ratios[best_machine - 1], best_ratio)
+        chosen.append(best_machine0 + 1)
+        increases.append(Fraction(best, denominator))
+        g = math.gcd(w, best_mean)
+        key = (w // g, best_mean // g)
+        bucket = bucket_of[best_machine0].get(key)
+        if bucket is None:
+            bucket = [key[0], key[1], best_mean, w]
+            bucket_of[best_machine0][key] = bucket
+            buckets[best_machine0].append(bucket)
         else:
-            pair[0] += best_mean
-            pair[1] += w
+            bucket[2] += best_mean
+            bucket[3] += w
     return GreedyRun(Assignment(tuple(chosen)), tuple(increases))
 
 

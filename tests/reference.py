@@ -8,20 +8,25 @@ every machine, every order.  `solve_standard` is the two-phase Bland
 simplex on a `Fraction` tableau, with no row scaling and no common
 denominator.  `sample` walks the rational CDF of a `ProcDist` in
 `Fraction`s, and `lemma5_bounds` prices each job's per-job bound
-through `core.priority_split`.  The property tests require exact
-equality between these and the package's versions, so they share no
-code with them.
+through `core.priority_split`.  `dispatch`, `machine_order`,
+`fixed_assignment_cost`, `normalize_pmf` and `moments` are the greedy
+dispatch, the machine order, the list cost and the distribution checks
+written on `Fraction`s, where the package runs them on scaled integers.
+The property tests require exact equality between these and the
+package's versions, so they share no code with them.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from stochsched import greedy_time
-from stochsched.core import Instance, priority_split
-from stochsched.errors import InfeasibleError, UnboundedError
+from stochsched.core import Instance, as_fraction, priority_split
+from stochsched.errors import ForbiddenPairError, InfeasibleError, ProbSumError, UnboundedError
+from stochsched.greedy_list import Assignment, GreedyRun
 
 
 def stoch_opt(inst: Instance) -> Fraction:
@@ -311,3 +316,124 @@ def lemma5_bounds(inst: Instance, f: Fraction, assignment) -> dict[int, Fraction
                     if assignment.machine_of(k) == machine), Fraction(0))
         bounds[job.id] = 4 * greedy_time.modified_release(inst, job.id, machine, f) + 2 * work
     return bounds
+
+
+# ------------------------------------------- the greedy and the list cost
+
+def dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
+    """The greedy of both models on `Fraction` scores, with per-machine
+    buckets keyed by the `Fraction` priority ratio, a ratio memo and a
+    probe memo stamped with a per-machine version.  Same contract as
+    `greedy_list._dispatch`."""
+    ratios: list[list[Fraction]] = [[] for _ in range(inst.machines)]
+    buckets: list[dict[Fraction, list[Fraction]]] = [{} for _ in range(inst.machines)]
+    ratio_memo: dict[tuple[int, int, int, int], Fraction] = {}
+    version = [0] * inst.machines
+    probe_memo: dict[tuple[int, int, int, int, int], list] = {}
+
+    chosen: list[int] = []
+    increases: list[Fraction] = []
+    for job in inst.jobs:
+        w = job.weight
+        w_key = (w.numerator, w.denominator)
+        if f is not None:
+            scaled_release = f * job.release
+            twice_w = 2 * w
+        best = None
+        best_machine = -1
+        best_ratio = None
+        best_mean = None
+        for machine0, dist in enumerate(job.proc):
+            if dist is None:
+                continue
+            mean = dist.mean
+            key = w_key + (mean.numerator, mean.denominator)
+            ratio = ratio_memo.get(key)
+            if ratio is None:
+                ratio = w / mean
+                ratio_memo[key] = ratio
+            pkey = (machine0,) + key
+            hit = probe_memo.get(pkey)
+            if hit is not None and hit[0] == version[machine0]:
+                incr = hit[1]
+            else:
+                work_before = mean
+                weight_after = Fraction(0)
+                bucket = buckets[machine0]
+                for r in ratios[machine0]:
+                    pair = bucket[r]
+                    if r < ratio:
+                        weight_after += pair[1]
+                    else:
+                        work_before += pair[0]
+                incr = w * work_before + mean * weight_after
+                probe_memo[pkey] = [version[machine0], incr]
+            if f is not None:
+                incr += twice_w * max(scaled_release, mean)
+            if best is None or incr < best:
+                best = incr
+                best_machine = machine0 + 1
+                best_ratio = ratio
+                best_mean = mean
+        chosen.append(best_machine)
+        increases.append(best)
+        version[best_machine - 1] += 1
+        bucket = buckets[best_machine - 1]
+        pair = bucket.get(best_ratio)
+        if pair is None:
+            bucket[best_ratio] = [best_mean, w]
+            insort(ratios[best_machine - 1], best_ratio)
+        else:
+            pair[0] += best_mean
+            pair[1] += w
+    return GreedyRun(Assignment(tuple(chosen)), tuple(increases))
+
+
+def machine_order(inst: Instance, machine: int, job_ids: Iterable[int]) -> list[int]:
+    """Ratio descending, id ascending, on `Fraction` sort keys."""
+    return sorted(job_ids, key=lambda j: (-inst.ratio(machine, j), j))
+
+
+def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
+    """Each machine runs its jobs in `machine_order`, durations at their
+    means, on a `Fraction` clock."""
+    per_machine: dict[int, list[int]] = {}
+    for job_id, machine in assignment.items():
+        job = inst.job(job_id)
+        if not job.allows(machine):
+            raise ForbiddenPairError(f"job {job.id} assigned to forbidden machine {machine}")
+        per_machine.setdefault(machine, []).append(job.id)
+    total = Fraction(0)
+    for machine, ids in per_machine.items():
+        clock = Fraction(0)
+        for job_id in machine_order(inst, machine, ids):
+            clock += inst.mean(machine, job_id)
+            total += inst.job(job_id).weight * clock
+    return total
+
+
+# ---------------------------------------------------------- distributions
+
+def normalize_pmf(items) -> tuple[tuple[int, Fraction], ...]:
+    """`ProcDist`'s checks on `Fraction` sums: duplicate values merge,
+    probabilities are positive and sum to one; same errors and texts."""
+    items = items.items() if isinstance(items, Mapping) else items
+    norm: dict[int, Fraction] = {}
+    for value, prob in items:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"support value {value!r} must be a nonnegative integer")
+        p = as_fraction(prob)
+        if p <= 0:
+            raise ValueError(f"probability of {value} must be positive, got {p}")
+        norm[value] = norm.get(value, Fraction(0)) + p
+    if sum(norm.values(), Fraction(0)) != 1:
+        raise ProbSumError(f"probabilities sum to {sum(norm.values(), Fraction(0))}, not 1")
+    return tuple(sorted(norm.items()))
+
+
+def moments(pmf) -> tuple[Fraction, Fraction, Fraction]:
+    """(mean, second moment, squared coefficient of variation) of a
+    normalized pmf with a positive mean, summed in `Fraction`s."""
+    mean = sum((Fraction(v) * p for v, p in pmf), Fraction(0))
+    second = sum((Fraction(v * v) * p for v, p in pmf), Fraction(0))
+    return mean, second, (second - mean * mean) / (mean * mean)

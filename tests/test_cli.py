@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,38 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: instance must have at least one job\n"
+
+    # rationals are ints or '[+-]digits[/digits]' strings: a decimal or
+    # an exponent is refused before any digit of its value is computed
+    @pytest.mark.parametrize("weight,prob", [
+        ('"1e20000000"', '"1"'),
+        ('"0.5"', '"1"'),
+        ('"1e-3"', '"1"'),
+        ('"1"', '"1e0"'),
+        ('"1"', '"1.0"'),
+        ('" 1"', '"1"'),
+        ('"1/2 "', '"1"'),
+        ('"\u0661"', '"1"'),
+        ("1" * 5000, '"1"'),
+        ('"1"', "1" * 5000),
+    ], ids=["huge-exponent", "decimal", "small-exponent", "prob-exponent", "prob-decimal",
+            "leading-space", "trailing-space", "arabic-indic-digit", "5000-digit-weight",
+            "5000-digit-prob"])
+    def test_non_rational_text_is_two_at_once(self, tmp_path, capsys, weight, prob):
+        path = tmp_path / "strict.json"
+        path.write_text('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, '
+                        f'"w": {weight}, "r": 0, "proc": [[[2, {prob}]]]}}]}}')
+        start = time.process_time()
+        assert cli.main(["list", str(path)]) == 2
+        assert time.process_time() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_signed_and_p_over_q_strings_are_rationals(self):
+        text = ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, '
+                '"w": "+6/4", "r": 0, "proc": [[[2, "+1/3"], [4, "2/3"]]]}]}')
+        inst = cli.parse_instance(text)
+        assert inst.job(1).weight == F(3, 2) and inst.mean(1, 1) == F(10, 3)
 
     def test_unschedulable_is_three(self, tmp_path):
         path = tmp_path / "unsched.json"

@@ -129,6 +129,70 @@ class TestProcDist:
             assert all(F(cut) >= q and F(math.nextafter(cut, 0.0)) < q for cut, q in
                        zip(d.cuts, itertools.accumulate(p for _, p in d.pmf)))
 
+    # `ProcDist` checks and sums on integer counts; `reference` keeps the
+    # `Fraction` sums it replaced
+    def test_moments_match_the_fraction_reference(self):
+        from stochsched.oracle import random_dist
+        rng = random.Random(20261018)
+        for _ in range(500):
+            d = random_dist(rng, max_value=rng.randint(1, 12),
+                            integer_mean=rng.random() < 0.3)
+            # the same pmf again, split into duplicates and shuffled
+            items = []
+            for value, prob in d.pmf:
+                part = prob * F(rng.randint(1, 6), 7)
+                items += [(value, part), (value, prob - part)]
+            rng.shuffle(items)
+            again = ProcDist(items)
+            assert again.pmf == reference.normalize_pmf(items) == d.pmf
+            for dist in (d, again):
+                assert (dist.mean, dist.second_moment, dist.scv) == reference.moments(dist.pmf)
+
+    def test_duplicate_values_in_an_iterable_pmf_merge(self):
+        items = [(5, F(1, 11)), (2, F(1, 7)), (5, F(3, 13)), (2, F(1, 7)), (9, F(1, 5))]
+        items.append((9, 1 - sum((p for _, p in items), F(0))))
+        d = ProcDist(items)
+        assert d.pmf == reference.normalize_pmf(items)
+        assert d.support == (2, 5, 9)
+        assert (d.mean, d.second_moment, d.scv) == reference.moments(d.pmf)
+
+    @pytest.mark.parametrize("items,text", [
+        ({1: F(1, 2), 2: F(2, 3)}, "probabilities sum to 7/6, not 1"),
+        ({1: F(1, 3), 2: F(1, 7)}, "probabilities sum to 10/21, not 1"),
+        ([(1, F(1, 2)), (1, F(1, 2)), (2, F(1, 11))], "probabilities sum to 12/11, not 1"),
+        ({1: 2}, "probabilities sum to 2, not 1"),
+        ({}, "probabilities sum to 0, not 1"),
+    ], ids=["above", "below", "duplicates-above", "integer", "empty"])
+    def test_sum_errors_keep_their_text(self, items, text):
+        for build in (ProcDist, reference.normalize_pmf):
+            with pytest.raises(ProbSumError) as caught:
+                build(items)
+            assert str(caught.value) == text
+
+    @pytest.mark.parametrize("items,text", [
+        ({1: F(0), 2: F(1)}, "probability of 1 must be positive, got 0"),
+        ({1: F(3, 2), 2: F(-1, 2)}, "probability of 2 must be positive, got -1/2"),
+        ({1: "-1/3", 2: "4/3"}, "probability of 1 must be positive, got -1/3"),
+        ([(2, F(1, 2)), (2, 0), (3, F(1, 2))], "probability of 2 must be positive, got 0"),
+    ], ids=["zero", "negative", "negative-string", "zero-duplicate"])
+    def test_zero_and_negative_probabilities_are_rejected(self, items, text):
+        for build in (ProcDist, reference.normalize_pmf):
+            with pytest.raises(ValueError) as caught:
+                build(items)
+            assert str(caught.value) == text
+
+    def test_huge_common_denominator(self):
+        # Mersenne primes 2^127 - 1 and 2^521 - 1: a 648-bit common denominator
+        p, q = 2 ** 127 - 1, 2 ** 521 - 1
+        items = {0: F(1, p), 3: F(1, q), 7: 1 - F(1, p) - F(1, q)}
+        d = ProcDist(items)
+        assert d.pmf == reference.normalize_pmf(items)
+        assert d.mean.denominator == p * q
+        assert (d.mean, d.second_moment, d.scv) == reference.moments(d.pmf)
+        with pytest.raises(ProbSumError):
+            ProcDist({0: F(1, p), 3: F(1, q), 7: 1 - F(1, p)})
+        assert d.sample(random.Random(3)) in (0, 3, 7)
+
 
 class TestJobAndInstance:
     def test_job_validation(self):
@@ -222,6 +286,9 @@ class TestPriorityOrder:
     def test_machine_order_sorts_by_ratio_then_id(self):
         inst = point_instance(1, [(1, 0, (2,)), (3, 0, (1,)), (1, 0, (2,))])
         assert machine_order(inst, 1, [1, 2, 3]) == [2, 1, 3]
+        # equal ratios from different pairs (1/2, 3/6, 2/4): ids decide
+        inst = point_instance(1, [(1, 0, (2,)), (3, 0, (6,)), (2, 0, (4,)), (5, 0, (2,))])
+        assert machine_order(inst, 1, [3, 2, 1, 4]) == [4, 1, 2, 3]
 
 
 class TestFixedAssignmentCost:

@@ -235,6 +235,14 @@ GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
     pytest.param('[[1,"2"]', '[[1,1e400]', id="alpha-overflow"),
     pytest.param('[[1,"2"]', '[[1,0.5]', id="alpha-float"),
     pytest.param('[[1,"2"]', '[[1,"x"]', id="alpha-garbage"),
+    pytest.param('[[1,"2"]', '[[1,"1e-3"]', id="alpha-exponent"),
+    pytest.param('[[1,"2"]', '[[1,"1e20000000"]', id="alpha-huge-exponent"),
+    pytest.param('[[1,"2"]', '[[1,"2.0"]', id="alpha-decimal-string"),
+    pytest.param('[[1,"2"]', '[[1,' + "2" * 5000 + ']', id="alpha-5000-digits"),
+    pytest.param('"f":"1"', '"f":"0.5"', id="f-decimal-string"),
+    pytest.param('"f":"1"', '"f":"1e0"', id="f-exponent"),
+    pytest.param('["2","2"]', '["2"," 2"]', id="scale-space"),
+    pytest.param('[[1,0,"1"]', '[[1,0,"1e-3"]', id="beta-exponent"),
     pytest.param('[[1,"2"]', '[[true,"2"]', id="alpha-bool-id"),
     pytest.param('[[1,"2"]', '[["1","2"]', id="alpha-string-id"),
     pytest.param('[[1,0,"1"]', '[[true,0,"1"]', id="beta-bool-machine"),

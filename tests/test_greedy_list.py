@@ -1,11 +1,17 @@
+import copy as copy_module
+import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from stochsched.core import Instance, Job, ProcDist, fixed_assignment_cost
+from stochsched import greedy_time
+from stochsched.core import Instance, Job, ProcDist, fixed_assignment_cost, machine_order
+from stochsched.errors import SmallMeanWarning
 from stochsched.greedy_list import Assignment, assign, expected_increase, greedy_cost
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -106,3 +112,100 @@ def test_stochastic_jobs_score_by_mean_only():
     assignment, increases = assign(inst)
     assert assignment.machines == (1, 2)
     assert increases == (F(2), F(2))
+
+
+# ------------------------------------------------ the integer kernel
+#
+# The package runs the greedy, the machine order and the list cost on
+# scaled integers; `reference` keeps their `Fraction` versions.  The
+# instances mix releases, forbidden pairs, distributions shared between
+# jobs and equal ones that are distinct objects, and weights and
+# probabilities whose denominators (7, 11, 13) are pairwise coprime.
+
+def _coprime_dist(rng: random.Random) -> ProcDist:
+    shape = rng.randrange(3)
+    if shape == 0:
+        return ProcDist.point(rng.randint(1, 4))
+    if shape == 1:
+        k = rng.randint(1, 12)
+        low, high = sorted(rng.sample(range(1, 6), 2))
+        return ProcDist({low: F(k, 13), high: F(13 - k, 13)})
+    values = rng.sample(range(0, 7), 3)
+    return ProcDist(zip(values, (F(1, 7), F(1, 11), F(59, 77))))
+
+
+def _coprime_instance(rng: random.Random) -> Instance:
+    machines = rng.randint(1, 3)
+    n = rng.randint(1, 9)
+    pool = [_coprime_dist(rng) for _ in range(rng.randint(1, 4))]
+    weights = (F(1), F(2), F(1, 7), F(3, 7), F(2, 11), F(5, 13))
+    releases = sorted(rng.randint(0, 5) for _ in range(n))
+    jobs = []
+    for job_id in range(1, n + 1):
+        row = [None if rng.random() < 0.2 else rng.choice(pool) for _ in range(machines)]
+        if all(d is None for d in row):
+            row[rng.randrange(machines)] = rng.choice(pool)
+        # an equal distribution that is a different object
+        row = [ProcDist(d.pmf) if d is not None and rng.random() < 0.2 else d for d in row]
+        jobs.append(Job(job_id, rng.choice(weights), releases[job_id - 1], row))
+    return Instance(machines, jobs)
+
+
+def _kernel_instances(seed: int, count: int) -> list[Instance]:
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallMeanWarning)
+        return [_coprime_instance(rng) for _ in range(count)]
+
+
+def _ties(inst: Instance, assignment) -> int:
+    """Pairs of jobs on one machine with equal priority ratios."""
+    ties = 0
+    for machine in range(1, inst.machines + 1):
+        ratios = [inst.ratio(machine, j) for j in assignment.jobs_on(machine)]
+        ties += len(ratios) - len(set(ratios))
+    return ties
+
+
+@pytest.mark.parametrize("f", [None, F(1), F(2), F(7, 2)], ids=["list", "f=1", "f=2", "f=7/2"])
+def test_integer_kernel_matches_the_fraction_reference(f):
+    instances = _kernel_instances(71, 300)
+    ties = releases = forbidden = 0
+    for inst in instances:
+        run = assign(inst) if f is None else greedy_time.assign_with_increases(inst, f)
+        assert run == reference.dispatch(inst, f)
+        assert all(type(x) is F for x in run.increases)
+        ties += _ties(inst, run.assignment)
+        releases += inst.has_releases
+        forbidden += any(d is None for job in inst.jobs for d in job.proc)
+    assert ties > 0 and releases > 0 and forbidden > 0
+    # the denominators 7, 11 and 13 all reach the scales
+    assert any(inst.scaled.weight_scale % 77 == 0 for inst in instances)
+    assert any(inst.scaled.mean_scale % (7 * 11 * 13) == 0 for inst in instances)
+
+
+def test_machine_order_and_list_cost_match_the_fraction_reference():
+    rng = random.Random(73)
+    for inst in _kernel_instances(72, 300):
+        for machine in range(1, inst.machines + 1):
+            ids = [job.id for job in inst.jobs if job.allows(machine)]
+            rng.shuffle(ids)
+            assert machine_order(inst, machine, ids) == reference.machine_order(inst, machine, ids)
+        greedy = assign(inst).assignment.as_mapping()
+        drawn = {job.id: rng.choice(job.permitted) for job in inst.jobs}
+        prefix = {j: m for j, m in drawn.items() if j <= rng.randint(1, inst.n)}
+        for assignment in (greedy, drawn, prefix):
+            cost = fixed_assignment_cost(inst, assignment)
+            assert type(cost) is F
+            assert cost == reference.fixed_assignment_cost(inst, assignment)
+
+
+
+def test_copies_rebuild_the_integer_view():
+    # the view keys means by id(), so a copy must not carry it over
+    inst = _kernel_instances(74, 1)[0]
+    run = assign(inst)
+    for copy in (pickle.loads(pickle.dumps(inst)), copy_module.deepcopy(inst)):
+        assert copy == inst and assign(copy) == run
+        assert fixed_assignment_cost(copy, run.assignment.as_mapping()) == \
+            fixed_assignment_cost(inst, run.assignment.as_mapping())

@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -528,7 +529,43 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(text)
 
 
+# Python converts between int and str only up to 4,300 digits, and a
+# result prints f exactly; a larger factor is refused before it is built
+_MAX_DIGITS = 4300
+_RATIO_TEXT = re.compile(r"\s*[-+]?([\d_]+)\s*/\s*([\d_]+)\s*")
+_DECIMAL_TEXT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _too_many_digits(text: str) -> bool:
+    """Whether `text`, in the syntax `Fraction` reads, has more than
+    `_MAX_DIGITS` digits in a part or an exponent past that size, or
+    spells a value whose numerator or denominator would."""
+    ratio = _RATIO_TEXT.fullmatch(text)
+    if ratio:
+        return any(len(part.replace("_", "")) > _MAX_DIGITS for part in ratio.groups())
+    decimal = _DECIMAL_TEXT.fullmatch(text)
+    if not decimal:
+        return False  # not a number: `as_fraction` says so
+    whole, decimals, exponent = (part.replace("_", "") for part in decimal.groups(""))
+    if len(whole) + len(decimals) > _MAX_DIGITS or len(exponent.lstrip("+-").lstrip("0")) > 4:
+        return True
+    shift = int(exponent or "0")
+    if abs(shift) > _MAX_DIGITS:
+        return True
+    # value = digits * 10**shift, with trailing zeros moved into shift
+    digits = (whole + decimals).lstrip("0")
+    shift -= len(decimals) - (len(digits) - len(digits.rstrip("0")))
+    digits = digits.rstrip("0")
+    if not digits:
+        return False
+    needed = len(digits) + shift if shift >= 0 else max(len(digits), 1 - shift)
+    return needed > _MAX_DIGITS
+
+
 def _speed_factor(text: str) -> Fraction:
+    if _too_many_digits(text):
+        shown = text if len(text) <= 32 else text[:29] + "..."
+        raise ValueError(f"speed factor {shown!r} needs more than {_MAX_DIGITS} digits")
     try:
         return as_fraction(text)
     except ZeroDivisionError:

@@ -176,7 +176,8 @@ class ProcDist:
 @dataclass(frozen=True)
 class Job:
     """One job: positive rational weight, integer release, and one
-    distribution per machine (None where the machine cannot run it)."""
+    distribution per machine (None where the machine cannot run it).
+    `permitted` lists the machines that can run it, ascending."""
 
     id: int
     weight: Fraction
@@ -199,6 +200,9 @@ class Job:
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "release", release)
         object.__setattr__(self, "proc", proc)
+        # an attribute, not a field: == and repr read the fields alone
+        object.__setattr__(self, "permitted",
+                           tuple([i + 1 for i, d in enumerate(proc) if d is not None]))
 
     def dist(self, machine: int) -> ProcDist:
         """Distribution on `machine` (1-based); raises on a forbidden pair."""
@@ -209,10 +213,6 @@ class Job:
 
     def allows(self, machine: int) -> bool:
         return self.proc[machine - 1] is not None
-
-    @cached_property
-    def permitted(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, d in enumerate(self.proc) if d is not None)
 
 
 class Scaled(NamedTuple):

@@ -14,8 +14,17 @@ Three kinds:
   online  scores from the release-aware greedy, schedule from its
           deterministic speed-f run
 
-All arithmetic is exact; the verifier covers every slot up to one past
-the last nonzero beta entry and the remaining tail by monotonicity.
+All arithmetic is exact.  The verifier covers every slot from the job's
+release (online) or zero up to one past the machine's last nonzero beta
+entry; beyond that beta is zero and every slack only grows.  It does
+not walk those slots one by one.  Each machine's beta table is cut into
+runs of equal value, and for one job on one machine the slack at slot s
+is c0 + cs*s + cb*beta(s) with cs, cb > 0 after multiplying by one
+positive integer.  So on each run the slack rises with s and its
+minimum is at the run's first slot in range: the check evaluates one
+integer per run, and any table of nonnegative values works, monotone or
+not.  The beta tables are built in one sweep per machine, comparing
+each slot with the completions on integers over one lcm.
 
 The list and speed builders and checks take a `ListRun`, the list
 greedy's run and its cost, when the caller already has one, so one
@@ -25,6 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -69,6 +80,13 @@ def list_run(inst: Instance) -> ListRun:
     return ListRun(greedy, fixed_assignment_cost(inst, greedy.assignment.as_mapping()))
 
 
+def _exact_sum(values) -> Fraction:
+    """Sum of rationals as one integer sum over their lcm."""
+    values = list(values)
+    scale = math.lcm(*[v.denominator for v in values])
+    return Fraction(sum([v.numerator * (scale // v.denominator) for v in values]), scale)
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     kind: str
@@ -88,14 +106,12 @@ class DualCertificate:
             raise ValueError("beta values must be nonnegative")
         if any(v <= 0 for v in self.scale):
             raise ValueError("scale entries must be positive")
-
-    @property
-    def alpha_sum(self) -> Fraction:
-        return sum(self.alpha.values(), Fraction(0))
-
-    @property
-    def beta_sum(self) -> Fraction:
-        return sum(self.beta.values(), Fraction(0))
+        # the verifier's run argument needs a positive speed
+        if self.kind != "list" and self.f <= 0:
+            raise ValueError(f"{self.kind} certificates need f > 0, got {self.f}")
+        # not fields: equality and repr read the tables alone
+        object.__setattr__(self, "alpha_sum", _exact_sum(self.alpha.values()))
+        object.__setattr__(self, "beta_sum", _exact_sum(self.beta.values()))
 
     def beta_at(self, machine: int, slot: int) -> Fraction:
         return self.beta.get((machine, slot), Fraction(0))
@@ -124,15 +140,30 @@ def _machine_completions(inst: Instance,
 
 def _beta_table(completions: Mapping[int, list[tuple[Fraction, Fraction]]],
                 stretch: Fraction = Fraction(1)) -> dict[tuple[int, int], Fraction]:
-    """beta[(machine, s)] = weight completing strictly after stretch*s."""
+    """beta[(machine, s)] = weight completing strictly after stretch*s.
+
+    One sweep per machine: the completions and stretch*s are integers
+    over one lcm, and slots that see the same unfinished jobs share one
+    `Fraction`."""
     beta: dict[tuple[int, int], Fraction] = {}
     for machine, rows in completions.items():
         if not rows:
             continue
-        makespan = max(c for c, _ in rows)
+        scale = math.lcm(stretch.denominator, *[c.denominator for c, _ in rows])
+        step = stretch.numerator * (scale // stretch.denominator)
+        rows = sorted([(c.numerator * (scale // c.denominator), w) for c, w in rows],
+                      key=lambda row: row[0])
+        # unfinished[k] = weight of rows k.. in completion order
+        unfinished = [Fraction(0)] * (len(rows) + 1)
+        for k in range(len(rows) - 1, -1, -1):
+            unfinished[k] = unfinished[k + 1] + rows[k][1]
+        makespan = rows[-1][0]
+        done = 0
         s = 0
-        while stretch * s < makespan:
-            beta[(machine, s)] = sum((w for c, w in rows if c > stretch * s), Fraction(0))
+        while step * s < makespan:
+            while rows[done][0] <= step * s:
+                done += 1
+            beta[(machine, s)] = unfinished[done]
             s += 1
     return beta
 
@@ -211,31 +242,113 @@ def _constraint(cert: DualCertificate, inst: Instance, job_id: int, machine: int
     return lhs, rhs
 
 
+def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
+    """(u, v, x, y, z, g) with slack * mean * g equal to
+    u*mean*beta + v*w*s + x*w*mean + y*w - z*alpha: the rows of
+    `_constraint` times the mean, cleared of f = p/q.  u, v and g are
+    positive for f > 0."""
+    if cert.kind == "list":
+        return 1, 1, 1, 0, 1, 1
+    p, q = cert.f.numerator, cert.f.denominator
+    if cert.kind == "speed":
+        return 2 * q, 2 * p, p, 0, 2 * p, 2 * p
+    return 2 * q, 6 * p, 3 * p, 3 * p, 2 * p, 2 * q
+
+
+def _beta_runs(beta: Mapping[tuple[int, int], Fraction]
+               ) -> dict[int, tuple[int, list[int], list[int]]]:
+    """Per machine with a positive entry: (scale, starts, levels).  Run k
+    covers slots starts[k] to starts[k + 1] - 1, where beta is
+    levels[k] / scale; starts[0] is 0, and the last run, of level 0,
+    starts one past the last positive entry and never ends.  Negative
+    slots are never checked, so they are left out."""
+    entries: dict[int, list[tuple[int, Fraction]]] = {}
+    for (machine, s), value in beta.items():
+        if value.numerator > 0 and s >= 0:
+            entries.setdefault(machine, []).append((s, value))
+    runs = {}
+    for machine, rows in entries.items():
+        rows.sort(key=lambda row: row[0])
+        scale = math.lcm(*[value.denominator for _, value in rows])
+        points = []
+        prev = -1
+        for s, value in rows:
+            if s > prev + 1:
+                points.append((prev + 1, 0))  # a gap is a run of zeros
+            points.append((s, value.numerator * (scale // value.denominator)))
+            prev = s
+        points.append((prev + 1, 0))
+        starts: list[int] = []
+        levels: list[int] = []
+        for s, level in points:
+            if not levels or levels[-1] != level:
+                starts.append(s)
+                levels.append(level)
+        runs[machine] = (scale, starts, levels)
+    return runs
+
+
+_ZERO_RUNS = (1, [0], [0])  # a machine without a positive beta entry
+
+
 def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
-    """Scan every pricing inequality the certificate must satisfy.
+    """Check every pricing inequality the certificate must satisfy.
 
     Slots run from the job's release (online kind) or zero up to one
     past the machine's last nonzero beta entry; beyond that beta is zero
-    and the right side only grows with s, so the scan is complete.
+    and the right side only grows with s, so the range is complete, and
+    `constraints_checked` counts its slots.  The range is not walked
+    slot by slot.  For one job on one machine, multiplying a row's slack
+    by one positive integer gives c0 + cs*s + cb*level(s), where
+    level(s) is beta as an integer over the machine's lcm and cs, cb >
+    0.  On a run of equal beta the slack therefore rises with s, so its
+    minimum is at the run's first slot in range, and only those slots
+    are evaluated, in integers.  `min_slack` is the exact minimum.
+    Where a run starts negative, its violating slots are a prefix of
+    the run, found in closed form and listed in (job, machine, slot)
+    order with the `_constraint` values of each row.
     """
-    last: dict[int, int] = {}
-    for (machine, s), value in cert.beta.items():
-        if value > 0:
-            last[machine] = max(last.get(machine, -1), s)
+    runs = _beta_runs(cert.beta)
+    u, v, x, y, z, g = _pricing_coefficients(cert)
+    online = cert.kind == "online"
     violations = []
-    min_slack: Optional[Fraction] = None
+    low_num: Optional[int] = None
+    low_den = 1
     checked = 0
     for job in inst.jobs:
-        lo_base = job.release if cert.kind == "online" else 0
+        lo = job.release if online else 0
+        wn, wd = job.weight.numerator, job.weight.denominator
+        alpha = cert.alpha[job.id]
+        an, ad = alpha.numerator, alpha.denominator
         for machine in job.permitted:
-            hi = max(last.get(machine, -1) + 1, lo_base)
-            for s in range(lo_base, hi + 1):
-                lhs, rhs = _constraint(cert, inst, job.id, machine, s)
-                slack = rhs - lhs
-                checked += 1
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-                if slack < 0:
+            scale, starts, levels = runs.get(machine, _ZERO_RUNS)
+            mean = job.dist(machine).mean
+            mn, md = mean.numerator, mean.denominator
+            hi = max(starts[-1], lo)
+            checked += hi - lo + 1
+            # slack(s) = (c0 + cs*s + cb*level(s)) / den: the kind's
+            # row times mean*g*md*scale*wd*ad
+            cb = u * mn * wd * ad
+            cs = v * wn * md * scale * ad
+            c0 = scale * (wn * ad * (x * mn + y * md) - z * an * md * wd)
+            den = g * mn * scale * wd * ad
+            first = bisect_right(starts, lo) - 1
+            slots = [lo, *starts[first + 1:]]
+            values = [c0 + cs * s + cb * level for s, level in zip(slots, levels[first:])]
+            low = min(values)
+            if low_num is None or low * low_den < low_num * den:
+                low_num, low_den = low, den
+            if low >= 0:
+                continue
+            for k, value in enumerate(values):
+                if value >= 0:
+                    continue
+                end = slots[k + 1] - 1 if k + 1 < len(slots) else hi
+                # the run's last negative slot: the largest s with
+                # cs*s + (c0 + cb*level) < 0
+                last = min(end, (cs * slots[k] - value - 1) // cs)
+                for s in range(slots[k], last + 1):
+                    lhs, rhs = _constraint(cert, inst, job.id, machine, s)
                     violations.append(Violation(f"price_{machine}_{job.id}_{s}", lhs, rhs))
     return Report(
         name=f"feasibility[{cert.kind}]",
@@ -248,7 +361,7 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
             "constraints_checked": checked,
         },
         violations=tuple(violations),
-        min_slack=min_slack,
+        min_slack=None if low_num is None else Fraction(low_num, low_den),
     )
 
 

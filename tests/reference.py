@@ -12,8 +12,12 @@ through `core.priority_split`.  `dispatch`, `machine_order`,
 `fixed_assignment_cost`, `normalize_pmf` and `moments` are the greedy
 dispatch, the machine order, the list cost and the distribution checks
 written on `Fraction`s, where the package runs them on scaled integers.
-The property tests require exact equality between these and the
-package's versions, so they share no code with them.
+`verify_certificate` scans every pricing row of a dual certificate slot
+by slot in `Fraction`s, and `beta_table` rescans every completion for
+every slot, where the package works per run of equal beta and sweeps
+the completions once.  The property tests require exact equality
+between these and the package's versions, so they share no code with
+them.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from stochsched import greedy_time
 from stochsched.core import Instance, as_fraction, priority_split
 from stochsched.errors import ForbiddenPairError, InfeasibleError, ProbSumError, UnboundedError
 from stochsched.greedy_list import Assignment, GreedyRun
+from stochsched.report import Report, Violation
 
 
 def stoch_opt(inst: Instance) -> Fraction:
@@ -437,3 +442,75 @@ def moments(pmf) -> tuple[Fraction, Fraction, Fraction]:
     mean = sum((Fraction(v) * p for v, p in pmf), Fraction(0))
     second = sum((Fraction(v * v) * p for v, p in pmf), Fraction(0))
     return mean, second, (second - mean * mean) / (mean * mean)
+
+
+# ------------------------------------------------------ dual certificates
+
+def beta_table(completions: Mapping[int, list[tuple[Fraction, Fraction]]],
+               stretch: Fraction = Fraction(1)) -> dict[tuple[int, int], Fraction]:
+    """beta[(machine, s)] = weight completing strictly after stretch*s,
+    summed afresh over every completion at every slot."""
+    beta: dict[tuple[int, int], Fraction] = {}
+    for machine, rows in completions.items():
+        if not rows:
+            continue
+        makespan = max(c for c, _ in rows)
+        s = 0
+        while stretch * s < makespan:
+            beta[(machine, s)] = sum((w for c, w in rows if c > stretch * s), Fraction(0))
+            s += 1
+    return beta
+
+
+def constraint(cert, inst: Instance, job_id: int, machine: int,
+               s: int) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of the certificate's pricing inequality at one slot."""
+    job = inst.job(job_id)
+    mean = job.dist(machine).mean
+    w = job.weight
+    a = cert.alpha[job_id]
+    b = cert.beta.get((machine, s), Fraction(0))
+    if cert.kind == "list":
+        return a / mean, b + w * (Fraction(s) / mean + 1)
+    if cert.kind == "speed":
+        return a / mean, b / cert.f + w * (Fraction(s) / mean + Fraction(1, 2))
+    lhs = cert.f * a / mean
+    rhs = b + 3 * cert.f * w * ((s + Fraction(1, 2)) / mean + Fraction(1, 2))
+    return lhs, rhs
+
+
+def verify_certificate(inst: Instance, cert) -> Report:
+    """Every pricing row from the job's release (online) or zero up to
+    one past the machine's last positive beta entry, one slot at a time."""
+    last: dict[int, int] = {}
+    for (machine, s), value in cert.beta.items():
+        if value > 0:
+            last[machine] = max(last.get(machine, -1), s)
+    violations = []
+    min_slack: Optional[Fraction] = None
+    checked = 0
+    for job in inst.jobs:
+        lo = job.release if cert.kind == "online" else 0
+        for machine in job.permitted:
+            hi = max(last.get(machine, -1) + 1, lo)
+            for s in range(lo, hi + 1):
+                lhs, rhs = constraint(cert, inst, job.id, machine, s)
+                slack = rhs - lhs
+                checked += 1
+                if min_slack is None or slack < min_slack:
+                    min_slack = slack
+                if slack < 0:
+                    violations.append(Violation(f"price_{machine}_{job.id}_{s}", lhs, rhs))
+    return Report(
+        name=f"feasibility[{cert.kind}]",
+        passed=not violations,
+        metrics={
+            "kind": cert.kind,
+            "f": cert.f,
+            "alpha_sum": sum(cert.alpha.values(), Fraction(0)),
+            "beta_sum": sum(cert.beta.values(), Fraction(0)),
+            "constraints_checked": checked,
+        },
+        violations=tuple(violations),
+        min_slack=min_slack,
+    )

@@ -161,6 +161,27 @@ class TestExitCodes:
         assert cli.main(["list", worked_path, "--f", "1e400"]) == 0
         assert f"  chain_factor: {exact}" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("text", ["1e5000", "1e2000000", "1e-5000", "0e99999999999",
+                                      "1" * 4301 + "/3"])
+    def test_speed_factor_past_the_digit_limit_is_six_at_once(self, worked_path, capsys, text):
+        # refused before the Fraction is built: 1e2000000 used to run
+        # for minutes and then fail inside Python's int conversion
+        start = time.process_time()
+        assert cli.main(["list", worked_path, "--f", text]) == 6
+        assert time.process_time() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: speed factor ") and err.count("\n") == 1
+        assert "4300 digits" in err
+
+    def test_digit_limit_is_on_the_value(self):
+        assert cli._speed_factor("1e4299") == 10 ** 4299
+        assert cli._speed_factor("-1e-4299") == Fraction(-1, 10 ** 4299)
+        assert cli._speed_factor("1000e-4300") == Fraction(1, 10 ** 4297)
+        assert cli._speed_factor("0." + "0" * 4200 + "5") == Fraction(1, 2 * 10 ** 4200)
+        for text in ("1e4300", "100e4298", "1e-4300", "0." + "0" * 4299 + "1"):
+            with pytest.raises(ValueError, match="4300 digits"):
+                cli._speed_factor(text)
+
     def test_missing_file_is_six(self):
         assert cli.main(["list", "/nonexistent/nope.json"]) == 6
 

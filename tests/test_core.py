@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -254,6 +256,14 @@ class TestJobAndInstance:
         assert inst.ratio(1, 2) == 2
         assert not inst.has_releases
         assert inst.job(2).permitted == (1, 2)
+
+    def test_permitted_is_not_a_field(self):
+        job = Job(1, F(2), 3, (None, ProcDist.point(2), ProcDist.point(1)))
+        assert job.permitted == (2, 3)
+        assert "permitted" not in repr(job)
+        assert [f.name for f in dataclasses.fields(job)] == ["id", "weight", "release", "proc"]
+        copy = pickle.loads(pickle.dumps(job))
+        assert copy == job and copy.permitted == (2, 3)
 
     def test_max_scv(self):
         inst = worked_instance()

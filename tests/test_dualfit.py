@@ -7,6 +7,7 @@ from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import RequiresFGeq2Error, SchemaError
 from stochsched import dualfit, greedy_list, greedy_time, lp
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -220,6 +221,114 @@ class TestSerialization:
                          dualfit.build_online_certificate(inst, F(3))):
                 text = dualfit.serialize_certificate(cert)
                 assert dualfit.parse_certificate(text) == cert
+
+    def test_speed_and_online_need_a_positive_f(self):
+        for kind in ("speed", "online"):
+            with pytest.raises(ValueError):
+                dualfit.DualCertificate(kind, F(0), {1: F(1)}, {}, (F(1), F(1)))
+            text = GOOD_CERT.replace('"list"', f'"{kind}"').replace('"f":"1"', '"f":"-2"')
+            with pytest.raises(SchemaError):
+                dualfit.parse_certificate(text)
+        # a list certificate never reads f
+        cert = dualfit.DualCertificate("list", F(0), {1: F(1)}, {}, (F(1), F(1)))
+        assert cert.alpha_sum == 1 and cert.beta_sum == 0
+
+
+class TestAgainstTheSlotScan:
+    """The per-run verifier and the one-sweep beta table against the
+    slot-by-slot references in `tests/reference.py`."""
+
+    FACTORS = (F(2), F(5, 2), F(3))
+
+    def _assert_same(self, inst, cert):
+        assert dualfit.verify_certificate(inst, cert) == reference.verify_certificate(inst, cert)
+
+    def test_seeded_certificates_of_every_kind(self):
+        rng = random.Random(811)
+        for _ in range(40):
+            inst = random_instance(rng, max_machines=3, max_jobs=7,
+                                   releases=rng.random() < 0.5)
+            certs = [dualfit.build_list_certificate(inst)]
+            for f in self.FACTORS:
+                certs.append(dualfit.build_speed_certificate(inst, f))
+                certs.append(dualfit.build_online_certificate(inst, f))
+            for cert in certs:
+                self._assert_same(inst, cert)
+                # alpha shifted up and down, often into violation
+                victim = rng.randint(1, inst.n)
+                delta = F(rng.randint(-40, 40), rng.randint(1, 3))
+                if cert.alpha[victim] + delta >= 0:
+                    self._assert_same(inst, dualfit.perturbed(cert, victim, delta))
+
+    def test_the_three_mutation_shapes_of_the_acceptance_gate(self):
+        rng = random.Random(823)
+        for _ in range(15):
+            inst = random_instance(rng, integer_mean=True, max_jobs=8)
+            released = random_instance(rng, even_mean=True, max_jobs=8, releases=True)
+            victim = rng.randint(1, inst.n)
+            job = inst.job(victim)
+            machine = job.permitted[0]
+            mean, w = inst.mean(machine, victim), job.weight
+            cert = dualfit.build_list_certificate(inst)
+            bump = mean * (cert.beta_at(machine, 0) + w) + 1
+            self._assert_same(inst, dualfit.perturbed(cert, victim, bump))
+            cert = dualfit.build_speed_certificate(inst, F(2))
+            bump = mean * (cert.beta_at(machine, 0) / 2 + w / 2) + 1
+            self._assert_same(inst, dualfit.perturbed(cert, victim, bump))
+
+            victim = rng.randint(1, released.n)
+            job = released.job(victim)
+            machine = job.permitted[0]
+            mean = released.mean(machine, victim)
+            cert = dualfit.build_online_certificate(released, F(2))
+            s0 = job.release
+            rhs = cert.beta_at(machine, s0) + 6 * job.weight * ((s0 + F(1, 2)) / mean + F(1, 2))
+            bad = dualfit.perturbed(cert, victim, rhs * mean / 2 + 1)
+            assert dualfit.verify_certificate(released, bad).violations
+            self._assert_same(released, bad)
+
+    def test_hand_made_tables_that_rise_gap_and_hold_zeros(self):
+        rng = random.Random(827)
+        for _ in range(150):
+            inst = random_instance(rng, max_machines=3, max_jobs=5, releases=True)
+            kind = rng.choice(dualfit.KINDS)
+            f = F(1) if kind == "list" else rng.choice(self.FACTORS)
+            beta = {}
+            for machine in range(1, inst.machines + 2):   # one machine past the instance
+                slot = rng.randint(-2, 3)
+                for _ in range(rng.randint(0, 5)):
+                    value = rng.choice([F(0), F(0), F(1, 2), F(1), F(3), F(7, 3)])
+                    for _ in range(rng.randint(1, 4)):   # runs of equal entries
+                        beta[(machine, slot)] = value
+                        slot += 1
+                    slot += rng.choice([0, 0, 1, 3])     # gaps
+            alpha = {job.id: F(rng.randint(0, 60), rng.randint(1, 4)) for job in inst.jobs}
+            cert = dualfit.DualCertificate(kind, f, alpha, beta, (F(1), F(1)))
+            self._assert_same(inst, cert)
+
+    def test_beta_tables_match_the_rescan(self):
+        rng = random.Random(829)
+        for _ in range(30):
+            inst = random_instance(rng, max_machines=3, max_jobs=8)
+            completions = dualfit._machine_completions(inst, greedy_list.assign(inst).assignment)
+            for stretch in (F(1), F(2), F(5, 2), F(3)):
+                assert dualfit._beta_table(completions, stretch) == \
+                    reference.beta_table(completions, stretch)
+        # unsorted rows, shared completion times, fractional times
+        rows = {1: [(F(7, 2), F(1)), (F(1, 3), F(2, 5)), (F(7, 2), F(3)), (F(6), F(1, 7))],
+                2: [], 3: [(F(1, 2), F(4))]}
+        for stretch in (F(1), F(2), F(5, 2), F(3)):
+            assert dualfit._beta_table(rows, stretch) == reference.beta_table(rows, stretch)
+
+    def test_a_far_slot_is_checked_without_walking_to_it(self):
+        # machine 1 gains an entry at slot 10**12: every job permitted
+        # there is priced on 10**12 + 2 slots, machine 2 keeps its two
+        text = GOOD_CERT.replace('[2,0,"2"]', '[1,1000000000000,"1"],[2,0,"2"]')
+        cert = dualfit.parse_certificate(text)
+        report = dualfit.verify_certificate(worked_instance(), cert)
+        assert report.passed
+        assert report.metrics["constraints_checked"] == 2_000_000_000_008
+        assert report.min_slack == F(2, 3)
 
 
 GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'

@@ -37,7 +37,7 @@ from .errors import (
     UnschedulableError,
     ZeroMeanError,
 )
-from .report import Report, jsonable
+from .report import Report, exact_text, jsonable
 
 __all__ = ["RunConfig", "parse_instance", "emit_instance", "run", "render", "main"]
 
@@ -391,12 +391,13 @@ def run(config: RunConfig) -> Report:
 
 def _human_value(value) -> str:
     if isinstance(value, Fraction):
+        text = exact_text(value)
         if value.denominator == 1:
-            return str(value)
+            return text
         try:
-            return f"{value} ({float(value):.6g})"
+            return f"{text} ({float(value):.6g})"
         except OverflowError:  # beyond float range: the exact value alone
-            return str(value)
+            return text
     if isinstance(value, float):
         return f"{value:.6g}"
     if isinstance(value, bool):
@@ -406,7 +407,7 @@ def _human_value(value) -> str:
 
 def _csv_value(value) -> str:
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_text(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):

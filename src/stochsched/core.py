@@ -6,10 +6,13 @@ identities tested elsewhere hold to the bit.  `ProcDist` checks its
 probabilities and sums its moments as integer counts over the lcm of
 their denominators.  `Instance.scaled` holds every weight and mean as an
 integer over one weight scale and one mean scale; the greedy dispatch,
-`machine_order` and `fixed_assignment_cost` run on it and build a
-`Fraction` only for what they return.  `Instance.ratio`,
-`priority_split` and the `expected_increase` references stay on
-`Fraction`s, independent of that view.
+`machine_order` and `list_schedule` run on it and build a `Fraction`
+only for what they return.  `list_schedule` is the one kernel of the
+expected-duration list schedule: the list cost, the list and speed beta
+tables (`dualfit`), the per-job bounds (`oracle`), the serving order of
+`greedy_time` and the LP horizon witness (`lp`) read it.
+`Instance.ratio`, `priority_split` and the `expected_increase`
+references stay on `Fraction`s, independent of that view.
 """
 from __future__ import annotations
 
@@ -32,6 +35,8 @@ from .errors import (
 )
 
 FractionLike = Union[Fraction, int, str]
+# machine -> (job id, weight, completion) rows, see `list_schedule`
+Schedule = dict[int, list[tuple[int, int, int]]]
 
 __all__ = [
     "ProcDist",
@@ -43,6 +48,8 @@ __all__ = [
     "strict_fraction",
     "max_scv",
     "priority_split",
+    "list_schedule",
+    "schedule_cost",
     "fixed_assignment_cost",
 ]
 
@@ -364,27 +371,43 @@ def machine_order(inst: Instance, machine: int, job_ids: Iterable[int]) -> list[
     return [j for j, _, _ in _priority_order(inst, machine, job_ids)]
 
 
-def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
-    """Weighted completion total when each machine runs its assigned jobs
-    in priority order with processing times pinned at their means.
-
-    `assignment` maps job ids to machine ids; a partial mapping prices
-    just the assigned prefix, which is what the greedy's score-equals-
-    cost-delta invariant is stated over.  Release dates are ignored
-    here; this is the list-model objective.  The clock runs on the
-    scaled integers, and the total becomes one `Fraction` at the end.
-    """
+def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> Schedule:
+    """The expected-duration list schedule: each machine serves its jobs
+    by ratio, ties by id, processing times at their means, releases
+    ignored.  A partial `assignment` (job id -> machine) schedules just
+    its jobs.  Per machine, in the order of its first job in
+    `assignment`: the (job id, weight, completion) rows in serving
+    order, weights over `inst.scaled.weight_scale` and completions over
+    `inst.scaled.mean_scale`."""
     per_machine: dict[int, list[int]] = {}
     for job_id, machine in assignment.items():
         job = inst.job(job_id)
         if not job.allows(machine):
             raise ForbiddenPairError(f"job {job.id} assigned to forbidden machine {machine}")
         per_machine.setdefault(machine, []).append(job.id)
-    total = 0
+    schedule: Schedule = {}
     for machine, ids in per_machine.items():
         clock = 0
-        for _, weight, mean in _priority_order(inst, machine, ids):
+        rows = []
+        for job_id, weight, mean in _priority_order(inst, machine, ids):
             clock += mean
-            total += weight * clock
+            rows.append((job_id, weight, clock))
+        schedule[machine] = rows
+    return schedule
+
+
+def schedule_cost(inst: Instance, schedule: Schedule) -> Fraction:
+    """Weighted completion total of a `list_schedule`, one `Fraction`."""
+    total = 0
+    for rows in schedule.values():
+        for _, weight, completion in rows:
+            total += weight * completion
     scaled = inst.scaled
     return Fraction(total, scaled.weight_scale * scaled.mean_scale)
+
+
+def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
+    """The list-model objective of `list_schedule(inst, assignment)`; a
+    partial mapping prices just the assigned prefix, which the greedy's
+    score-equals-cost-delta invariant is stated over."""
+    return schedule_cost(inst, list_schedule(inst, assignment))

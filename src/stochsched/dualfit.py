@@ -24,11 +24,12 @@ positive integer.  So on each run the slack rises with s and its
 minimum is at the run's first slot in range: the check evaluates one
 integer per run, and any table of nonnegative values works, monotone or
 not.  The beta tables are built in one sweep per machine, comparing
-each slot with the completions on integers over one lcm.
+each slot with integer completions: the list and speed tables read
+`core.list_schedule`, and the online builder scales its trace once.
 
 The list and speed builders and checks take a `ListRun`, the list
-greedy's run and its cost, when the caller already has one, so one
-subcommand runs the greedy once.
+greedy's run with its schedule and cost, when the caller already has
+one, so one subcommand runs the greedy and the schedule once.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, as_fraction, fixed_assignment_cost, strict_fraction
+from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, schedule_cost,
+                   strict_fraction)
 from .errors import RequiresFGeq2Error, SchemaError
 from .report import Report, Violation
 
@@ -67,17 +69,20 @@ KINDS = ("list", "speed", "online")
 
 @dataclass(frozen=True)
 class ListRun:
-    """One run of the list greedy and its expected cost.  The cost is
-    computed from the assignment alone, apart from the scores the
-    certificate holds, so the identities between the two stay checks."""
+    """One run of the list greedy, its `core.list_schedule` and the
+    schedule's cost.  Both come from the assignment alone, apart from
+    the scores the certificate holds, so the identities between the two
+    stay checks."""
 
     greedy: greedy_list.GreedyRun
+    schedule: Schedule
     cost: Fraction
 
 
 def list_run(inst: Instance) -> ListRun:
     greedy = greedy_list.assign(inst)
-    return ListRun(greedy, fixed_assignment_cost(inst, greedy.assignment.as_mapping()))
+    schedule = list_schedule(inst, greedy.assignment.as_mapping())
+    return ListRun(greedy, schedule, schedule_cost(inst, schedule))
 
 
 def _exact_sum(values) -> Fraction:
@@ -121,49 +126,32 @@ class DualCertificate:
         return self.alpha_sum / self.scale[0] - self.beta_sum / self.scale[1]
 
 
-def _machine_completions(inst: Instance,
-                         assignment: greedy_list.Assignment) -> dict[int, list[tuple[Fraction, Fraction]]]:
-    """Per machine: (completion, weight) rows of the expected-duration
-    schedule, jobs served in priority order."""
-    from .core import machine_order
-
-    out: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for machine in range(1, inst.machines + 1):
-        clock = Fraction(0)
-        rows = []
-        for job_id in machine_order(inst, machine, assignment.jobs_on(machine)):
-            clock += inst.mean(machine, job_id)
-            rows.append((clock, inst.job(job_id).weight))
-        out[machine] = rows
-    return out
-
-
-def _beta_table(completions: Mapping[int, list[tuple[Fraction, Fraction]]],
+def _beta_table(schedule: Schedule, time_scale: int, weight_scale: int,
                 stretch: Fraction = Fraction(1)) -> dict[tuple[int, int], Fraction]:
-    """beta[(machine, s)] = weight completing strictly after stretch*s.
-
-    One sweep per machine: the completions and stretch*s are integers
-    over one lcm, and slots that see the same unfinished jobs share one
-    `Fraction`."""
+    """beta[(machine, s)] = weight completing strictly after stretch*s,
+    from `core.list_schedule` rows in any order, with weights over
+    `weight_scale` and completions over `time_scale`.  One integer sweep
+    per machine; slots with the same unfinished jobs share a `Fraction`."""
+    step = stretch.numerator * time_scale
     beta: dict[tuple[int, int], Fraction] = {}
-    for machine, rows in completions.items():
+    for machine, rows in schedule.items():
         if not rows:
             continue
-        scale = math.lcm(stretch.denominator, *[c.denominator for c, _ in rows])
-        step = stretch.numerator * (scale // stretch.denominator)
-        rows = sorted([(c.numerator * (scale // c.denominator), w) for c, w in rows],
-                      key=lambda row: row[0])
-        # unfinished[k] = weight of rows k.. in completion order
-        unfinished = [Fraction(0)] * (len(rows) + 1)
-        for k in range(len(rows) - 1, -1, -1):
-            unfinished[k] = unfinished[k + 1] + rows[k][1]
+        # completion / time_scale > stretch * s  <=>  completion * q > step * s
+        rows = sorted([(completion * stretch.denominator, weight)
+                       for _, weight, completion in rows])
+        unfinished = sum([weight for _, weight in rows])
+        level = Fraction(unfinished, weight_scale)
         makespan = rows[-1][0]
         done = 0
         s = 0
         while step * s < makespan:
-            while rows[done][0] <= step * s:
-                done += 1
-            beta[(machine, s)] = unfinished[done]
+            if rows[done][0] <= step * s:
+                while rows[done][0] <= step * s:
+                    unfinished -= rows[done][1]
+                    done += 1
+                level = Fraction(unfinished, weight_scale)
+            beta[(machine, s)] = level
             s += 1
     return beta
 
@@ -172,9 +160,11 @@ def build_list_certificate(inst: Instance, run: Optional[ListRun] = None) -> Dua
     """Tables of the list greedy: accepted scores and the unfinished
     weight per slot of its expected-duration schedule.  Halving both
     gives a feasible dual point."""
-    assignment, increases = greedy_list.assign(inst) if run is None else run.greedy
+    run = list_run(inst) if run is None else run
+    increases = run.greedy.increases
     alpha = {job.id: increases[job.id - 1] for job in inst.jobs}
-    beta = _beta_table(_machine_completions(inst, assignment))
+    scaled = inst.scaled
+    beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale)
     return DualCertificate("list", Fraction(1), alpha, beta, (Fraction(2), Fraction(2)))
 
 
@@ -189,9 +179,11 @@ def build_speed_certificate(inst: Instance, f: FractionLike,
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed certificates need f >= 2, got {f}")
-    assignment, increases = greedy_list.assign(inst) if run is None else run.greedy
+    run = list_run(inst) if run is None else run
+    increases = run.greedy.increases
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
-    beta = _beta_table(_machine_completions(inst, assignment), stretch=f)
+    scaled = inst.scaled
+    beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale, stretch=f)
     return DualCertificate("speed", f, alpha, beta, (Fraction(1), f))
 
 
@@ -217,11 +209,16 @@ def _online_certificate(inst: Instance, f: Fraction, increases: tuple[Fraction, 
     """The online tables from the greedy's scores and its deterministic
     speed-f trace."""
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
-    completions: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    # the trace's completions as integers over their lcm, once
+    time_scale = math.lcm(*[row.completed.denominator for row in trace.jobs])
+    scaled = inst.scaled
+    schedule: Schedule = {}
     for row in trace.jobs:
-        completions.setdefault(row.machine, []).append(
-            (row.completed, inst.job(row.job).weight))
-    beta = _beta_table(completions)
+        completed = row.completed
+        schedule.setdefault(row.machine, []).append(
+            (row.job, scaled.weights[row.job - 1],
+             completed.numerator * (time_scale // completed.denominator)))
+    beta = _beta_table(schedule, time_scale, scaled.weight_scale)
     return DualCertificate("online", f, alpha, beta, (Fraction(3), 3 * f))
 
 
@@ -389,9 +386,10 @@ def check_speedf(inst: Instance, f: FractionLike, run: Optional[ListRun] = None)
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed analysis needs f >= 2, got {f}")
+    run = list_run(inst) if run is None else run
     cert = build_speed_certificate(inst, f, run)
     report = verify_certificate(inst, cert)
-    alg = greedy_list.greedy_cost(inst) if run is None else run.cost
+    alg = run.cost
     actual = cert.objective()
     formula = (f - 1) / (f * f) * alg
     return dataclasses.replace(report, name="speed-certificate", metrics={

@@ -10,6 +10,10 @@ All exact simulation here runs on the speed-f clock (durations divided
 by f); the wall-clock run of the deployed policy is that trace times f,
 and `simulate_wall_clock` computes it independently so the scaling can
 be checked rather than assumed.
+
+Every trace and the Monte Carlo layout serve each machine in the order
+of `core.list_schedule`.  `expected_increase` is the list version's
+plus the job's own charge, independent of the dispatch kernel it checks.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .core import FractionLike, Instance, as_fraction, machine_order
+from . import greedy_list
+from .core import FractionLike, Instance, Job, as_fraction, list_schedule
 from .errors import ForbiddenPairError
 from .greedy_list import Assignment, GreedyRun, _dispatch
 
@@ -70,29 +75,12 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int], job_id: int,
                       machine: int, f: FractionLike) -> Fraction:
     """Assignment score of `job_id` on `machine` at its arrival.
 
-    Like the list version but the job's own completion is charged from
-    twice its modified release instead of from zero.
+    The list version's increase plus the job's own charge from twice its
+    modified release: 2*w_j*max{f*r_j, E[P_ij]}.
     """
     f = _check_f(f)
-    job = inst.job(job_id)
-    if not job.allows(machine):
-        raise ForbiddenPairError(f"job {job_id} cannot run on machine {machine}")
-    mean = job.dist(machine).mean
-    ratio = job.weight / mean
-    work_before = mean
-    weight_after = Fraction(0)
-    for other_id, target in assigned.items():
-        if target != machine or other_id == job_id:
-            continue
-        other = inst.job(other_id)
-        other_ratio = inst.ratio(machine, other_id)
-        if other_ratio > ratio or (other_ratio == ratio and other_id <= job_id):
-            if other_id <= job_id:
-                work_before += other.dist(machine).mean
-        elif other_id < job_id:
-            weight_after += other.weight
-    release = max(f * job.release, mean)
-    return job.weight * (2 * release + work_before) + mean * weight_after
+    increase = greedy_list.expected_increase(inst, assigned, job_id, machine)
+    return increase + 2 * inst.job(job_id).weight * modified_release(inst, job_id, machine, f)
 
 
 def assign(inst: Instance, f: FractionLike) -> Assignment:
@@ -174,14 +162,6 @@ class ScheduleTrace:
         return tuple(segments)
 
 
-def _rank_jobs(inst: Instance, assignment: Assignment) -> dict[int, list[int]]:
-    """Per machine, assigned job ids sorted by serving priority."""
-    per_machine: dict[int, list[int]] = {}
-    for job in inst.jobs:
-        per_machine.setdefault(assignment.machine_of(job.id), []).append(job.id)
-    return {machine: machine_order(inst, machine, ids) for machine, ids in per_machine.items()}
-
-
 def _run_machine(entries):
     """Serve (release, rank, job, hold, proc) tuples on one machine.
 
@@ -212,30 +192,22 @@ def _run_machine(entries):
     return done
 
 
-def _trace_from(inst: Instance, assignment: Assignment, per_machine_entries) -> ScheduleTrace:
+def _trace(inst: Instance, assignment: Assignment,
+           timing: Callable[[Job, int, Fraction], tuple[Fraction, Fraction, Fraction]]
+           ) -> ScheduleTrace:
+    """Serve each machine's jobs in the order of `core.list_schedule`,
+    with the (release, hold, proc) triple that `timing(job, machine,
+    mean)` returns."""
     rows: list[Optional[JobTrace]] = [None] * inst.n
-    for machine, entries in per_machine_entries.items():
+    for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
+        entries = []
+        for rank, (job_id, _, _) in enumerate(ranked):
+            release, hold, proc = timing(inst.job(job_id), machine, inst.mean(machine, job_id))
+            entries.append((release, rank, job_id, hold, proc))
         for job_id, committed, started, completed in _run_machine(entries):
             rows[job_id - 1] = JobTrace(job_id, machine, Fraction(committed),
                                         Fraction(started), Fraction(completed))
     return ScheduleTrace(tuple(rows))
-
-
-def _sped_trace(inst: Instance, assignment: Assignment, f: Fraction,
-                timing: Callable[[int, int, Fraction], tuple[Fraction, Fraction]]) -> ScheduleTrace:
-    """Trace on the speed-f clock: each job is released at
-    max{r_j, E[P_ij]/f} and served in priority order, with the
-    (hold, proc) pair that `timing(job_id, machine, mean)` returns."""
-    entries = {}
-    for machine, ids in _rank_jobs(inst, assignment).items():
-        rows = []
-        for rank, job_id in enumerate(ids):
-            job = inst.job(job_id)
-            mean = job.dist(machine).mean
-            hold, proc = timing(job_id, machine, mean)
-            rows.append((max(Fraction(job.release), mean / f), rank, job_id, hold, proc))
-        entries[machine] = rows
-    return _trace_from(inst, assignment, entries)
 
 
 def simulate(inst: Instance, assignment: Assignment, realization: Realization,
@@ -245,13 +217,14 @@ def simulate(inst: Instance, assignment: Assignment, realization: Realization,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
-    def timing(job_id: int, machine: int, mean: Fraction) -> tuple[Fraction, Fraction]:
-        drawn = Fraction(realization.value(job_id, machine))
+    def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        release = sped_release(inst, job.id, machine, f)
+        drawn = Fraction(realization.value(job.id, machine))
         if mode == "forced-idle":
-            return mean / f, drawn / f
-        return Fraction(0), max(drawn, mean) / f
+            return release, mean / f, drawn / f
+        return release, Fraction(0), max(drawn, mean) / f
 
-    return _sped_trace(inst, assignment, f, timing)
+    return _trace(inst, assignment, timing)
 
 
 def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Realization,
@@ -261,22 +234,15 @@ def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Rea
     f = _check_f(f)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    ranked = _rank_jobs(inst, assignment)
-    entries = {}
-    for machine, ids in ranked.items():
-        rows = []
-        for rank, job_id in enumerate(ids):
-            job = inst.job(job_id)
-            mean = job.dist(machine).mean
-            drawn = Fraction(realization.value(job_id, machine))
-            release = max(f * job.release, mean)
-            if mode == "forced-idle":
-                hold, proc = mean, drawn
-            else:
-                hold, proc = Fraction(0), max(drawn, mean)
-            rows.append((release, rank, job_id, hold, proc))
-        entries[machine] = rows
-    return _trace_from(inst, assignment, entries)
+
+    def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        release = max(f * job.release, mean)
+        drawn = Fraction(realization.value(job.id, machine))
+        if mode == "forced-idle":
+            return release, mean, drawn
+        return release, Fraction(0), max(drawn, mean)
+
+    return _trace(inst, assignment, timing)
 
 
 def deterministic_schedule(inst: Instance, f: FractionLike,
@@ -289,8 +255,8 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
     f = _check_f(f)
     if assignment is None:
         assignment = assign(inst, f)
-    trace = _sped_trace(inst, assignment, f,
-                        lambda job_id, machine, mean: (Fraction(0), mean / f))
+    trace = _trace(inst, assignment, lambda job, machine, mean: (
+        sped_release(inst, job.id, machine, f), Fraction(0), mean / f))
     return trace, trace.cost(inst)
 
 
@@ -335,33 +301,34 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
         raise ValueError("need at least one replication")
     if assignment is None:
         assignment = assign(inst, f)
-    ranked = _rank_jobs(inst, assignment)
     # static per-machine layout; only `proc` varies across replications
     layout = []
     forced = mode == "forced-idle"
-    for machine, ids in ranked.items():
-        for rank, job_id in enumerate(ids):
+    for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
+        entries = []
+        for rank, (job_id, _, _) in enumerate(ranked):
             job = inst.job(job_id)
             dist = job.dist(machine)
             release = float(max(f * job.release, dist.mean))
             hold = float(dist.mean) if forced else 0.0
-            layout.append((machine, rank, job_id, release, hold, dist))
+            entries.append((release, rank, job_id, hold, dist))
+        layout.append(entries)
     weights = [float(job.weight) for job in inst.jobs]
 
     totals = []
     per_job = []
     for rep in range(samples):
         rng = random.Random(f"{seed}:{rep}")
-        per_machine: dict[int, list] = {}
-        # draw in fixed (machine-block) order for reproducibility
-        for machine, rank, job_id, release, hold, dist in layout:
-            drawn = float(dist.sample(rng))
-            proc = drawn if forced else max(drawn, float(dist.mean))
-            per_machine.setdefault(machine, []).append((release, rank, job_id, hold, proc))
         completions = [0.0] * inst.n
         total = 0.0
-        for machine, entries in per_machine.items():
-            for job_id, _, _, end in _run_machine(entries):
+        # draw in fixed (machine-block) order for reproducibility
+        for entries in layout:
+            drawn_entries = []
+            for release, rank, job_id, hold, dist in entries:
+                drawn = float(dist.sample(rng))
+                proc = drawn if forced else max(drawn, float(dist.mean))
+                drawn_entries.append((release, rank, job_id, hold, proc))
+            for job_id, _, _, end in _run_machine(drawn_entries):
                 completions[job_id - 1] = end
                 total += weights[job_id - 1] * end
         totals.append(total)

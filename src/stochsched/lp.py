@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import simplex
-from .core import FractionLike, Instance, ProcDist, as_fraction, machine_order
+from .core import FractionLike, Instance, ProcDist, as_fraction, list_schedule
 from .errors import HorizonTooSmallError, NotAPolicyDistributionError, SchemaError
 
 __all__ = [
@@ -147,9 +147,9 @@ def _check_witness(inst: Instance, variant: str, horizon: int) -> None:
     online = _is_online(variant)
     assignment, _ = greedy_list.assign(inst)
     makespan = 0
-    for machine in range(1, inst.machines + 1):
+    for machine, rows in list_schedule(inst, assignment.as_mapping()).items():
         clock = 0
-        for job_id in machine_order(inst, machine, assignment.jobs_on(machine)):
+        for job_id, _, _ in rows:
             start = max(clock, inst.job(job_id).release) if online else clock
             clock = start + need[(machine, job_id)]
         makespan = max(makespan, clock)

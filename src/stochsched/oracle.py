@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, Job, ProcDist, as_fraction, machine_order
+from .core import FractionLike, Instance, Job, ProcDist, as_fraction, list_schedule
 from .errors import BadMError, HypothesisViolatedError, TooLargeError
 from .report import Report, Violation
 
@@ -488,20 +488,15 @@ def check_b2(process: StoppingProcess, trials: int, seed: int) -> Report:
 
 def _lemma5_bounds(inst: Instance, f: Fraction,
                    assignment: greedy_list.Assignment) -> dict[int, Fraction]:
-    """Per job: four times its modified release plus twice the expected
-    work at or above its priority on its machine, in linear time after
-    one sort per machine."""
-    per_machine: dict[int, list[int]] = {}
-    for job in inst.jobs:
-        per_machine.setdefault(assignment.machine_of(job.id), []).append(job.id)
+    """Per job: four times its modified release plus twice its completion
+    in the expected-duration schedule, which is the expected work at or
+    above its priority on its machine."""
+    mean_scale = inst.scaled.mean_scale
     bounds: dict[int, Fraction] = {}
-    for machine, ids in per_machine.items():
-        # the jobs at or above one's priority are a prefix of this order
-        work = Fraction(0)
-        for job_id in machine_order(inst, machine, ids):
-            work += inst.mean(machine, job_id)
+    for machine, rows in list_schedule(inst, assignment.as_mapping()).items():
+        for job_id, _, completion in rows:
             release = greedy_time.modified_release(inst, job_id, machine, f)
-            bounds[job_id] = 4 * release + 2 * work
+            bounds[job_id] = 4 * release + 2 * Fraction(completion, mean_scale)
     return bounds
 
 

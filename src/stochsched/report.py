@@ -1,12 +1,13 @@
 """Structured results for certificate and bound checks."""
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-__all__ = ["Scalar", "Violation", "Report", "jsonable"]
+__all__ = ["Scalar", "Violation", "Report", "exact_text", "jsonable"]
 
 Scalar = Union[Fraction, float, int, bool, str, None]
 
@@ -41,6 +42,16 @@ class Report:
     rows: tuple[Mapping[str, Scalar], ...] = ()
 
 
+def exact_text(value: Fraction) -> str:
+    """`str(value)`; past Python's int-to-text digit limit, a ValueError
+    in the program's own words."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"a result needs more than {sys.get_int_max_str_digits()} digits "
+                         "to print exactly") from None
+
+
 def jsonable(value):
     """Recursively convert report pieces to JSON-safe primitives;
     rationals become canonical 'p/q' strings so nothing is rounded.
@@ -63,7 +74,7 @@ def jsonable(value):
         return {"constraint": value.constraint, "lhs": jsonable(value.lhs),
                 "rhs": jsonable(value.rhs), "slack": jsonable(value.slack)}
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_text(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, Mapping):

@@ -9,9 +9,10 @@ simplex on a `Fraction` tableau, with no row scaling and no common
 denominator.  `sample` walks the rational CDF of a `ProcDist` in
 `Fraction`s, and `lemma5_bounds` prices each job's per-job bound
 through `core.priority_split`.  `dispatch`, `machine_order`,
-`fixed_assignment_cost`, `normalize_pmf` and `moments` are the greedy
-dispatch, the machine order, the list cost and the distribution checks
-written on `Fraction`s, where the package runs them on scaled integers.
+`list_schedule`, `fixed_assignment_cost`, `normalize_pmf` and `moments`
+are the greedy dispatch, the machine order, the expected-duration list
+schedule, the list cost and the distribution checks written on
+`Fraction`s, where the package runs them on scaled integers.
 `verify_certificate` scans every pricing row of a dual certificate slot
 by slot in `Fraction`s, and `beta_table` rescans every completion for
 every slot, where the package works per run of equal beta and sweeps
@@ -399,22 +400,32 @@ def machine_order(inst: Instance, machine: int, job_ids: Iterable[int]) -> list[
     return sorted(job_ids, key=lambda j: (-inst.ratio(machine, j), j))
 
 
-def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
-    """Each machine runs its jobs in `machine_order`, durations at their
-    means, on a `Fraction` clock."""
+def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> dict[int, list[tuple[int, Fraction]]]:
+    """Per machine, in the order of its first job in `assignment`: the
+    (job id, completion) rows of its jobs in `machine_order`, durations
+    at their means, on a `Fraction` clock."""
     per_machine: dict[int, list[int]] = {}
     for job_id, machine in assignment.items():
         job = inst.job(job_id)
         if not job.allows(machine):
             raise ForbiddenPairError(f"job {job.id} assigned to forbidden machine {machine}")
         per_machine.setdefault(machine, []).append(job.id)
-    total = Fraction(0)
+    schedule = {}
     for machine, ids in per_machine.items():
         clock = Fraction(0)
+        rows = []
         for job_id in machine_order(inst, machine, ids):
             clock += inst.mean(machine, job_id)
-            total += inst.job(job_id).weight * clock
-    return total
+            rows.append((job_id, clock))
+        schedule[machine] = rows
+    return schedule
+
+
+def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Fraction:
+    """Weighted completion total of `list_schedule`."""
+    return sum((inst.job(job_id).weight * completion
+                for rows in list_schedule(inst, assignment).values()
+                for job_id, completion in rows), Fraction(0))
 
 
 # ---------------------------------------------------------- distributions

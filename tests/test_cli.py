@@ -161,6 +161,21 @@ class TestExitCodes:
         assert cli.main(["list", worked_path, "--f", "1e400"]) == 0
         assert f"  chain_factor: {exact}" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("command", ["list", "verify"])
+    def test_result_past_the_digit_limit_is_six_in_own_words(self, worked_path, capsys,
+                                                             command, fmt):
+        # f = 1e2200 passes the guard, but (f - 1)/f^2 times the cost
+        # carries about twice its digits, more than Python prints
+        assert cli.main([command, worked_path, "--f", "1e2200", "--format", fmt]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: a result needs more than ") and err.count("\n") == 1
+        assert err.rstrip().endswith("digits to print exactly")
+
+    def test_time_prints_a_factor_of_3001_digits(self, worked_path, capsys):
+        assert cli.main(["time", worked_path, "--f", "1e3000", "--samples", "5"]) == 0
+        assert f"  f: 1{'0' * 3000}" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("text", ["1e5000", "1e2000000", "1e-5000", "0e99999999999",
                                       "1" * 4301 + "/3"])
     def test_speed_factor_past_the_digit_limit_is_six_at_once(self, worked_path, capsys, text):

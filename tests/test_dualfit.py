@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from stochsched.core import Instance, Job, ProcDist
+from stochsched.core import Instance, Job, ProcDist, list_schedule
 from stochsched.errors import RequiresFGeq2Error, SchemaError
 from stochsched import dualfit, greedy_list, greedy_time, lp
 
@@ -307,18 +308,30 @@ class TestAgainstTheSlotScan:
             self._assert_same(inst, cert)
 
     def test_beta_tables_match_the_rescan(self):
+        # the package reads the integer kernel, the rescan a Fraction clock
         rng = random.Random(829)
         for _ in range(30):
             inst = random_instance(rng, max_machines=3, max_jobs=8)
-            completions = dualfit._machine_completions(inst, greedy_list.assign(inst).assignment)
+            assignment = greedy_list.assign(inst).assignment.as_mapping()
+            scaled = inst.scaled
+            schedule = list_schedule(inst, assignment)
+            completions = {machine: [(c, inst.job(j).weight) for j, c in rows]
+                           for machine, rows in reference.list_schedule(inst, assignment).items()}
             for stretch in (F(1), F(2), F(5, 2), F(3)):
-                assert dualfit._beta_table(completions, stretch) == \
-                    reference.beta_table(completions, stretch)
+                assert dualfit._beta_table(schedule, scaled.mean_scale, scaled.weight_scale,
+                                           stretch) == reference.beta_table(completions, stretch)
         # unsorted rows, shared completion times, fractional times
         rows = {1: [(F(7, 2), F(1)), (F(1, 3), F(2, 5)), (F(7, 2), F(3)), (F(6), F(1, 7))],
                 2: [], 3: [(F(1, 2), F(4))]}
+        time_scale = math.lcm(*[c.denominator for machine in rows.values() for c, _ in machine])
+        weight_scale = math.lcm(*[w.denominator for machine in rows.values() for _, w in machine])
+        schedule = {machine: [(k, w.numerator * (weight_scale // w.denominator),
+                               c.numerator * (time_scale // c.denominator))
+                              for k, (c, w) in enumerate(machine_rows, 1)]
+                    for machine, machine_rows in rows.items()}
         for stretch in (F(1), F(2), F(5, 2), F(3)):
-            assert dualfit._beta_table(rows, stretch) == reference.beta_table(rows, stretch)
+            assert dualfit._beta_table(schedule, time_scale, weight_scale, stretch) == \
+                reference.beta_table(rows, stretch)
 
     def test_a_far_slot_is_checked_without_walking_to_it(self):
         # machine 1 gains an entry at slot 10**12: every job permitted

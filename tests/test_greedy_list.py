@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from stochsched import greedy_time
-from stochsched.core import Instance, Job, ProcDist, fixed_assignment_cost, machine_order
-from stochsched.errors import SmallMeanWarning
+from stochsched.core import (Instance, Job, ProcDist, fixed_assignment_cost, list_schedule,
+                             machine_order)
+from stochsched.errors import ForbiddenPairError, SmallMeanWarning
 from stochsched.greedy_list import Assignment, assign, expected_increase, greedy_cost
 
 import reference
@@ -199,6 +200,36 @@ def test_machine_order_and_list_cost_match_the_fraction_reference():
             assert type(cost) is F
             assert cost == reference.fixed_assignment_cost(inst, assignment)
 
+
+def test_list_schedule_matches_a_fraction_clock():
+    # each machine's order is `reference.machine_order`, and each scaled
+    # completion is a `Fraction` clock over the means
+    rng = random.Random(75)
+    ties = forbidden = partial = 0
+    for inst in _kernel_instances(76, 300):
+        scaled = inst.scaled
+        greedy = assign(inst).assignment.as_mapping()
+        drawn = {job.id: rng.choice(job.permitted) for job in inst.jobs}
+        prefix = {j: m for j, m in drawn.items() if j <= rng.randint(1, inst.n)}
+        forbidden += any(d is None for job in inst.jobs for d in job.proc)
+        partial += len(prefix) < inst.n
+        for assignment in (greedy, drawn, prefix):
+            schedule = list_schedule(inst, assignment)
+            expected = reference.list_schedule(inst, assignment)
+            assert list(schedule) == list(expected)   # machines by their first job
+            for machine, rows in schedule.items():
+                assert [(j, F(w, scaled.weight_scale), F(c, scaled.mean_scale))
+                        for j, w, c in rows] == \
+                    [(j, inst.job(j).weight, c) for j, c in expected[machine]]
+                ratios = [inst.ratio(machine, j) for j, _, _ in rows]
+                ties += len(ratios) - len(set(ratios))
+    assert ties > 0 and forbidden > 0 and partial > 0
+
+
+def test_list_schedule_refuses_a_forbidden_pair():
+    inst = point_instance(2, [(1, 0, (2, None)), (1, 0, (1, 1))])
+    with pytest.raises(ForbiddenPairError, match="job 1 assigned to forbidden machine 2"):
+        list_schedule(inst, {1: 2, 2: 1})
 
 
 def test_copies_rebuild_the_integer_view():

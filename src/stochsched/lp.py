@@ -11,6 +11,12 @@ job j under way on machine i inside unit slot [s, s+1):
 
 Models are plain data; `solve_lp` runs the exact simplex; `export_lp`
 and `parse_lp` give a versioned text form that round-trips bytewise.
+
+The builders compute each coefficient on integers: a pair's mean and
+scv are read once (`_coeff_parts`), and each objective entry, price and
+mass term is one `Fraction` of two ints.  `solve_lp` hands the simplex
+dense rows that start as int zeros and hold the model's entries as they
+are, so a zero cell is never a `Fraction`.
 """
 from __future__ import annotations
 
@@ -158,11 +164,22 @@ def _check_witness(inst: Instance, variant: str, horizon: int) -> None:
             f"variant {variant} needs {makespan} slots for the greedy schedule, horizon is {horizon}")
 
 
-def _objective_coeff(variant: str, dist: ProcDist, s: int) -> Fraction:
-    base = (Fraction(s) + Fraction(1, 2)) / dist.mean
+def _coeff_parts(variant: str, dist: ProcDist) -> tuple[int, int, int]:
+    """The objective coefficient (s + 1/2)/mean + (1 - scv)/2 of a pair
+    at slot s, on integers: it is (first + s * step) / den.
+
+    With mean a/b and scv c/e, where the P-variants pin the correction
+    at its worst case by taking c = 0 and e = 1, the coefficient is
+    ((2s + 1) b e + a (e - c)) / (2 a e).
+    """
+    mean = dist.mean
+    a, b = mean.numerator, mean.denominator
     if _is_mean_only(variant):
-        return base + Fraction(1, 2)
-    return base + (1 - dist.scv) / 2
+        c, e = 0, 1
+    else:
+        scv = dist.scv
+        c, e = scv.numerator, scv.denominator
+    return b * e + a * (e - c), 2 * b * e, 2 * a * e
 
 
 def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) -> LpModel:
@@ -173,45 +190,53 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
     never below the untruncated one.
     """
     online = _is_online(variant)
+    mean_only = _is_mean_only(variant)
     T = default_horizon(inst, variant) if horizon is None else horizon
     if T < 1:
         raise HorizonTooSmallError("horizon must be at least 1")
     if horizon is not None:  # the default holds every serialized schedule
         _check_witness(inst, variant, T)
 
+    one = Fraction(1)
     variables = []
     objective = []
-    mass_rows: dict[int, list[tuple[str, Fraction]]] = {}
-    need_rows: dict[int, list[tuple[str, Fraction]]] = {}
-    cap_rows: dict[tuple[int, int], list[tuple[str, Fraction]]] = {}
+    need_rows = []
+    mass_rows = []
+    # per machine, the cap row of each slot
+    cap_rows: dict[int, list[list[tuple[str, Fraction]]]] = {}
     for job in inst.jobs:
         start = job.release if online else 0
-        need_rows[job.id] = []
-        mass_rows[job.id] = []
+        w_num, w_den = job.weight.numerator, job.weight.denominator
+        need = []
+        mass = []
         for machine in job.permitted:
             dist = job.dist(machine)
+            first, step, den = _coeff_parts(variant, dist)
+            inv_mean = 1 / dist.mean
+            obj_den = w_den * den
+            caps = cap_rows.get(machine)
+            if caps is None:
+                caps = cap_rows[machine] = [[] for _ in range(T)]
+            num = first + start * step
             for s in range(start, T):
                 name = f"y_{machine}_{job.id}_{s}"
                 variables.append(Variable(name))
-                coeff = _objective_coeff(variant, dist, s)
-                objective.append((name, job.weight * coeff))
-                need_rows[job.id].append((name, 1 / dist.mean))
-                cap_rows.setdefault((machine, s), []).append((name, Fraction(1)))
-                if not _is_mean_only(variant) and coeff != 1:
+                objective.append((name, Fraction(w_num * num, obj_den)))
+                need.append((name, inv_mean))
+                caps[s].append((name, one))
+                if not mean_only and num != den:
                     # zero terms would not survive serialization anyway
-                    mass_rows[job.id].append((name, coeff - 1))
+                    mass.append((name, Fraction(num - den, den)))
+                num += step
+        need_rows.append(Constraint(f"need_{job.id}", tuple(need), "=", one))
+        if not mean_only:
+            mass_rows.append(Constraint(f"mass_{job.id}", tuple(mass), ">=", Fraction(0)))
 
-    constraints = []
-    for (machine, s) in sorted(cap_rows):
-        constraints.append(Constraint(f"cap_{machine}_{s}", tuple(cap_rows[(machine, s)]),
-                                      "<=", Fraction(1)))
-    for job in inst.jobs:
-        constraints.append(Constraint(f"need_{job.id}", tuple(need_rows[job.id]),
-                                      "=", Fraction(1)))
-    if not _is_mean_only(variant):
-        for job in inst.jobs:
-            constraints.append(Constraint(f"mass_{job.id}", tuple(mass_rows[job.id]),
-                                          ">=", Fraction(0)))
+    constraints = [Constraint(f"cap_{machine}_{s}", tuple(terms), "<=", one)
+                   for machine in sorted(cap_rows)
+                   for s, terms in enumerate(cap_rows[machine]) if terms]
+    constraints += need_rows
+    constraints += mass_rows
     return LpModel("min", T, tuple(variables), tuple(objective), tuple(constraints))
 
 
@@ -232,24 +257,29 @@ def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> L
     if horizon is not None:  # the default holds every serialized schedule
         _check_witness(inst, variant, T)
 
+    one, minus_one = Fraction(1), Fraction(-1)
     variables = [Variable(f"alpha_{job.id}", free=True) for job in inst.jobs]
-    objective = [(f"alpha_{job.id}", Fraction(1)) for job in inst.jobs]
+    objective = [(f"alpha_{job.id}", one) for job in inst.jobs]
     for machine in range(1, inst.machines + 1):
         for s in range(T):
             variables.append(Variable(f"beta_{machine}_{s}"))
-            objective.append((f"beta_{machine}_{s}", Fraction(-1)))
+            objective.append((f"beta_{machine}_{s}", minus_one))
 
     constraints = []
     for job in inst.jobs:
         start = job.release if online else 0
+        w_num, w_den = job.weight.numerator, job.weight.denominator
+        alpha = f"alpha_{job.id}"
         for machine in job.permitted:
-            mean = job.dist(machine).mean
+            dist = job.dist(machine)
+            first, step, den = _coeff_parts(variant, dist)
+            inv_mean = 1 / dist.mean
             for s in range(start, T):
-                price = job.weight * ((Fraction(s) + Fraction(1, 2)) / mean + Fraction(1, 2))
+                # the price is the weighted P coefficient of the pair
                 constraints.append(Constraint(
                     f"price_{machine}_{job.id}_{s}",
-                    ((f"alpha_{job.id}", 1 / mean), (f"beta_{machine}_{s}", Fraction(-1))),
-                    "<=", price))
+                    ((alpha, inv_mean), (f"beta_{machine}_{s}", minus_one)),
+                    "<=", Fraction(w_num * (first + s * step), w_den * den)))
     return LpModel("max", T, tuple(variables), tuple(objective), tuple(constraints))
 
 
@@ -286,10 +316,14 @@ def completion_from_y(y: YSolution, variant: str,
                       dists: Mapping[tuple[int, int], ProcDist]) -> dict[int, Fraction]:
     """Per-job completion value the variant's objective assigns to y."""
     _is_online(variant)  # validates the name
+    parts: dict[tuple[int, int], tuple[int, int, int]] = {}
     out: dict[int, Fraction] = {}
     for (machine, job_id, s), mass in y.entries:
-        coeff = _objective_coeff(variant, dists[(machine, job_id)], s)
-        out[job_id] = out.get(job_id, Fraction(0)) + mass * coeff
+        pair = (machine, job_id)
+        if pair not in parts:
+            parts[pair] = _coeff_parts(variant, dists[pair])
+        first, step, den = parts[pair]
+        out[job_id] = out.get(job_id, Fraction(0)) + mass * Fraction(first + s * step, den)
     return out
 
 
@@ -301,13 +335,28 @@ def weighted_mass(y: YSolution, weights: Mapping[int, FractionLike]) -> Fraction
     return total
 
 
+_EXACT = frozenset((int, Fraction))
+
+
+def _require_exact(value, constraint: Optional[str], what: str) -> None:
+    """Raise TypeError unless `value` is an int or a Fraction; a bool
+    is not, although it is an int subclass.  `constraint` None stands
+    for the objective."""
+    if value.__class__ is bool or not isinstance(value, (int, Fraction)):
+        owner = "objective" if constraint is None else f"constraint {constraint!r}"
+        raise TypeError(f"{owner} {what} is {value!r}; expected an int or a Fraction")
+
+
 def solve_lp(model: LpModel) -> LpSolution:
     """Exact optimum of the model via two-phase simplex.
 
     Free variables are split into positive and negative parts; maximize
     becomes minimize of the negation.  The returned duals are Lagrange
     multipliers for the constraints as written: multipliers times the
-    right-hand sides equal the optimal value.
+    right-hand sides equal the optimal value.  Every objective entry,
+    coefficient and right-hand side must be an int or a Fraction; a
+    float or a bool raises TypeError naming its constraint and
+    variable.  The rows handed to the simplex are dense with int zeros.
     """
     col_of: dict[str, int] = {}
     split: dict[str, tuple[int, int]] = {}
@@ -320,10 +369,14 @@ def solve_lp(model: LpModel) -> LpSolution:
             col_of[var.name] = n_cols
             n_cols += 1
 
-    def fill(coeffs, row):
+    def fill(coeffs, row, owner: Optional[str]) -> None:
         for name, value in coeffs:
-            if name in col_of:
-                row[col_of[name]] += value
+            if value.__class__ not in _EXACT:
+                _require_exact(value, owner, f"coefficient of {name!r}")
+            col = col_of.get(name)
+            if col is not None:
+                # most columns appear once per row: add only on a repeat
+                row[col] = row[col] + value if row[col] else value
             elif name in split:
                 plus, minus = split[name]
                 row[plus] += value
@@ -331,8 +384,8 @@ def solve_lp(model: LpModel) -> LpSolution:
             else:
                 raise ValueError(f"unknown variable {name!r}")
 
-    costs = [Fraction(0)] * n_cols
-    fill(model.objective, costs)
+    costs = [0] * n_cols
+    fill(model.objective, costs, None)
     if model.sense == "max":
         costs = [-c for c in costs]
     elif model.sense != "min":
@@ -342,8 +395,10 @@ def solve_lp(model: LpModel) -> LpSolution:
     senses = []
     rhs = []
     for con in model.constraints:
-        row = [Fraction(0)] * n_cols
-        fill(con.coeffs, row)
+        row = [0] * n_cols
+        fill(con.coeffs, row, con.name)
+        if con.rhs.__class__ not in _EXACT:
+            _require_exact(con.rhs, con.name, "right-hand side")
         rows.append(row)
         senses.append(con.sense)
         rhs.append(con.rhs)

@@ -16,9 +16,12 @@ schedule, the list cost and the distribution checks written on
 `verify_certificate` scans every pricing row of a dual certificate slot
 by slot in `Fraction`s, and `beta_table` rescans every completion for
 every slot, where the package works per run of equal beta and sweeps
-the completions once.  The property tests require exact equality
-between these and the package's versions, so they share no code with
-them.
+the completions once.  `objective_coeff`, `build_primal` and
+`build_dual` write each LP coefficient as a `Fraction` expression,
+where the package builds it from integer parts.  The property tests
+require exact equality between these and the package's versions, so
+they share no code with them beyond the LP model classes and
+`lp.default_horizon` and `lp._check_witness`.
 """
 from __future__ import annotations
 
@@ -28,9 +31,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from stochsched import greedy_time
+from stochsched import greedy_time, lp
 from stochsched.core import Instance, as_fraction, priority_split
-from stochsched.errors import ForbiddenPairError, InfeasibleError, ProbSumError, UnboundedError
+from stochsched.errors import (ForbiddenPairError, HorizonTooSmallError, InfeasibleError, ProbSumError,
+                               UnboundedError)
 from stochsched.greedy_list import Assignment, GreedyRun
 from stochsched.report import Report, Violation
 
@@ -525,3 +529,82 @@ def verify_certificate(inst: Instance, cert) -> Report:
         violations=tuple(violations),
         min_slack=min_slack,
     )
+
+
+# ------------------------------------------------------ time-indexed LPs
+
+def objective_coeff(variant: str, dist, s: int) -> Fraction:
+    """The objective coefficient (s + 1/2)/mean + (1 - scv)/2 of a pair
+    at slot s in `Fraction`s; the P-variants take scv = 0."""
+    base = (Fraction(s) + Fraction(1, 2)) / dist.mean
+    if variant.startswith("P"):
+        return base + Fraction(1, 2)
+    return base + (1 - dist.scv) / 2
+
+
+def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) -> lp.LpModel:
+    """`lp.build_primal` with every coefficient built through
+    `objective_coeff`, one `Fraction` product per variable."""
+    online = variant.endswith("_o")
+    mean_only = variant.startswith("P")
+    T = lp.default_horizon(inst, variant) if horizon is None else horizon
+    if T < 1:
+        raise HorizonTooSmallError("horizon must be at least 1")
+    if horizon is not None:
+        lp._check_witness(inst, variant, T)
+    variables = []
+    objective = []
+    mass_rows: dict[int, list] = {}
+    need_rows: dict[int, list] = {}
+    cap_rows: dict[tuple[int, int], list] = {}
+    for job in inst.jobs:
+        start = job.release if online else 0
+        need_rows[job.id] = []
+        mass_rows[job.id] = []
+        for machine in job.permitted:
+            dist = job.dist(machine)
+            for s in range(start, T):
+                name = f"y_{machine}_{job.id}_{s}"
+                variables.append(lp.Variable(name))
+                coeff = objective_coeff(variant, dist, s)
+                objective.append((name, job.weight * coeff))
+                need_rows[job.id].append((name, 1 / dist.mean))
+                cap_rows.setdefault((machine, s), []).append((name, Fraction(1)))
+                if not mean_only and coeff != 1:
+                    mass_rows[job.id].append((name, coeff - 1))
+    constraints = [lp.Constraint(f"cap_{machine}_{s}", tuple(cap_rows[(machine, s)]), "<=", Fraction(1))
+                   for (machine, s) in sorted(cap_rows)]
+    constraints += [lp.Constraint(f"need_{job.id}", tuple(need_rows[job.id]), "=", Fraction(1))
+                    for job in inst.jobs]
+    if not mean_only:
+        constraints += [lp.Constraint(f"mass_{job.id}", tuple(mass_rows[job.id]), ">=", Fraction(0))
+                        for job in inst.jobs]
+    return lp.LpModel("min", T, tuple(variables), tuple(objective), tuple(constraints))
+
+
+def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> lp.LpModel:
+    """`lp.build_dual` of P or P_o with each price written out as
+    w * ((s + 1/2)/mean + 1/2) in `Fraction`s."""
+    T = lp.default_horizon(inst, variant) if horizon is None else horizon
+    if T < 1:
+        raise HorizonTooSmallError("horizon must be at least 1")
+    if horizon is not None:
+        lp._check_witness(inst, variant, T)
+    variables = [lp.Variable(f"alpha_{job.id}", free=True) for job in inst.jobs]
+    objective = [(f"alpha_{job.id}", Fraction(1)) for job in inst.jobs]
+    for machine in range(1, inst.machines + 1):
+        for s in range(T):
+            variables.append(lp.Variable(f"beta_{machine}_{s}"))
+            objective.append((f"beta_{machine}_{s}", Fraction(-1)))
+    constraints = []
+    for job in inst.jobs:
+        start = job.release if variant.endswith("_o") else 0
+        for machine in job.permitted:
+            mean = job.dist(machine).mean
+            for s in range(start, T):
+                price = job.weight * ((Fraction(s) + Fraction(1, 2)) / mean + Fraction(1, 2))
+                constraints.append(lp.Constraint(
+                    f"price_{machine}_{job.id}_{s}",
+                    ((f"alpha_{job.id}", 1 / mean), (f"beta_{machine}_{s}", Fraction(-1))),
+                    "<=", price))
+    return lp.LpModel("max", T, tuple(variables), tuple(objective), tuple(constraints))

@@ -7,6 +7,7 @@ from stochsched.core import Instance, Job, ProcDist, max_scv
 from stochsched.errors import HorizonTooSmallError, NotAPolicyDistributionError
 from stochsched import lp
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -222,3 +223,109 @@ class TestSerialization:
             lp.parse_lp("LP v0 min\n")
         with pytest.raises(SchemaError):
             lp.parse_lp("TIDX-LP v1 min horizon=x obj\n")
+
+
+def _fractional_instance(rng: random.Random) -> Instance:
+    """`random_instance` with releases on some draws and weights p/q."""
+    inst = random_instance(rng, max_machines=3, max_jobs=5, max_value=5,
+                           releases=rng.random() < 0.5)
+    return Instance(inst.machines, [
+        Job(job.id, F(rng.randint(1, 9), rng.randint(1, 3)), job.release, job.proc)
+        for job in inst.jobs])
+
+
+def _typed(model: lp.LpModel):
+    """The model with every number paired with its type."""
+    def terms(pairs):
+        return tuple((name, type(v), v) for name, v in pairs)
+    return (model.sense, model.horizon, model.variables, terms(model.objective),
+            tuple((c.name, terms(c.coeffs), c.sense, type(c.rhs), c.rhs)
+                  for c in model.constraints))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except HorizonTooSmallError:
+        return HorizonTooSmallError
+
+
+class TestAgainstReference:
+    """The integer coefficients against `Fraction` ones, on seeded
+    instances with fractional weights and means, releases, forbidden
+    pairs, the default horizon and a chosen one (too small included)."""
+
+    def _check(self, got, expected):
+        if expected is HorizonTooSmallError:
+            assert got is HorizonTooSmallError
+            return
+        assert _typed(got) == _typed(expected)
+        assert lp.export_lp(got) == lp.export_lp(expected)
+
+    def test_build_primal_matches_reference(self):
+        rng = random.Random(1010)
+        seen = set()
+        for _ in range(120):
+            inst = _fractional_instance(rng)
+            seen.update(name for name, present in (
+                ("releases", inst.has_releases),
+                ("forbidden pairs", any(None in job.proc for job in inst.jobs)),
+                ("fractional weights", any(job.weight.denominator > 1 for job in inst.jobs)),
+                ("fractional means", any(job.dist(m).mean.denominator > 1
+                                         for job in inst.jobs for m in job.permitted)),
+            ) if present)
+            for variant in lp.VARIANTS:
+                horizon = rng.choice([None, lp.default_horizon(inst, variant) + rng.randint(-3, 2)])
+                expected = _outcome(reference.build_primal, inst, variant, horizon)
+                self._check(_outcome(lp.build_primal, inst, variant, horizon), expected)
+                seen.add(variant)
+                if horizon is not None:
+                    seen.add("too small" if expected is HorizonTooSmallError else "chosen horizon")
+        assert seen == {*lp.VARIANTS, "releases", "forbidden pairs", "fractional weights",
+                        "fractional means", "too small", "chosen horizon"}
+
+    def test_build_dual_matches_reference(self):
+        rng = random.Random(1011)
+        for _ in range(60):
+            inst = _fractional_instance(rng)
+            for variant in ("P", "P_o"):
+                horizon = rng.choice([None, lp.default_horizon(inst, variant) + rng.randint(-3, 2)])
+                self._check(_outcome(lp.build_dual, inst, variant, horizon),
+                            _outcome(reference.build_dual, inst, variant, horizon))
+
+    def test_completion_from_y_matches_reference(self):
+        rng = random.Random(1012)
+        for _ in range(40):
+            inst = _fractional_instance(rng)
+            dists = {(m, job.id): job.dist(m) for job in inst.jobs for m in job.permitted}
+            y = lp.YSolution({(m, j, s): F(rng.randint(0, 4), rng.randint(1, 3))
+                              for (m, j) in dists for s in range(rng.randint(0, 4))})
+            for variant in lp.VARIANTS:
+                expected = {}
+                for (machine, job_id, s), mass in y.entries:
+                    coeff = reference.objective_coeff(variant, dists[(machine, job_id)], s)
+                    expected[job_id] = expected.get(job_id, F(0)) + mass * coeff
+                assert lp.completion_from_y(y, variant, dists) == expected
+
+
+def _model_with(place: str, value) -> lp.LpModel:
+    """min 2x + 2y s.t. c1: 2x + 2y >= 2, with `value` for one of the 2s."""
+    two = F(2)
+    objective = (("x", value if place == "objective" else two), ("y", two))
+    coeffs = (("x", two), ("y", value if place == "coefficient" else two))
+    rhs = value if place == "rhs" else two
+    return lp.LpModel("min", 1, (lp.Variable("x"), lp.Variable("y")), objective,
+                      (lp.Constraint("c1", coeffs, ">=", rhs),))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("place, where", [
+    ("objective", "objective coefficient of 'x'"),
+    ("coefficient", "constraint 'c1' coefficient of 'y'"),
+    ("rhs", "constraint 'c1' right-hand side"),
+])
+def test_solve_lp_rejects_bools_and_floats(place, where, bad):
+    # an int is exact; True is not read as 1
+    assert lp.solve_lp(_model_with(place, 2)).value == 2
+    with pytest.raises(TypeError, match=f"^{where} is {bad!r}; expected an int or a Fraction$"):
+        lp.solve_lp(_model_with(place, bad))

@@ -201,8 +201,8 @@ def _run_list(config: RunConfig) -> Report:
     assignment, increases = run.greedy
     alg = run.cost
     optimum = lp.solve_lp(lp.build_primal(inst, "P", config.horizon)).value
-    factor = config.f * config.f / (config.f - 1) if config.f > 1 else None
-    chain_ok = factor is not None and alg <= factor * optimum
+    factor = config.f * config.f / (config.f - 1)  # _list_checks has refused f < 2
+    chain_ok = alg <= factor * optimum
     weak_ok = speed.metrics["objective_actual"] <= optimum
     return Report(
         name="list",

@@ -207,9 +207,13 @@ class Job:
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "release", release)
         object.__setattr__(self, "proc", proc)
-        # an attribute, not a field: == and repr read the fields alone
-        object.__setattr__(self, "permitted",
-                           tuple([i + 1 for i, d in enumerate(proc) if d is not None]))
+
+    @property
+    def permitted(self) -> tuple[int, ...]:
+        # computed per read, never stored: a job of the k = 5 lower-bound
+        # family permits up to 3,600 machines, and storing the tuples
+        # triples that instance's peak memory
+        return tuple([i + 1 for i, d in enumerate(self.proc) if d is not None])
 
     def dist(self, machine: int) -> ProcDist:
         """Distribution on `machine` (1-based); raises on a forbidden pair."""

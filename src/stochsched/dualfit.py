@@ -23,9 +23,12 @@ is c0 + cs*s + cb*beta(s) with cs, cb > 0 after multiplying by one
 positive integer.  So on each run the slack rises with s and its
 minimum is at the run's first slot in range: the check evaluates one
 integer per run, and any table of nonnegative values works, monotone or
-not.  The beta tables are built in one sweep per machine, comparing
-each slot with integer completions: the list and speed tables read
-`core.list_schedule`, and the online builder scales its trace once.
+not.  The three pricing rows are written out once, in
+`_pricing_coefficients`, which gives each as those integers; a violated
+row's two sides are read back from its integer slack.  The beta tables
+are built in one sweep per machine, comparing each slot with integer
+completions: the list and speed tables read `core.list_schedule`, and
+the online builder scales its trace once.
 
 The list and speed builders and checks take a `ListRun`, the list
 greedy's run with its schedule and cost, when the caller already has
@@ -196,18 +199,17 @@ def build_online_certificate(inst: Instance, f: FractionLike) -> DualCertificate
     released at the slot included.  The feasible dual point is
     (alpha/3, beta/(3f)).
     """
+    return _online_run(inst, f)[0]
+
+
+def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fraction]:
+    """The online certificate and the deterministic speed-f cost, read
+    off one greedy run and its trace."""
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"online certificates need f >= 2, got {f}")
     assignment, increases = greedy_time.assign_with_increases(inst, f)
-    trace, _ = greedy_time.deterministic_schedule(inst, f, assignment)
-    return _online_certificate(inst, f, increases, trace)
-
-
-def _online_certificate(inst: Instance, f: Fraction, increases: tuple[Fraction, ...],
-                        trace: greedy_time.ScheduleTrace) -> DualCertificate:
-    """The online tables from the greedy's scores and its deterministic
-    speed-f trace."""
+    trace, det_cost = greedy_time.deterministic_schedule(inst, f, assignment)
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     # the trace's completions as integers over their lcm, once
     time_scale = math.lcm(*[row.completed.denominator for row in trace.jobs])
@@ -219,31 +221,22 @@ def _online_certificate(inst: Instance, f: Fraction, increases: tuple[Fraction, 
             (row.job, scaled.weights[row.job - 1],
              completed.numerator * (time_scale // completed.denominator)))
     beta = _beta_table(schedule, time_scale, scaled.weight_scale)
-    return DualCertificate("online", f, alpha, beta, (Fraction(3), 3 * f))
-
-
-def _constraint(cert: DualCertificate, inst: Instance, job_id: int, machine: int,
-                s: int) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of the certificate's pricing inequality at one slot."""
-    job = inst.job(job_id)
-    mean = job.dist(machine).mean
-    w = job.weight
-    a = cert.alpha[job_id]
-    b = cert.beta_at(machine, s)
-    if cert.kind == "list":
-        return a / mean, b + w * (Fraction(s) / mean + 1)
-    if cert.kind == "speed":
-        return a / mean, b / cert.f + w * (Fraction(s) / mean + Fraction(1, 2))
-    lhs = cert.f * a / mean
-    rhs = b + 3 * cert.f * w * ((s + Fraction(1, 2)) / mean + Fraction(1, 2))
-    return lhs, rhs
+    return DualCertificate("online", f, alpha, beta, (Fraction(3), 3 * f)), det_cost
 
 
 def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
-    """(u, v, x, y, z, g) with slack * mean * g equal to
-    u*mean*beta + v*w*s + x*w*mean + y*w - z*alpha: the rows of
-    `_constraint` times the mean, cleared of f = p/q.  u, v and g are
-    positive for f > 0."""
+    """The kind's pricing row for one job on one machine at slot s, with
+    a = alpha, b = beta at s, w the weight, mean the expected processing
+    time and f = p/q:
+
+      list    a/mean    <= b   + w*(s/mean + 1)
+      speed   a/mean    <= b/f + w*(s/mean + 1/2)
+      online  f*a/mean  <= b   + 3*f*w*((s + 1/2)/mean + 1/2)
+
+    Returns (u, v, x, y, z, g): the left side is z*a/(g*mean), and the
+    slack, right side minus left, times g*mean is
+    u*mean*b + v*w*s + x*w*mean + y*w - z*a.  u, v and g are positive
+    for f > 0."""
     if cert.kind == "list":
         return 1, 1, 1, 0, 1, 1
     p, q = cert.f.numerator, cert.f.denominator
@@ -303,7 +296,7 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
     are evaluated, in integers.  `min_slack` is the exact minimum.
     Where a run starts negative, its violating slots are a prefix of
     the run, found in closed form and listed in (job, machine, slot)
-    order with the `_constraint` values of each row.
+    order with each row's two sides read back from its integer slack.
     """
     runs = _beta_runs(cert.beta)
     u, v, x, y, z, g = _pricing_coefficients(cert)
@@ -337,15 +330,17 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
                 low_num, low_den = low, den
             if low >= 0:
                 continue
+            lhs = z * alpha / (g * mean)
             for k, value in enumerate(values):
                 if value >= 0:
                     continue
+                start = slots[k]
                 end = slots[k + 1] - 1 if k + 1 < len(slots) else hi
                 # the run's last negative slot: the largest s with
                 # cs*s + (c0 + cb*level) < 0
-                last = min(end, (cs * slots[k] - value - 1) // cs)
-                for s in range(slots[k], last + 1):
-                    lhs, rhs = _constraint(cert, inst, job.id, machine, s)
+                last = min(end, (cs * start - value - 1) // cs)
+                for s in range(start, last + 1):
+                    rhs = lhs + Fraction(value + cs * (s - start), den)
                     violations.append(Violation(f"price_{machine}_{job.id}_{s}", lhs, rhs))
     return Report(
         name=f"feasibility[{cert.kind}]",
@@ -409,11 +404,7 @@ def check_online(inst: Instance, f: FractionLike, solve: bool = True,
     The certificate and the cost read one greedy run and one trace.
     """
     f = as_fraction(f)
-    if f < 2:
-        raise RequiresFGeq2Error(f"online analysis needs f >= 2, got {f}")
-    assignment, increases = greedy_time.assign_with_increases(inst, f)
-    trace, det_cost = greedy_time.deterministic_schedule(inst, f, assignment)
-    cert = _online_certificate(inst, f, increases, trace)
+    cert, det_cost = _online_run(inst, f)
     report = verify_certificate(inst, cert)
     lower = cert.objective()
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import simplex
+from . import greedy_list, simplex
 from .core import FractionLike, Instance, ProcDist, as_fraction, list_schedule
 from .errors import HorizonTooSmallError, NotAPolicyDistributionError, SchemaError
 
@@ -147,8 +147,6 @@ def _check_witness(inst: Instance, variant: str, horizon: int) -> None:
     for online variants.  Those blocks are a feasible y, so a horizon
     that holds the last block is provably large enough.
     """
-    from . import greedy_list  # deferred: greedy_list does not import lp
-
     need = _slot_durations(inst, variant)
     online = _is_online(variant)
     assignment, _ = greedy_list.assign(inst)

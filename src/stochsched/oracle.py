@@ -526,42 +526,26 @@ def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
     bounds = _lemma5_bounds(inst, f, assignment)
 
     deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)
-    violations = []
     if deterministic:
         values = tuple(tuple(None if d is None else d.support[0] for d in job.proc)
                        for job in inst.jobs)
         trace = greedy_time.simulate_wall_clock(
             inst, assignment, greedy_time.Realization(values), f)
-        worst = None
-        for job in inst.jobs:
-            got = trace.trace(job.id).completed
-            margin = bounds[job.id] - got
-            if worst is None or margin < worst:
-                worst = margin
-            if got > bounds[job.id]:
-                violations.append(Violation(f"job_{job.id}", got, bounds[job.id]))
-        return Report(
-            name="per-job-bound[exact]",
-            passed=not violations,
-            metrics={"jobs": inst.n, "f": f, "samples": 1},
-            violations=tuple(violations),
-            min_slack=worst,
-        )
-
-    est = estimate if estimate is not None else greedy_time.estimate_cost(
-        inst, f, samples, seed, assignment=assignment)
-    worst_gap = None
-    for job in inst.jobs:
-        got = est.per_job_mean[job.id - 1]
-        allowed = float(bounds[job.id]) + 3 * est.per_job_ci95[job.id - 1]
-        gap = allowed - got
-        if worst_gap is None or gap < worst_gap:
-            worst_gap = gap
-        if got > allowed:
-            violations.append(Violation(f"job_{job.id}", got, allowed))
-    return Report(
-        name="per-job-bound[mc]",
-        passed=not violations,
-        metrics={"jobs": inst.n, "f": f, "samples": samples, "worst_gap": worst_gap},
-        violations=tuple(violations),
-    )
+        # (completion, bound) per job
+        rows = [(trace.trace(job.id).completed, bounds[job.id]) for job in inst.jobs]
+    else:
+        est = estimate if estimate is not None else greedy_time.estimate_cost(
+            inst, f, samples, seed, assignment=assignment)
+        # (mean completion, bound plus three intervals) per job
+        rows = [(est.per_job_mean[job.id - 1],
+                 float(bounds[job.id]) + 3 * est.per_job_ci95[job.id - 1]) for job in inst.jobs]
+    violations = tuple(Violation(f"job_{job.id}", got, allowed)
+                       for job, (got, allowed) in zip(inst.jobs, rows) if got > allowed)
+    worst = min((allowed - got for got, allowed in rows), default=None)
+    if deterministic:
+        return Report(name="per-job-bound[exact]", passed=not violations,
+                      metrics={"jobs": inst.n, "f": f, "samples": 1},
+                      violations=violations, min_slack=worst)
+    return Report(name="per-job-bound[mc]", passed=not violations,
+                  metrics={"jobs": inst.n, "f": f, "samples": samples, "worst_gap": worst},
+                  violations=violations)

@@ -265,6 +265,13 @@ class TestJobAndInstance:
         copy = pickle.loads(pickle.dumps(job))
         assert copy == job and copy.permitted == (2, 3)
 
+    def test_job_stores_only_its_four_fields(self):
+        # a stored `permitted` tuple per job holds 6.5 M machine ids on
+        # the k = 5 lower-bound family and triples its peak memory
+        job = Job(1, F(2), 3, (None, ProcDist.point(2), ProcDist.point(1)))
+        assert job.permitted == (2, 3)
+        assert sorted(vars(job)) == ["id", "proc", "release", "weight"]
+
     def test_max_scv(self):
         inst = worked_instance()
         assert max_scv(inst) == 0

@@ -39,11 +39,13 @@ class TestListCertificate:
         assert cert.alpha_sum == 4 and cert.beta_sum == 4
 
     def test_hand_checked_constraint(self):
-        # machine 1, job 2, slot 0: 2/1 <= 1 + 2*(0/1 + 1) = 3
+        # machine 1, job 2, slot 0: 2/1 <= 1 + 2*(0/1 + 1) = 3 holds, and
+        # with alpha_2 raised to 4 its left side reads 4/1 > 3
         inst = worked_instance()
         cert = dualfit.build_list_certificate(inst)
-        lhs, rhs = dualfit._constraint(cert, inst, 2, 1, 0)
-        assert (lhs, rhs) == (F(2), F(3))
+        report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, 2, 2))
+        row = {v.constraint: v for v in report.violations}["price_1_2_0"]
+        assert (row.lhs, row.rhs) == (F(4), F(3))
 
     def test_worked_instance_feasible(self):
         inst = worked_instance()

@@ -226,12 +226,13 @@ def _run_time(config: RunConfig) -> Report:
     inst = config.instance
     assignment = greedy_time.assign(inst, config.f)
     _, det_cost = greedy_time.deterministic_schedule(inst, config.f, assignment)
-    estimate = greedy_time.estimate_cost(inst, config.f, config.samples,
-                                         config.seed, config.mode, assignment)
-    # the bound judges the forced-idle policy, so a max-proc estimate
-    # cannot stand in for its own draws
-    bound = oracle.check_lemma5(inst, config.f, config.samples, config.seed, assignment,
-                                estimate if config.mode == "forced-idle" else None)
+    estimate = greedy_time.estimate_cost(inst, config.f, config.samples, config.seed,
+                                         assignment, config.mode)
+    # the bound judges the forced-idle policy, so a max-proc run draws
+    # that policy's estimate for it
+    forced = estimate if config.mode == "forced-idle" else greedy_time.estimate_cost(
+        inst, config.f, config.samples, config.seed, assignment)
+    bound = oracle.check_lemma5(inst, config.f, assignment, forced)
     rows = []
     for job in inst.jobs:
         machine = assignment.machine_of(job.id)
@@ -531,46 +532,30 @@ def _load_instance(path: str) -> Instance:
 
 
 # Python converts between int and str only up to 4,300 digits, and a
-# result prints f exactly; a larger factor is refused before it is built
+# result prints f exactly
 _MAX_DIGITS = 4300
-_RATIO_TEXT = re.compile(r"\s*[-+]?([\d_]+)\s*/\s*([\d_]+)\s*")
-_DECIMAL_TEXT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
-
-
-def _too_many_digits(text: str) -> bool:
-    """Whether `text`, in the syntax `Fraction` reads, has more than
-    `_MAX_DIGITS` digits in a part or an exponent past that size, or
-    spells a value whose numerator or denominator would."""
-    ratio = _RATIO_TEXT.fullmatch(text)
-    if ratio:
-        return any(len(part.replace("_", "")) > _MAX_DIGITS for part in ratio.groups())
-    decimal = _DECIMAL_TEXT.fullmatch(text)
-    if not decimal:
-        return False  # not a number: `as_fraction` says so
-    whole, decimals, exponent = (part.replace("_", "") for part in decimal.groups(""))
-    if len(whole) + len(decimals) > _MAX_DIGITS or len(exponent.lstrip("+-").lstrip("0")) > 4:
-        return True
-    shift = int(exponent or "0")
-    if abs(shift) > _MAX_DIGITS:
-        return True
-    # value = digits * 10**shift, with trailing zeros moved into shift
-    digits = (whole + decimals).lstrip("0")
-    shift -= len(decimals) - (len(digits) - len(digits.rstrip("0")))
-    digits = digits.rstrip("0")
-    if not digits:
-        return False
-    needed = len(digits) + shift if shift >= 0 else max(len(digits), 1 - shift)
-    return needed > _MAX_DIGITS
+_DIGIT_RUN = re.compile(r"[\d_]+")
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 def _speed_factor(text: str) -> Fraction:
-    if _too_many_digits(text):
-        shown = text if len(text) <= 32 else text[:29] + "..."
-        raise ValueError(f"speed factor {shown!r} needs more than {_MAX_DIGITS} digits")
+    """`--f` with its reduced numerator and denominator below
+    10**_MAX_DIGITS.  A longer digit run or an exponent past twice that
+    can only spell a larger one (or zero): refused before it is built."""
+    shown = text if len(text) <= 32 else text[:29] + "..."
+    too_long = ValueError(f"speed factor {shown!r} needs more than {_MAX_DIGITS} digits")
+    if any(len(run.replace("_", "")) > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise too_long
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1).replace("_", ""))) > 2 * _MAX_DIGITS:
+        raise too_long
     try:
-        return as_fraction(text)
+        value = as_fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"speed factor {text!r} has a zero denominator") from None
+    if max(abs(value.numerator), value.denominator) >= 10 ** _MAX_DIGITS:
+        raise too_long
+    return value
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:

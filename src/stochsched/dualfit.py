@@ -30,9 +30,10 @@ are built in one sweep per machine, comparing each slot with integer
 completions: the list and speed tables read `core.list_schedule`, and
 the online builder scales its trace once.
 
-The list and speed builders and checks take a `ListRun`, the list
-greedy's run with its schedule and cost, when the caller already has
-one, so one subcommand runs the greedy and the schedule once.
+The list and speed builders and checks judge the `ListRun` they are
+handed, the list greedy's run with its schedule and cost, so one
+subcommand runs the greedy and the schedule once.  A certificate's kind
+fixes its divisor pair, and `parse_certificate` holds a text to it.
 """
 from __future__ import annotations
 
@@ -159,20 +160,24 @@ def _beta_table(schedule: Schedule, time_scale: int, weight_scale: int,
     return beta
 
 
-def build_list_certificate(inst: Instance, run: Optional[ListRun] = None) -> DualCertificate:
+def _kind_scale(kind: str, f: Fraction) -> tuple[Fraction, Fraction]:
+    """The divisor pair that makes a kind's tables a feasible dual point."""
+    return {"list": (Fraction(2), Fraction(2)), "speed": (Fraction(1), f),
+            "online": (Fraction(3), 3 * f)}[kind]
+
+
+def build_list_certificate(inst: Instance, run: ListRun) -> DualCertificate:
     """Tables of the list greedy: accepted scores and the unfinished
     weight per slot of its expected-duration schedule.  Halving both
     gives a feasible dual point."""
-    run = list_run(inst) if run is None else run
     increases = run.greedy.increases
     alpha = {job.id: increases[job.id - 1] for job in inst.jobs}
     scaled = inst.scaled
     beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale)
-    return DualCertificate("list", Fraction(1), alpha, beta, (Fraction(2), Fraction(2)))
+    return DualCertificate("list", Fraction(1), alpha, beta, _kind_scale("list", Fraction(1)))
 
 
-def build_speed_certificate(inst: Instance, f: FractionLike,
-                            run: Optional[ListRun] = None) -> DualCertificate:
+def build_speed_certificate(inst: Instance, f: FractionLike, run: ListRun) -> DualCertificate:
     """List-greedy tables reread on a clock running f times faster.
 
     Scores shrink by f; the unfinished-weight table is sampled at times
@@ -182,12 +187,11 @@ def build_speed_certificate(inst: Instance, f: FractionLike,
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed certificates need f >= 2, got {f}")
-    run = list_run(inst) if run is None else run
     increases = run.greedy.increases
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     scaled = inst.scaled
     beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale, stretch=f)
-    return DualCertificate("speed", f, alpha, beta, (Fraction(1), f))
+    return DualCertificate("speed", f, alpha, beta, _kind_scale("speed", f))
 
 
 def build_online_certificate(inst: Instance, f: FractionLike) -> DualCertificate:
@@ -221,7 +225,7 @@ def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fract
             (row.job, scaled.weights[row.job - 1],
              completed.numerator * (time_scale // completed.denominator)))
     beta = _beta_table(schedule, time_scale, scaled.weight_scale)
-    return DualCertificate("online", f, alpha, beta, (Fraction(3), 3 * f)), det_cost
+    return DualCertificate("online", f, alpha, beta, _kind_scale("online", f)), det_cost
 
 
 def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
@@ -297,7 +301,14 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
     Where a run starts negative, its violating slots are a prefix of
     the run, found in closed form and listed in (job, machine, slot)
     order with each row's two sides read back from its integer slack.
+    `alpha` must price exactly the instance's jobs; beta rows on other
+    machines only lower the objective, so they are allowed.
     """
+    ids = {job.id for job in inst.jobs}
+    if cert.alpha.keys() != ids:
+        raise ValueError(f"alpha must price exactly the instance's jobs: missing "
+                         f"{sorted(ids - cert.alpha.keys())}, extra "
+                         f"{sorted(cert.alpha.keys() - ids)}")
     runs = _beta_runs(cert.beta)
     u, v, x, y, z, g = _pricing_coefficients(cert)
     online = cert.kind == "online"
@@ -357,20 +368,18 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
     )
 
 
-def check_list_feasibility(inst: Instance, cert: DualCertificate,
-                           run: Optional[ListRun] = None) -> Report:
+def check_list_feasibility(inst: Instance, cert: DualCertificate, run: ListRun) -> Report:
     """Feasibility scan plus the bookkeeping identities of the list run
     the certificate was built from."""
     if cert.kind != "list":
         raise ValueError(f"expected a list certificate, got kind {cert.kind!r}")
     report = verify_certificate(inst, cert)
-    alg = greedy_list.greedy_cost(inst) if run is None else run.cost
     return dataclasses.replace(report, name="list-certificate", metrics={
-        **report.metrics, "alg_value": alg, "alpha_matches_alg": cert.alpha_sum == alg,
-        "beta_matches_alg": cert.beta_sum == alg})
+        **report.metrics, "alg_value": run.cost, "alpha_matches_alg": cert.alpha_sum == run.cost,
+        "beta_matches_alg": cert.beta_sum == run.cost})
 
 
-def check_speedf(inst: Instance, f: FractionLike, run: Optional[ListRun] = None) -> Report:
+def check_speedf(inst: Instance, f: FractionLike, run: ListRun) -> Report:
     """Build and verify the speed-f certificate, f >= 2.
 
     Reports two objective values: the closed-form (f-1)/f^2 times the
@@ -381,7 +390,6 @@ def check_speedf(inst: Instance, f: FractionLike, run: Optional[ListRun] = None)
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"speed analysis needs f >= 2, got {f}")
-    run = list_run(inst) if run is None else run
     cert = build_speed_certificate(inst, f, run)
     report = verify_certificate(inst, cert)
     alg = run.cost
@@ -451,7 +459,8 @@ def _is_int(value) -> bool:
 
 def parse_certificate(text: str) -> DualCertificate:
     """Strict reader for `CERT v1`: rationals are integers or 'p/q'
-    strings, never floats or bools, and keys are integers."""
+    strings, never floats or bools, and keys are integers.  The scale
+    is the kind's own pair: list (2, 2), speed (1, f), online (3, 3f)."""
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer literal over the digit limit
@@ -487,6 +496,10 @@ def parse_certificate(text: str) -> DualCertificate:
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed certificate: {exc}") from None
     try:
-        return DualCertificate(kind, f, alpha, beta, scale)
+        cert = DualCertificate(kind, f, alpha, beta, scale)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    if cert.scale != _kind_scale(cert.kind, cert.f):
+        raise SchemaError(f"a {cert.kind} certificate's scale is fixed by its kind: "
+                          "list [2, 2], speed [1, f], online [3, 3f]")
+    return cert

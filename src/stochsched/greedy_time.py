@@ -14,6 +14,8 @@ be checked rather than assumed.
 Every trace and the Monte Carlo layout serve each machine in the order
 of `core.list_schedule`.  `expected_increase` is the list version's
 plus the job's own charge, independent of the dispatch kernel it checks.
+`deterministic_schedule` and `estimate_cost` read the assignment they
+are handed, so a caller runs the greedy once and shares it.
 """
 from __future__ import annotations
 
@@ -246,22 +248,21 @@ def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Rea
 
 
 def deterministic_schedule(inst: Instance, f: FractionLike,
-                           assignment: Optional[Assignment] = None) -> tuple[ScheduleTrace, Fraction]:
-    """Speed-f trace with durations pinned at their means and no holds.
+                           assignment: Assignment) -> tuple[ScheduleTrace, Fraction]:
+    """Speed-f trace of `assignment`, the greedy's `assign(inst, f)`,
+    with durations pinned at their means and no holds.
 
     Same assignment and serving order as the stochastic run; this is the
     deterministic yardstick the dual certificate reads its table from.
     """
     f = _check_f(f)
-    if assignment is None:
-        assignment = assign(inst, f)
     trace = _trace(inst, assignment, lambda job, machine, mean: (
         sped_release(inst, job.id, machine, f), Fraction(0), mean / f))
     return trace, trace.cost(inst)
 
 
 def deterministic_cost(inst: Instance, f: FractionLike) -> Fraction:
-    return deterministic_schedule(inst, f)[1]
+    return deterministic_schedule(inst, f, assign(inst, f))[1]
 
 
 @dataclass(frozen=True)
@@ -284,23 +285,20 @@ def _mean_ci(total: float, total_sq: float, n: int) -> tuple[float, float]:
 
 
 def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
-                  mode: str = "forced-idle",
-                  assignment: Optional[Assignment] = None) -> CostEstimate:
-    """Monte Carlo mean and 95% interval of the wall-clock policy cost.
+                  assignment: Assignment, mode: str = "forced-idle") -> CostEstimate:
+    """Monte Carlo mean and 95% interval of the wall-clock cost of the
+    policy on `assignment`, the greedy's `assign(inst, f)`.
 
     Each replication draws from its own child generator keyed by
     (seed, index), so results are reproducible for a fixed (seed,
     samples).  Event times inside a replication are floats; serving
-    priority still uses exact ratios.  `assignment` is the greedy's
-    `assign(inst, f)` when the caller already has it.
+    priority still uses exact ratios.
     """
     f = _check_f(f)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if samples < 1:
         raise ValueError("need at least one replication")
-    if assignment is None:
-        assignment = assign(inst, f)
     # static per-machine layout; only `proc` varies across replications
     layout = []
     forced = mode == "forced-idle"
@@ -315,8 +313,10 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
         layout.append(entries)
     weights = [float(job.weight) for job in inst.jobs]
 
-    totals = []
-    per_job = []
+    # running sums, added in replication order
+    total_sum = total_sq = 0.0
+    job_sum = [0.0] * inst.n
+    job_sq = [0.0] * inst.n
     for rep in range(samples):
         rng = random.Random(f"{seed}:{rep}")
         completions = [0.0] * inst.n
@@ -331,18 +331,13 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
             for job_id, _, _, end in _run_machine(drawn_entries):
                 completions[job_id - 1] = end
                 total += weights[job_id - 1] * end
-        totals.append(total)
-        per_job.append(completions)
+        total_sum += total
+        total_sq += total * total
+        for j, end in enumerate(completions):
+            job_sum[j] += end
+            job_sq[j] += end * end
 
-    total = sum(totals)
-    total_sq = sum(t * t for t in totals)
-    mean, ci = _mean_ci(total, total_sq, samples)
-    job_means = []
-    job_cis = []
-    for j in range(inst.n):
-        s = sum(row[j] for row in per_job)
-        ssq = sum(row[j] * row[j] for row in per_job)
-        jm, jc = _mean_ci(s, ssq, samples)
-        job_means.append(jm)
-        job_cis.append(jc)
-    return CostEstimate(mean, ci, samples, tuple(job_means), tuple(job_cis), mode, seed)
+    mean, ci = _mean_ci(total_sum, total_sq, samples)
+    per_job = [_mean_ci(s, ssq, samples) for s, ssq in zip(job_sum, job_sq)]
+    return CostEstimate(mean, ci, samples, tuple(m for m, _ in per_job),
+                        tuple(c for _, c in per_job), mode, seed)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -29,6 +30,7 @@ from typing import Mapping, Optional, Sequence
 from . import greedy_list, simplex
 from .core import FractionLike, Instance, ProcDist, as_fraction, list_schedule
 from .errors import HorizonTooSmallError, NotAPolicyDistributionError, SchemaError
+from .report import exact_text
 
 __all__ = [
     "VARIANTS",
@@ -82,9 +84,6 @@ class LpModel:
     variables: tuple[Variable, ...]
     objective: tuple[tuple[str, Fraction], ...]
     constraints: tuple[Constraint, ...]
-
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
 
 @dataclass(frozen=True)
@@ -417,12 +416,8 @@ def solve_lp(model: LpModel) -> LpSolution:
     return LpSolution(value, primal, dual)
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _terms_str(terms) -> str:
-    return " + ".join(f"{_frac_str(v)} {name}" for name, v in terms if v != 0)
+    return " + ".join(f"{exact_text(v)} {name}" for name, v in terms if v != 0)
 
 
 def export_lp(model: LpModel) -> str:
@@ -437,7 +432,7 @@ def export_lp(model: LpModel) -> str:
     for var in model.variables:
         lines.append(f"{'free' if var.free else 'nonneg'} {var.name}")
     for con in model.constraints:
-        lines.append(f"{con.name}: {_terms_str(con.coeffs)} {con.sense} {_frac_str(con.rhs)}")
+        lines.append(f"{con.name}: {_terms_str(con.coeffs)} {con.sense} {exact_text(con.rhs)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -450,6 +445,17 @@ _CONSTRAINT = re.compile(rf"^({_NAME}): (.*) (<=|>=|=) (-?\d+(?:/\d+)?)$")
 _TERM = re.compile(rf"^(-?\d+(?:/\d+)?) ({_NAME})$")
 
 
+def _number(text: str) -> Fraction:
+    """A horizon or coefficient the grammar matched."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise SchemaError(f"a number needs more than {sys.get_int_max_str_digits()} "
+                          "digits") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"{text!r} has a zero denominator") from None
+
+
 def _parse_terms(text: str) -> tuple[tuple[str, Fraction], ...]:
     if not text:
         return ()
@@ -458,18 +464,20 @@ def _parse_terms(text: str) -> tuple[tuple[str, Fraction], ...]:
         m = _TERM.match(chunk)
         if not m:
             raise SchemaError(f"bad term {chunk!r}")
-        terms.append((m.group(2), Fraction(m.group(1))))
+        terms.append((m.group(2), _number(m.group(1))))
     return tuple(terms)
 
 
 def parse_lp(text: str) -> LpModel:
+    """Strict reader for `export_lp`'s text; anything else, a number
+    past Python's digit limit included, is a SchemaError."""
     lines = text.splitlines()
     if not lines:
         raise SchemaError("empty input")
     m = _HEADER.match(lines[0])
     if not m:
         raise SchemaError(f"bad header {lines[0]!r}")
-    sense, horizon = m.group(1), int(m.group(2))
+    sense, horizon = m.group(1), int(_number(m.group(2)))
     objective = _parse_terms(m.group(3) or "")
     body = [line for line in lines[1:] if line.strip()]
     if not body:
@@ -489,5 +497,5 @@ def parse_lp(text: str) -> LpModel:
         if not con:
             raise SchemaError(f"bad line {line!r}")
         constraints.append(Constraint(con.group(1), _parse_terms(con.group(2)),
-                                      con.group(3), Fraction(con.group(4))))
+                                      con.group(3), _number(con.group(4))))
     return LpModel(sense, horizon, tuple(variables), objective, tuple(constraints))

@@ -2,7 +2,8 @@
 dynamic program for the adaptive stochastic optimum on tiny instances,
 the tightness family for the list greedy, and simulation checkers for
 the single-job completion identity, the stopped-sum bound, and the
-per-job completion bound.
+per-job completion bound.  That last check judges the greedy run and
+the forced-idle Monte Carlo estimate it is handed; it runs neither.
 
 The two optima are exhaustive: `det_opt` tries every assignment and
 `stoch_opt` every information state.  Each scales its instance to
@@ -500,29 +501,21 @@ def _lemma5_bounds(inst: Instance, f: Fraction,
     return bounds
 
 
-def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
-                 assignment: Optional[greedy_list.Assignment] = None,
-                 estimate: Optional[greedy_time.CostEstimate] = None) -> Report:
+def check_lemma5(inst: Instance, f: FractionLike, assignment: greedy_list.Assignment,
+                 estimate: greedy_time.CostEstimate) -> Report:
     """Per-job completion bound of the release-aware greedy.
 
     Each job's bound is four times its modified release plus twice the
-    expected work at or above its priority on its machine.  Point-mass
-    instances are checked exactly on the single trace; otherwise the
-    Monte Carlo mean must stay within three intervals of the bound.
-
-    A caller that already has them passes `assignment`, the greedy's
-    `greedy_time.assign(inst, f)`, and `estimate`, the forced-idle
-    `greedy_time.estimate_cost(inst, f, samples, seed)`; the check
-    always judges the forced-idle policy and rejects an estimate of
-    another mode, sample count or seed.
+    expected work at or above its priority on its machine.  It judges
+    `assignment`, the greedy's `greedy_time.assign(inst, f)`, and
+    `estimate`, a forced-idle `greedy_time.estimate_cost` on it (the
+    bound is stated for that policy, so another mode is refused).
+    Point-mass instances are checked exactly on the single trace;
+    otherwise the Monte Carlo mean must stay within three intervals.
     """
     f = as_fraction(f)
-    if assignment is None:
-        assignment = greedy_time.assign(inst, f)
-    if estimate is not None and (estimate.mode, estimate.samples, estimate.seed) != (
-            "forced-idle", samples, seed):
-        raise ValueError(f"need the forced-idle estimate of {samples} samples at seed {seed}, "
-                         f"got {estimate.mode} with {estimate.samples} at seed {estimate.seed}")
+    if estimate.mode != "forced-idle":
+        raise ValueError(f"the bound needs a forced-idle estimate, got {estimate.mode}")
     bounds = _lemma5_bounds(inst, f, assignment)
 
     deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)
@@ -534,11 +527,9 @@ def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
         # (completion, bound) per job
         rows = [(trace.trace(job.id).completed, bounds[job.id]) for job in inst.jobs]
     else:
-        est = estimate if estimate is not None else greedy_time.estimate_cost(
-            inst, f, samples, seed, assignment=assignment)
         # (mean completion, bound plus three intervals) per job
-        rows = [(est.per_job_mean[job.id - 1],
-                 float(bounds[job.id]) + 3 * est.per_job_ci95[job.id - 1]) for job in inst.jobs]
+        rows = [(mean, float(bounds[job.id]) + 3 * ci) for job, mean, ci in
+                zip(inst.jobs, estimate.per_job_mean, estimate.per_job_ci95)]
     violations = tuple(Violation(f"job_{job.id}", got, allowed)
                        for job, (got, allowed) in zip(inst.jobs, rows) if got > allowed)
     worst = min((allowed - got for got, allowed in rows), default=None)
@@ -547,5 +538,5 @@ def check_lemma5(inst: Instance, f: FractionLike, samples: int, seed: int,
                       metrics={"jobs": inst.n, "f": f, "samples": 1},
                       violations=violations, min_slack=worst)
     return Report(name="per-job-bound[mc]", passed=not violations,
-                  metrics={"jobs": inst.n, "f": f, "samples": samples, "worst_gap": worst},
+                  metrics={"jobs": inst.n, "f": f, "samples": estimate.samples, "worst_gap": worst},
                   violations=violations)

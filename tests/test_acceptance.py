@@ -59,7 +59,7 @@ def test_criterion_1_exact_accounting():
     def body() -> str:
         for inst in _accounting_batch():
             alg = greedy_list.greedy_cost(inst)
-            cert = dualfit.build_list_certificate(inst)
+            cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
             assert cert.alpha_sum == alg, (cert.alpha_sum, alg)
             assert cert.beta_sum == alg, (cert.beta_sum, alg)
         return "200 instances: sum(alpha) == sum(beta) == greedy cost"
@@ -73,10 +73,11 @@ def test_criterion_2_certificate_feasibility():
         released = _released_batch()
         violations = 0
         for inst in plain:
-            cert = dualfit.build_list_certificate(inst)
-            violations += len(dualfit.check_list_feasibility(inst, cert).violations)
-            violations += len(dualfit.check_speedf(inst, F(2)).violations)
-            violations += len(dualfit.check_speedf(inst, F(3)).violations)
+            run = dualfit.list_run(inst)
+            cert = dualfit.build_list_certificate(inst, run)
+            violations += len(dualfit.check_list_feasibility(inst, cert, run).violations)
+            violations += len(dualfit.check_speedf(inst, F(2), run).violations)
+            violations += len(dualfit.check_speedf(inst, F(3), run).violations)
         for inst in released:
             violations += len(dualfit.check_online(inst, F(2), solve=False).violations)
         assert violations == 0, f"{violations} certificate violations"
@@ -86,7 +87,7 @@ def test_criterion_2_certificate_feasibility():
         mut = random.Random(404)
         caught = 0
         for inst in plain[:10]:
-            cert = dualfit.build_list_certificate(inst)
+            cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
             victim = mut.randint(1, inst.n)
             machine = inst.job(victim).permitted[0]
             mean = inst.mean(machine, victim)
@@ -95,7 +96,7 @@ def test_criterion_2_certificate_feasibility():
             assert report.violations, "list mutation went unnoticed"
             caught += 1
         for inst in plain[10:20]:
-            cert = dualfit.build_speed_certificate(inst, F(2))
+            cert = dualfit.build_speed_certificate(inst, F(2), dualfit.list_run(inst))
             victim = mut.randint(1, inst.n)
             machine = inst.job(victim).permitted[0]
             mean = inst.mean(machine, victim)
@@ -180,7 +181,8 @@ def test_criterion_5_lp_relaxations():
             assert z_point <= (1 + max_scv(inst) / 2) * z_slot, (z_point, z_slot)
             alg = greedy_list.greedy_cost(inst)
             assert alg <= 4 * z_point, (alg, z_point)
-            actual = dualfit.check_speedf(inst, F(2)).metrics["objective_actual"]
+            actual = dualfit.check_speedf(
+                inst, F(2), dualfit.list_run(inst)).metrics["objective_actual"]
             assert actual <= z_point, (actual, z_point)
         return ("50 instances: z_P within (1 + scv/2) of z_S, greedy within "
                 "4x z_P, certificate objective below the primal optimum")
@@ -209,7 +211,8 @@ def test_criterion_6_speed_scaling_pipeline():
             inst = random_instance(rng, max_machines=3, max_jobs=6, max_value=4,
                                    releases=True)
             det = float(greedy_time.deterministic_cost(inst, F(2)))
-            est = greedy_time.estimate_cost(inst, F(2), samples=10_000, seed=1000 + i)
+            est = greedy_time.estimate_cost(inst, F(2), samples=10_000, seed=1000 + i,
+                                            assignment=greedy_time.assign(inst, F(2)))
             assert est.mean / 2 <= 6 * det + 3 * (est.ci95 / 2), (est.mean, det)
 
         # step 3: deterministic sped cost against the release-aware LP
@@ -228,7 +231,8 @@ def test_criterion_6_speed_scaling_pipeline():
                                    releases=True, max_release=4, even_mean=True)
             z = lp.solve_lp(lp.build_primal(inst, variant="S_o")).value
             ceiling = float((72 + 36 * max_scv(inst)) * z)
-            est = greedy_time.estimate_cost(inst, F(2), samples=10_000, seed=2000 + i)
+            est = greedy_time.estimate_cost(inst, F(2), samples=10_000, seed=2000 + i,
+                                            assignment=greedy_time.assign(inst, F(2)))
             assert est.mean <= ceiling + 3 * est.ci95, (est.mean, ceiling)
         return ("100 exact trace scalings, 50 simulated-vs-deterministic "
                 "bounds, 50 LP bounds, 10 end-to-end ceilings")
@@ -269,7 +273,9 @@ def test_criterion_8_per_job_bound():
                  tuple(None if d is None else int(d.mean) for d in job.proc))
                 for job in shape.jobs
             ])
-            report = oracle.check_lemma5(points, F(2), 10, 0)
+            assignment = greedy_time.assign(points, F(2))
+            report = oracle.check_lemma5(points, F(2), assignment, greedy_time.estimate_cost(
+                points, F(2), 10, 0, assignment))
             assert report.passed, report.violations
             checked += 1
 
@@ -278,7 +284,9 @@ def test_criterion_8_per_job_bound():
         for i in range(9):
             inst = random_instance(rng, max_machines=3, max_jobs=6, max_value=4,
                                    releases=True)
-            report = oracle.check_lemma5(inst, F(2), 1500, 90 + i)
+            assignment = greedy_time.assign(inst, F(2))
+            report = oracle.check_lemma5(inst, F(2), assignment, greedy_time.estimate_cost(
+                inst, F(2), 1500, 90 + i, assignment))
             assert report.passed, report.violations
             checked += 1
 
@@ -290,7 +298,9 @@ def test_criterion_8_per_job_bound():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallMeanWarning)
             crowd = Instance(1, jobs)
-        report = oracle.check_lemma5(crowd, F(2), 1200, 3)
+        assignment = greedy_time.assign(crowd, F(2))
+        report = oracle.check_lemma5(crowd, F(2), assignment, greedy_time.estimate_cost(
+            crowd, F(2), 1200, 3, assignment))
         assert report.passed, report.violations
         checked += 1
         return f"{checked} instances: every job within its completion bound"

@@ -193,6 +193,9 @@ class TestExitCodes:
         assert cli._speed_factor("-1e-4299") == Fraction(-1, 10 ** 4299)
         assert cli._speed_factor("1000e-4300") == Fraction(1, 10 ** 4297)
         assert cli._speed_factor("0." + "0" * 4200 + "5") == Fraction(1, 2 * 10 ** 4200)
+        # both parts of each value fit in 4,300 digits, whatever the text
+        assert cli._speed_factor("5e-4300") == Fraction(1, 2 * 10 ** 4299)
+        assert cli._speed_factor("1." + "0" * 4299 + "5") == 1 + Fraction(5, 10 ** 4300)
         for text in ("1e4300", "100e4298", "1e-4300", "0." + "0" * 4299 + "1"):
             with pytest.raises(ValueError, match="4300 digits"):
                 cli._speed_factor(text)
@@ -221,6 +224,16 @@ class TestOutputs:
         capsys.readouterr()
         model = lp.parse_lp(target.read_text())
         assert lp.solve_lp(model).value == 4
+
+    def test_lp_export_past_the_digit_limit_is_six_in_own_words(self, tmp_path, capsys):
+        # a 4,300-digit weight gives objective entries past the limit;
+        # the export says so as the printed value would
+        path = tmp_path / "heavy.json"
+        path.write_text(cli.emit_instance(point_instance(1, [("9" * 4300, 0, (2,))])))
+        assert cli.main(["lp", str(path), "--variant", "P", "--export", "-"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a result needs more than 4300 digits")
 
     def test_json_format_is_loadable(self, worked_path, capsys):
         assert cli.main(["list", worked_path, "--format", "json"]) == 0
@@ -325,7 +338,8 @@ def test_fuzzed_texts_are_schema_errors(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
     assert rejected >= 300
     certs = [dualfit.serialize_certificate(build(inst)) for inst in instances
-             for build in (dualfit.build_list_certificate,
+             for build in (lambda inst: dualfit.build_list_certificate(
+                               inst, dualfit.list_run(inst)),
                            lambda inst: dualfit.build_online_certificate(inst, 2))]
     rejected = 0
     for mutant in (m for text in certs for m in _mutants(text, rng, 100)):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,17 +24,11 @@ def test_shared_list_run_gives_the_same_certificates_and_reports():
         run = dualfit.list_run(inst)
         assert run.greedy == greedy_list.assign(inst)
         assert run.cost == greedy_list.greedy_cost(inst)
-        cert = dualfit.build_list_certificate(inst, run)
-        assert cert == dualfit.build_list_certificate(inst)
-        assert dualfit.build_speed_certificate(inst, F(3), run) == \
-            dualfit.build_speed_certificate(inst, F(3))
-        assert dualfit.check_list_feasibility(inst, cert, run) == \
-            dualfit.check_list_feasibility(inst, cert)
-        assert dualfit.check_speedf(inst, F(2), run) == dualfit.check_speedf(inst, F(2))
 
 class TestListCertificate:
     def test_worked_instance_tables(self):
-        cert = dualfit.build_list_certificate(worked_instance())
+        inst = worked_instance()
+        cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
         assert cert.kind == "list" and cert.f == 1
         assert cert.alpha == {1: F(2), 2: F(2)}
         assert cert.beta == {(1, 0): F(1), (1, 1): F(1), (2, 0): F(2)}
@@ -42,14 +38,15 @@ class TestListCertificate:
         # machine 1, job 2, slot 0: 2/1 <= 1 + 2*(0/1 + 1) = 3 holds, and
         # with alpha_2 raised to 4 its left side reads 4/1 > 3
         inst = worked_instance()
-        cert = dualfit.build_list_certificate(inst)
+        cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
         report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, 2, 2))
         row = {v.constraint: v for v in report.violations}["price_1_2_0"]
         assert (row.lhs, row.rhs) == (F(4), F(3))
 
     def test_worked_instance_feasible(self):
         inst = worked_instance()
-        report = dualfit.check_list_feasibility(inst, dualfit.build_list_certificate(inst))
+        run = dualfit.list_run(inst)
+        report = dualfit.check_list_feasibility(inst, dualfit.build_list_certificate(inst, run), run)
         assert report.passed
         assert report.violations == ()
         assert report.min_slack == F(2, 3)
@@ -60,15 +57,15 @@ class TestListCertificate:
         # one unit job: alpha = 1, beta_0 = 1; slot 0 gives
         # 1 <= 1 + 1*(0+1), slack 1; slot 1 gives 1 <= 0 + 2
         inst = point_instance(1, [(1, 0, (1,))])
-        report = dualfit.check_list_feasibility(
-            inst, dualfit.build_list_certificate(inst))
+        run = dualfit.list_run(inst)
+        report = dualfit.check_list_feasibility(inst, dualfit.build_list_certificate(inst, run), run)
         assert report.passed and report.min_slack == 1
 
     def test_sum_identities_on_random_integer_mean_instances(self):
         rng = random.Random(71)
         for _ in range(50):
             inst = random_instance(rng, integer_mean=True)
-            cert = dualfit.build_list_certificate(inst)
+            cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
             alg = greedy_list.greedy_cost(inst)
             assert cert.alpha_sum == alg
             assert cert.beta_sum == alg
@@ -76,7 +73,7 @@ class TestListCertificate:
 
     def test_doubled_alpha_is_caught(self):
         inst = worked_instance()
-        cert = dualfit.build_list_certificate(inst)
+        cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
         bad = dualfit.perturbed(cert, 2, F(2))          # alpha_2: 2 -> 4
         report = dualfit.verify_certificate(inst, bad)
         assert not report.passed
@@ -90,7 +87,7 @@ class TestListCertificate:
         rng = random.Random(73)
         for _ in range(25):
             inst = random_instance(rng, integer_mean=True, max_jobs=6)
-            cert = dualfit.build_list_certificate(inst)
+            cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
             victim = rng.randint(1, inst.n)
             machine = inst.job(victim).permitted[0]
             bump = inst.mean(machine, victim) * (
@@ -103,36 +100,41 @@ class TestListCertificate:
 
     def test_wrong_kind_rejected(self):
         inst = worked_instance()
-        cert = dualfit.build_speed_certificate(inst, F(2))
+        run = dualfit.list_run(inst)
+        cert = dualfit.build_speed_certificate(inst, F(2), run)
         with pytest.raises(ValueError):
-            dualfit.check_list_feasibility(inst, cert)
+            dualfit.check_list_feasibility(inst, cert, run)
 
 
 class TestSpeedCertificate:
     def test_requires_speedup(self):
+        inst = worked_instance()
+        run = dualfit.list_run(inst)
         with pytest.raises(RequiresFGeq2Error):
-            dualfit.build_speed_certificate(worked_instance(), F(3, 2))
+            dualfit.build_speed_certificate(inst, F(3, 2), run)
 
     def test_worked_instance_at_two(self):
         inst = worked_instance()
-        cert = dualfit.build_speed_certificate(inst, F(2))
+        run = dualfit.list_run(inst)
+        cert = dualfit.build_speed_certificate(inst, F(2), run)
         assert cert.alpha == {1: F(1), 2: F(1)}
         assert cert.beta == {(1, 0): F(1), (2, 0): F(2)}
-        report = dualfit.check_speedf(inst, F(2))
+        report = dualfit.check_speedf(inst, F(2), run)
         assert report.passed
         assert report.metrics["objective_formula"] == 1
         assert report.metrics["objective_actual"] == F(1, 2)
         assert report.metrics["objective_exact"] is False
 
     def test_worked_instance_at_three(self):
-        report = dualfit.check_speedf(worked_instance(), F(3))
+        inst = worked_instance()
+        report = dualfit.check_speedf(inst, F(3), dualfit.list_run(inst))
         assert report.passed
         assert report.metrics["objective_formula"] == F(8, 9)
         assert report.metrics["objective_actual"] == F(1, 3)
 
     def test_formula_exact_when_f_divides_completions(self):
         inst = point_instance(1, [(1, 0, (2,))])
-        report = dualfit.check_speedf(inst, F(2))
+        report = dualfit.check_speedf(inst, F(2), dualfit.list_run(inst))
         assert report.metrics["objective_exact"] is True
         assert report.metrics["objective_actual"] == F(1, 2)
 
@@ -140,7 +142,7 @@ class TestSpeedCertificate:
         rng = random.Random(79)
         for _ in range(30):
             inst = random_instance(rng, even_mean=True, max_jobs=6)
-            report = dualfit.check_speedf(inst, F(2))
+            report = dualfit.check_speedf(inst, F(2), dualfit.list_run(inst))
             assert report.passed
             assert report.metrics["objective_exact"] is True
 
@@ -150,7 +152,7 @@ class TestSpeedCertificate:
         rng = random.Random(83)
         for _ in range(20):
             inst = random_instance(rng, integer_mean=True, max_jobs=5)
-            report = dualfit.check_speedf(inst, F(2))
+            report = dualfit.check_speedf(inst, F(2), dualfit.list_run(inst))
             assert report.passed
             optimum = lp.solve_lp(lp.build_primal(inst, "P")).value
             assert report.metrics["objective_actual"] <= optimum
@@ -195,8 +197,9 @@ class TestOnlineCertificate:
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         inst = worked_instance()
-        for cert in (dualfit.build_list_certificate(inst),
-                     dualfit.build_speed_certificate(inst, F(2)),
+        run = dualfit.list_run(inst)
+        for cert in (dualfit.build_list_certificate(inst, run),
+                     dualfit.build_speed_certificate(inst, F(2), run),
                      dualfit.build_online_certificate(inst, F(5, 2))):
             text = dualfit.serialize_certificate(cert)
             assert text.endswith("\n") and "\n" not in text[:-1]
@@ -204,8 +207,9 @@ class TestSerialization:
             assert dualfit.serialize_certificate(dualfit.parse_certificate(text)) == text
 
     def test_parse_rejects_bad_input(self):
+        inst = worked_instance()
         good = dualfit.serialize_certificate(
-            dualfit.build_list_certificate(worked_instance()))
+            dualfit.build_list_certificate(inst, dualfit.list_run(inst)))
         with pytest.raises(SchemaError):
             dualfit.parse_certificate("not json")
         with pytest.raises(SchemaError):
@@ -219,11 +223,32 @@ class TestSerialization:
         rng = random.Random(17)
         for _ in range(10):
             inst = random_instance(rng, max_machines=3, max_jobs=5, releases=True)
-            for cert in (dualfit.build_list_certificate(inst),
-                         dualfit.build_speed_certificate(inst, F(2)),
+            run = dualfit.list_run(inst)
+            for cert in (dualfit.build_list_certificate(inst, run),
+                         dualfit.build_speed_certificate(inst, F(2), run),
                          dualfit.build_online_certificate(inst, F(3))):
                 text = dualfit.serialize_certificate(cert)
                 assert dualfit.parse_certificate(text) == cert
+
+    def test_the_kind_fixes_the_scale(self):
+        # with a scale of its own choosing a text could claim any bound:
+        # the list certificate with ["1","100"] would read 99/25
+        inst = worked_instance()
+        run = dualfit.list_run(inst)
+        for cert in (dualfit.build_list_certificate(inst, run),
+                     dualfit.build_speed_certificate(inst, F(5, 2), run),
+                     dualfit.build_online_certificate(inst, F(5, 2))):
+            payload = json.loads(dualfit.serialize_certificate(cert))
+            own = payload["scale"]
+            for scale in (["1", "100"], ["1", "1000"], ["2", "2"], ["1", "5/2"],
+                          ["3", "15/2"], ["1", "1"]):
+                payload["scale"] = scale
+                text = json.dumps(payload)
+                if scale == own:
+                    assert dualfit.parse_certificate(text) == cert
+                    continue
+                with pytest.raises(SchemaError, match="fixed by its kind"):
+                    dualfit.parse_certificate(text)
 
     def test_speed_and_online_need_a_positive_f(self):
         for kind in ("speed", "online"):
@@ -251,9 +276,10 @@ class TestAgainstTheSlotScan:
         for _ in range(40):
             inst = random_instance(rng, max_machines=3, max_jobs=7,
                                    releases=rng.random() < 0.5)
-            certs = [dualfit.build_list_certificate(inst)]
+            run = dualfit.list_run(inst)
+            certs = [dualfit.build_list_certificate(inst, run)]
             for f in self.FACTORS:
-                certs.append(dualfit.build_speed_certificate(inst, f))
+                certs.append(dualfit.build_speed_certificate(inst, f, run))
                 certs.append(dualfit.build_online_certificate(inst, f))
             for cert in certs:
                 self._assert_same(inst, cert)
@@ -272,10 +298,10 @@ class TestAgainstTheSlotScan:
             job = inst.job(victim)
             machine = job.permitted[0]
             mean, w = inst.mean(machine, victim), job.weight
-            cert = dualfit.build_list_certificate(inst)
+            cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
             bump = mean * (cert.beta_at(machine, 0) + w) + 1
             self._assert_same(inst, dualfit.perturbed(cert, victim, bump))
-            cert = dualfit.build_speed_certificate(inst, F(2))
+            cert = dualfit.build_speed_certificate(inst, F(2), dualfit.list_run(inst))
             bump = mean * (cert.beta_at(machine, 0) / 2 + w / 2) + 1
             self._assert_same(inst, dualfit.perturbed(cert, victim, bump))
 
@@ -335,6 +361,21 @@ class TestAgainstTheSlotScan:
             assert dualfit._beta_table(schedule, time_scale, weight_scale, stretch) == \
                 reference.beta_table(rows, stretch)
 
+    def test_alpha_prices_exactly_the_jobs(self):
+        inst = worked_instance()
+        cert = dualfit.build_speed_certificate(inst, F(2), dualfit.list_run(inst))
+        assert cert.objective() == F(1, 2)
+        # an extra entry would lift the objective to 2001/2
+        extra = dataclasses.replace(cert, alpha={**cert.alpha, 7: F(1000)})
+        with pytest.raises(ValueError, match=r"missing \[\], extra \[7\]"):
+            dualfit.verify_certificate(inst, extra)
+        missing = dataclasses.replace(cert, alpha={1: cert.alpha[1]})
+        with pytest.raises(ValueError, match=r"missing \[2\], extra \[\]"):
+            dualfit.verify_certificate(inst, missing)
+        # beta rows on a machine past the instance only lower the objective
+        wide = dataclasses.replace(cert, beta={**cert.beta, (3, 0): F(1)})
+        assert dualfit.verify_certificate(inst, wide).passed
+
     def test_a_far_slot_is_checked_without_walking_to_it(self):
         # machine 1 gains an entry at slot 10**12: every job permitted
         # there is priced on 10**12 + 2 slots, machine 2 keeps its two
@@ -378,13 +419,15 @@ GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
     pytest.param('["2","2"]', '["2"]', id="scale-short"),
     pytest.param('["2","2"]', '["2","2","0"]', id="scale-long"),
     pytest.param('["2","2"]', '"22"', id="scale-string"),
+    pytest.param('["2","2"]', '["1","100"]', id="scale-not-the-kinds"),
     pytest.param('"kind":"list"', '"kind":"list","junk":1', id="unknown-field"),
     pytest.param('[[1,"2"],[2,"2"]]', '[[1,"2"],[1,"2"]]', id="alpha-repeated-id"),
     pytest.param('[1,1,"1"]', '[1,0,"1"]', id="beta-repeated-key"),
 ])
 def test_malformed_certificate_is_a_schema_error(old, new):
+    inst = worked_instance()
     assert dualfit.parse_certificate(GOOD_CERT) == dualfit.build_list_certificate(
-        worked_instance())
+        inst, dualfit.list_run(inst))
     assert GOOD_CERT.count(old) == 1
     with pytest.raises(SchemaError):
         dualfit.parse_certificate(GOOD_CERT.replace(old, new))

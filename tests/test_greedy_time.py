@@ -185,7 +185,8 @@ class TestSimulate:
 
 class TestDeterministicSchedule:
     def test_single_job_skips_the_hold(self):
-        trace, cost = gt.deterministic_schedule(_one_job(), F(2))
+        inst = _one_job()
+        trace, cost = gt.deterministic_schedule(inst, F(2), gt.assign(inst, F(2)))
         assert cost == 2
         assert trace.trace(1).started == 1 and trace.trace(1).completed == 2
 
@@ -196,7 +197,7 @@ class TestDeterministicSchedule:
 class TestEstimate:
     def test_deterministic_instance_is_exact(self):
         inst = worked_instance()
-        est = gt.estimate_cost(inst, F(2), 64, 0)
+        est = gt.estimate_cost(inst, F(2), 64, 0, gt.assign(inst, F(2)))
         assert est.ci95 == 0.0
         assert est.samples == 64
         # wall-clock: job1 r=2 hold 2 proc 2 -> C=6; job2 r=1 hold 1 proc 1 -> C=3
@@ -205,22 +206,22 @@ class TestEstimate:
 
     def test_known_mean_within_interval(self):
         inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
-        est = gt.estimate_cost(inst, F(1), 4000, 13)
+        est = gt.estimate_cost(inst, F(1), 4000, 13, gt.assign(inst, F(1)))
         assert abs(est.mean - 6.0) <= est.ci95
         assert est.ci95 < 0.2
 
     def test_seed_and_order_determinism(self):
         inst = random_instance(random.Random(41), max_machines=2, max_jobs=5)
-        a = gt.estimate_cost(inst, F(2), 300, 5)
-        b = gt.estimate_cost(inst, F(2), 300, 5)
+        a = gt.estimate_cost(inst, F(2), 300, 5, gt.assign(inst, F(2)))
+        b = gt.estimate_cost(inst, F(2), 300, 5, gt.assign(inst, F(2)))
         assert a == b
 
     def test_distinct_seeds_agree_statistically(self):
         inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
         hits = 0
         for trial in range(20):
-            a = gt.estimate_cost(inst, F(1), 800, 2 * trial)
-            b = gt.estimate_cost(inst, F(1), 800, 2 * trial + 1)
+            a = gt.estimate_cost(inst, F(1), 800, 2 * trial, gt.assign(inst, F(1)))
+            b = gt.estimate_cost(inst, F(1), 800, 2 * trial + 1, gt.assign(inst, F(1)))
             if abs(a.mean - b.mean) <= a.ci95 + b.ci95:
                 hits += 1
         assert hits >= 18

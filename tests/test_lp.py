@@ -217,6 +217,22 @@ class TestSerialization:
         assert len(text.splitlines()) == 3
         assert lp.parse_lp(text) == model
 
+    def test_parse_refuses_numbers_past_the_digit_limit(self):
+        from stochsched.errors import SchemaError
+        big = "9" * 4301
+        for text in (f"TIDX-LP v1 min horizon={big} obj\n",
+                     f"TIDX-LP v1 min horizon=1 obj {big} y\n",
+                     f"TIDX-LP v1 min horizon=1 obj 1/{big} y\n",
+                     f"TIDX-LP v1 min horizon=1 obj 1 y\nnonneg y\nc: 1 y <= {big}\nend\n"):
+            with pytest.raises(SchemaError, match="more than 4300 digits"):
+                lp.parse_lp(text)
+        with pytest.raises(SchemaError, match="zero denominator"):
+            lp.parse_lp("TIDX-LP v1 min horizon=1 obj 1/0 y\n")
+
+    def test_model_is_its_fields_alone(self):
+        # plain data: no derived view beside the five fields
+        assert [name for name in vars(lp.LpModel) if not name.startswith("_")] == []
+
     def test_parse_rejects_garbage(self):
         from stochsched.errors import SchemaError
         with pytest.raises(SchemaError):

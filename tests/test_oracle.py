@@ -299,7 +299,10 @@ class TestPerJobBound:
                     reference.lemma5_bounds(inst, f, assignment)
 
     def test_exact_on_the_worked_instance(self):
-        report = oracle.check_lemma5(worked_instance(), F(2), 10, 0)
+        inst = worked_instance()
+        assignment = greedy_time.assign(inst, F(2))
+        report = oracle.check_lemma5(inst, F(2), assignment, greedy_time.estimate_cost(
+            inst, F(2), 10, 0, assignment))
         assert report.passed and report.name == "per-job-bound[exact]"
 
     def test_exact_on_random_deterministic_instances(self):
@@ -312,7 +315,9 @@ class TestPerJobBound:
                  tuple(None if d is None else int(d.mean) for d in job.proc))
                 for job in inst.jobs
             ])
-            report = oracle.check_lemma5(points, F(2), 10, 0)
+            assignment = greedy_time.assign(points, F(2))
+            report = oracle.check_lemma5(points, F(2), assignment, greedy_time.estimate_cost(
+                points, F(2), 10, 0, assignment))
             assert report.passed, report.violations
 
     def test_monte_carlo_on_heavy_tails(self):
@@ -324,20 +329,20 @@ class TestPerJobBound:
         jobs.append(Job(101, F(1), 1, (ProcDist.point(1),)))
         with pytest.warns(SmallMeanWarning):
             inst = Instance(1, jobs)
-        report = oracle.check_lemma5(inst, F(2), 400, 3)
+        assignment = greedy_time.assign(inst, F(2))
+        report = oracle.check_lemma5(inst, F(2), assignment, greedy_time.estimate_cost(
+            inst, F(2), 400, 3, assignment))
         assert report.name == "per-job-bound[mc]"
         assert report.passed, report.violations
 
     def test_shared_estimate_must_be_the_forced_idle_draws(self):
         two_point = ProcDist({1: F(1, 2), 3: F(1, 2)})
-        inst = Instance(2, [Job(1, F(1), 0, (two_point, two_point)),
-                            Job(2, F(2), 1, (two_point, None)),
-                            Job(3, F(1), 2, (None, two_point))])
-        own = oracle.check_lemma5(inst, F(2), 30, 4)
-        shared = greedy_time.estimate_cost(inst, F(2), 30, 4)
-        assert oracle.check_lemma5(inst, F(2), 30, 4, estimate=shared) == own
-        for other in (greedy_time.estimate_cost(inst, F(2), 30, 4, "max-proc"),
-                      greedy_time.estimate_cost(inst, F(2), 30, 5),
-                      greedy_time.estimate_cost(inst, F(2), 31, 4)):
+        stochastic = Instance(2, [Job(1, F(1), 0, (two_point, two_point)),
+                                  Job(2, F(2), 1, (two_point, None)),
+                                  Job(3, F(1), 2, (None, two_point))])
+        # refused on the exact point-mass path too, which never reads it
+        for inst in (stochastic, worked_instance()):
+            assignment = greedy_time.assign(inst, F(2))
+            other = greedy_time.estimate_cost(inst, F(2), 30, 4, assignment, "max-proc")
             with pytest.raises(ValueError, match="forced-idle estimate"):
-                oracle.check_lemma5(inst, F(2), 30, 4, estimate=other)
+                oracle.check_lemma5(inst, F(2), assignment, other)

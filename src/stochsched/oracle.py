@@ -1,12 +1,13 @@
-"""Ground truth at desk scale: exhaustive deterministic optima, an exact
+"""Ground truth at desk scale: exact deterministic optima, an exact
 dynamic program for the adaptive stochastic optimum on tiny instances,
 the tightness family for the list greedy, and simulation checkers for
 the single-job completion identity, the stopped-sum bound, and the
 per-job completion bound.  That last check judges the greedy run and
 the forced-idle Monte Carlo estimate it is handed; it runs neither.
 
-The two optima are exhaustive: `det_opt` tries every assignment and
-`stoch_opt` every information state.  Each scales its instance to
+The two optima are exact dynamic programs: `det_opt` over job subsets,
+adding one machine's chain costs at a time in O(m 3^n) steps, and
+`stoch_opt` over information states.  Each scales its instance to
 integers once (weights by the lcm of their denominators, probabilities
 by the lcm of each pmf's) and builds a single `Fraction` at the end, so
 it stays exact while doing the work in ints.  Neither optimum shares
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,20 +64,31 @@ def _require_deterministic(inst: Instance) -> None:
 
 
 def det_opt(inst: Instance) -> Fraction:
-    """Exhaustive optimum for point-mass instances.
+    """Exact optimum for point-mass instances, by a dynamic program over
+    job subsets, each subset a bitmask of 0-based job indices.
 
-    Without releases each machine serves in ratio order (Smith's rule),
-    whose cost is every job's w_j p_j plus, for every pair of its jobs,
-    the cheaper of their two orders, min(w_j p_k, w_k p_j); so only the
-    assignment is enumerated.  With releases the per-machine order is
-    enumerated too, every job starting as early as its release allows.
-    Per-machine orders are independent, so each machine takes the
-    minimum over its own permutations, and each (machine, job set) chain
-    is priced once however many assignments share it.
+    Machine i's chain table holds, for every set S of jobs, the cost of
+    running S on machine i alone.  Without releases i serves in ratio
+    order (Smith's rule), whose cost is every job's w_j p_j plus, for
+    every pair of its jobs, the cheaper of their two orders,
+    min(w_j p_k, w_k p_j); so chain[S] is chain[S - j] plus j's own term
+    and its pair terms, j the last job of S.  With releases it is the
+    minimum over every order of S, each job starting as early as its
+    release allows.  A set holding a job that i forbids costs `never`,
+    more than any schedule of the whole instance.
+
+    Machines are then added one at a time: best[S], the cheapest way to
+    run S on the machines so far, is the minimum over T, a subset of
+    the jobs outside S, of the previous best[S - T] plus the new
+    machine's chain[T].  The last machine takes the complement of each
+    S with one lookup.  Disjoint pairs (S - T, T) number 3^n, so this
+    takes O(m 3^n) steps, and O(2^n) on two machines, where trying every
+    assignment takes m^n.  A chain table takes O(2^n) steps without
+    releases and one step per ordered prefix, under e n!, with them.
 
     Point-mass means are integers, and the weights are scaled by the lcm
-    of their denominators, so the search runs on ints and one `Fraction`
-    is built at the end.
+    of their denominators, so the program runs on ints and one
+    `Fraction` is built at the end.
     """
     _require_deterministic(inst)
     released = inst.has_releases
@@ -86,42 +99,83 @@ def det_opt(inst: Instance) -> Fraction:
     scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
     weight = [job.weight.numerator * (scale // job.weight.denominator) for job in inst.jobs]
     release = [job.release for job in inst.jobs]
-    duration = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in inst.jobs]
-    jobs = range(inst.n)
-    chains: list[dict[int, int]] = [{} for _ in range(inst.machines)]
+    # durations[j][i] of job j on machine i, None where i forbids j
+    durations = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in inst.jobs]
+    # a schedule starting every job as early as it can ends each job by the
+    # last release plus every job's longest duration, so costs less than this
+    never = 1 + sum(weight) * (max(release) + sum(
+        max(p for p in row if p is not None) for row in durations))
+    if released:
+        chains = [_released_chain(weight, release, column, never) for column in zip(*durations)]
+    else:
+        chains = [_smith_chain(weight, column, never) for column in zip(*durations)]
 
-    def chain_cost(machine0: int, members: int) -> int:
-        ids = [j for j in jobs if members >> j & 1]
-        if not released:
-            total = sum(weight[j] * duration[j][machine0] for j in ids)
-            for j, k in itertools.combinations(ids, 2):
-                total += min(weight[j] * duration[k][machine0], weight[k] * duration[j][machine0])
-            return total
-        best = None
-        for perm in itertools.permutations(ids):
-            clock = total = 0
-            for j in perm:
-                clock = max(clock, release[j]) + duration[j][machine0]
-                total += weight[j] * clock
-            if best is None or total < best:
-                best = total
-        return best
+    everyone = (1 << inst.n) - 1
+    *middle, last = chains
+    # the first machine's chain is its best; with none, only the empty set is done
+    best = middle.pop(0) if middle else [0] + [never] * everyone
+    for chain in middle:
+        grown = best[:]  # T empty
+        for done, cost in enumerate(best):
+            if cost >= never:
+                continue  # done holds a job that no machine so far runs
+            free = members = everyone ^ done
+            while members:  # every nonempty subset T of free
+                total = cost + chain[members]
+                if total < grown[done | members]:
+                    grown[done | members] = total
+                members = (members - 1) & free
+        best = grown
+    # last[everyone ^ S] sits at position everyone - S
+    return Fraction(min(map(operator.add, best, reversed(last))), scale)
 
-    best = None
-    for combo in itertools.product(*(job.permitted for job in inst.jobs)):
-        members = [0] * inst.machines
-        for j, machine in enumerate(combo):
-            members[machine - 1] |= 1 << j
-        total = 0
-        for machine0, subset in enumerate(members):
-            if subset:
-                cost = chains[machine0].get(subset)
-                if cost is None:
-                    cost = chains[machine0][subset] = chain_cost(machine0, subset)
-                total += cost
-        if best is None or total < best:
-            best = total
-    return Fraction(best, scale)
+
+def _smith_chain(weight: list[int], duration: tuple[Optional[int], ...], never: int) -> list[int]:
+    """Chain table of one machine without releases: the ratio-order cost
+    of every job set, indexed by its bitmask, or `never` for a set with
+    a forbidden job.  Sets are built a job at a time; a set that gains
+    j costs j's own term w_j p_j and one pair term per member more."""
+    chain = [0]
+    for j, p in enumerate(duration):
+        if p is None:
+            chain += [never] * len(chain)
+            continue
+        w = weight[j]
+        # j's extra cost for each set of earlier jobs, in the table's order
+        extra = [w * p]
+        for k in range(j):
+            q = duration[k]
+            if q is None:
+                extra += extra  # those sets cost never already
+            else:
+                pair = min(w * q, weight[k] * p)
+                extra += [e + pair for e in extra]
+        chain += [c + e for c, e in zip(chain, extra)]
+    return chain
+
+
+def _released_chain(weight: list[int], release: list[int],
+                    duration: tuple[Optional[int], ...], never: int) -> list[int]:
+    """Chain table of one machine with releases: the cost of every job
+    set in its cheapest order, each job starting at its release or when
+    the machine frees up, whichever is later.  Orders are walked as a
+    tree of prefixes, so orders that share a prefix price it once."""
+    chain = [0] + [never] * ((1 << len(duration)) - 1)
+    permitted = [j for j, p in enumerate(duration) if p is not None]
+
+    def extend(members: int, clock: int, cost: int) -> None:
+        for j in permitted:
+            if members >> j & 1:
+                continue
+            finish = max(clock, release[j]) + duration[j]
+            total = cost + weight[j] * finish
+            grown = members | 1 << j
+            if total < chain[grown]:
+                chain[grown] = total
+            extend(grown, finish, total)
+
+    extend(0, 0, 0)
+    return chain
 
 
 def stoch_opt(inst: Instance) -> Fraction:

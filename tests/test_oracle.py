@@ -44,6 +44,24 @@ class TestDetOpt:
         with pytest.raises(TooLargeError):
             oracle.det_opt(released)
 
+    def test_unit_jobs_spread_evenly(self):
+        # n unit jobs of weight 1 on m identical machines: with n = q m + r,
+        # r machines run q + 1 jobs and the rest q, and k unit jobs on one
+        # machine cost 1 + 2 + ... + k
+        unit = ProcDist.point(1)
+
+        def unit_jobs(n: int, machines: int) -> Instance:
+            return Instance(machines, [Job(j, F(1), 0, [unit] * machines)
+                                       for j in range(1, n + 1)])
+
+        for machines in range(1, 7):
+            for n in range(1, 10):
+                q, r = divmod(n, machines)
+                even = r * (q + 1) * (q + 2) // 2 + (machines - r) * q * (q + 1) // 2
+                assert oracle.det_opt(unit_jobs(n, machines)) == even, (n, machines)
+        # three machines run two jobs and three run one: 3 * 3 + 3 * 1
+        assert oracle.det_opt(unit_jobs(9, 6)) == 12
+
     def test_greedy_never_beats_the_oracle(self):
         rng = random.Random(97)
         for _ in range(40):
@@ -150,20 +168,35 @@ class TestReferenceCrossCheck:
 
     @pytest.mark.parametrize("releases", [False, True])
     def test_det_opt_matches_reference(self, releases):
+        # four machines put two in the middle of the subset program; jobs
+        # only the first or only the last machine runs pin its ends
         rng = random.Random(223)
         released = 0
-        for _ in range(150):
-            machines = rng.randint(1, 3)
+        seen = {"four-machines": 0, "first-only": 0, "last-only": 0, "fractional": 0}
+        for _ in range(200):
+            machines = rng.randint(1, 4)
             n = rng.randint(1, 5)
             starts = sorted(rng.randint(0, 6) for _ in range(n)) if releases else [0] * n
-            jobs = [Job(job_id, rng.choice(WEIGHTS), starts[job_id - 1],
-                        [ProcDist.point(rng.randint(1, 4)) if allowed else None
-                         for allowed in _mask(rng, machines)])
-                    for job_id in range(1, n + 1)]
+            jobs = []
+            for job_id in range(1, n + 1):
+                mask = _mask(rng, machines)
+                if machines > 1 and rng.random() < 0.2:
+                    mask = [False] * machines
+                    mask[rng.choice((0, -1))] = True
+                jobs.append(Job(job_id, rng.choice(WEIGHTS), starts[job_id - 1],
+                                [ProcDist.point(rng.randint(1, 4)) if allowed else None
+                                 for allowed in mask]))
             inst = Instance(machines, jobs)
             released += inst.has_releases
+            seen["four-machines"] += machines == 4
+            seen["first-only"] += machines > 1 and any(
+                job.permitted == (1,) for job in inst.jobs)
+            seen["last-only"] += machines > 1 and any(
+                job.permitted == (machines,) for job in inst.jobs)
+            seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
             assert oracle.det_opt(inst) == reference.det_opt(inst), inst
-        assert released >= 100 if releases else released == 0
+        assert released >= 150 if releases else released == 0
+        assert min(seen.values()) >= 30, seen
 
 
 class TestTightnessFamily:

@@ -30,10 +30,11 @@ are built in one sweep per machine, comparing each slot with integer
 completions: the list and speed tables read `core.list_schedule`, and
 the online builder scales its trace once.
 
-The list and speed builders and checks judge the `ListRun` they are
-handed, the list greedy's run with its schedule and cost, so one
-subcommand runs the greedy and the schedule once.  A certificate's kind
-fixes its divisor pair, and `parse_certificate` holds a text to it.
+Each check builds the certificate it judges and solves no LP; `cli`
+compares the bounds with the LP optimum.  The list and speed checks
+read the `ListRun` they are handed, so one subcommand runs the greedy
+and the schedule once.  A certificate's kind fixes its divisor pair,
+`scale`, and `parse_certificate` holds a text to it.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from . import greedy_list, greedy_time, lp
+from . import greedy_list, greedy_time
 from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, schedule_cost,
                    strict_fraction)
 from .errors import RequiresFGeq2Error, SchemaError
@@ -102,9 +103,6 @@ class DualCertificate:
     f: Fraction
     alpha: dict[int, Fraction]
     beta: dict[tuple[int, int], Fraction]
-    # divide alpha by scale[0] and beta by scale[1] to get the point
-    # that is feasible for the corresponding dual LP
-    scale: tuple[Fraction, Fraction]
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -113,14 +111,18 @@ class DualCertificate:
             raise ValueError("alpha values must be nonnegative")
         if any(v < 0 for v in self.beta.values()):
             raise ValueError("beta values must be nonnegative")
-        if any(v <= 0 for v in self.scale):
-            raise ValueError("scale entries must be positive")
-        # the verifier's run argument needs a positive speed
+        # the verifier's run argument and the scale need a positive speed
         if self.kind != "list" and self.f <= 0:
             raise ValueError(f"{self.kind} certificates need f > 0, got {self.f}")
         # not fields: equality and repr read the tables alone
         object.__setattr__(self, "alpha_sum", _exact_sum(self.alpha.values()))
         object.__setattr__(self, "beta_sum", _exact_sum(self.beta.values()))
+
+    @property
+    def scale(self) -> tuple[Fraction, Fraction]:
+        """Divide alpha by scale[0] and beta by scale[1] to get the point
+        that is feasible for the corresponding dual LP."""
+        return _kind_scale(self.kind, self.f)
 
     def beta_at(self, machine: int, slot: int) -> Fraction:
         return self.beta.get((machine, slot), Fraction(0))
@@ -174,7 +176,7 @@ def build_list_certificate(inst: Instance, run: ListRun) -> DualCertificate:
     alpha = {job.id: increases[job.id - 1] for job in inst.jobs}
     scaled = inst.scaled
     beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale)
-    return DualCertificate("list", Fraction(1), alpha, beta, _kind_scale("list", Fraction(1)))
+    return DualCertificate("list", Fraction(1), alpha, beta)
 
 
 def build_speed_certificate(inst: Instance, f: FractionLike, run: ListRun) -> DualCertificate:
@@ -191,7 +193,7 @@ def build_speed_certificate(inst: Instance, f: FractionLike, run: ListRun) -> Du
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
     scaled = inst.scaled
     beta = _beta_table(run.schedule, scaled.mean_scale, scaled.weight_scale, stretch=f)
-    return DualCertificate("speed", f, alpha, beta, _kind_scale("speed", f))
+    return DualCertificate("speed", f, alpha, beta)
 
 
 def build_online_certificate(inst: Instance, f: FractionLike) -> DualCertificate:
@@ -225,7 +227,7 @@ def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fract
             (row.job, scaled.weights[row.job - 1],
              completed.numerator * (time_scale // completed.denominator)))
     beta = _beta_table(schedule, time_scale, scaled.weight_scale)
-    return DualCertificate("online", f, alpha, beta, _kind_scale("online", f)), det_cost
+    return DualCertificate("online", f, alpha, beta), det_cost
 
 
 def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
@@ -368,11 +370,10 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
     )
 
 
-def check_list_feasibility(inst: Instance, cert: DualCertificate, run: ListRun) -> Report:
-    """Feasibility scan plus the bookkeeping identities of the list run
-    the certificate was built from."""
-    if cert.kind != "list":
-        raise ValueError(f"expected a list certificate, got kind {cert.kind!r}")
+def check_list_feasibility(inst: Instance, run: ListRun) -> Report:
+    """Build and verify the list certificate of `run`, with the
+    bookkeeping identities between its tables and the run's cost."""
+    cert = build_list_certificate(inst, run)
     report = verify_certificate(inst, cert)
     return dataclasses.replace(report, name="list-certificate", metrics={
         **report.metrics, "alg_value": run.cost, "alpha_matches_alg": cert.alpha_sum == run.cost,
@@ -387,12 +388,9 @@ def check_speedf(inst: Instance, f: FractionLike, run: ListRun) -> Report:
     of f, and the actual objective of the scaled feasible point, which
     is never larger and is the one weak duality applies to.
     """
-    f = as_fraction(f)
-    if f < 2:
-        raise RequiresFGeq2Error(f"speed analysis needs f >= 2, got {f}")
     cert = build_speed_certificate(inst, f, run)
     report = verify_certificate(inst, cert)
-    alg = run.cost
+    f, alg = cert.f, run.cost
     actual = cert.objective()
     formula = (f - 1) / (f * f) * alg
     return dataclasses.replace(report, name="speed-certificate", metrics={
@@ -400,36 +398,24 @@ def check_speedf(inst: Instance, f: FractionLike, run: ListRun) -> Report:
         "objective_actual": actual, "objective_exact": formula == actual})
 
 
-def check_online(inst: Instance, f: FractionLike, solve: bool = True,
-                 horizon: Optional[int] = None) -> Report:
-    """Verify the online certificate and its surrounding inequalities.
+def check_online(inst: Instance, f: FractionLike) -> Report:
+    """Build and verify the online certificate, f >= 2.
 
     Checks, all exact: pricing feasibility; the deterministic speed-f
     cost is at most sum(alpha) and equals sum(beta) (the latter needs
-    the deterministic completions to land on integers); and, when
-    `solve` is set, the certificate's lower bound is at most the online
-    LP optimum, which chains into cost <= 3f/(f-1) times the optimum.
-    The certificate and the cost read one greedy run and one trace.
+    the deterministic completions to land on integers).  `lower_bound`
+    is the scaled point's objective, at most the online LP optimum by
+    weak duality.  The certificate and the cost read one greedy run and
+    one trace.
     """
-    f = as_fraction(f)
     cert, det_cost = _online_run(inst, f)
     report = verify_certificate(inst, cert)
-    lower = cert.objective()
-
     cost_le_alpha = det_cost <= cert.alpha_sum
     beta_matches = cert.beta_sum == det_cost
-    metrics = {**report.metrics, "det_cost": det_cost, "cost_le_alpha": cost_le_alpha,
-               "beta_matches_cost": beta_matches, "lower_bound": lower}
-    ok = report.passed and cost_le_alpha and beta_matches
-
-    if solve:
-        optimum = lp.solve_lp(lp.build_primal(inst, "P_o", horizon)).value
-        bound_ok = lower <= optimum
-        chain_ok = det_cost <= 3 * f / (f - 1) * optimum
-        metrics.update(lp_value=optimum, lower_bound_le_lp=bound_ok,
-                       cost_within_chain=chain_ok)
-        ok = ok and bound_ok and chain_ok
-    return dataclasses.replace(report, name="online-certificate", passed=ok, metrics=metrics)
+    return dataclasses.replace(
+        report, name="online-certificate", passed=report.passed and cost_le_alpha and beta_matches,
+        metrics={**report.metrics, "det_cost": det_cost, "cost_le_alpha": cost_le_alpha,
+                 "beta_matches_cost": beta_matches, "lower_bound": cert.objective()})
 
 
 def perturbed(cert: DualCertificate, job_id: int, delta: FractionLike) -> DualCertificate:
@@ -496,10 +482,10 @@ def parse_certificate(text: str) -> DualCertificate:
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed certificate: {exc}") from None
     try:
-        cert = DualCertificate(kind, f, alpha, beta, scale)
+        cert = DualCertificate(kind, f, alpha, beta)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    if cert.scale != _kind_scale(cert.kind, cert.f):
+    if scale != cert.scale:
         raise SchemaError(f"a {cert.kind} certificate's scale is fixed by its kind: "
                           "list [2, 2], speed [1, f], online [3, 3f]")
     return cert

@@ -161,6 +161,16 @@ def _check_witness(inst: Instance, variant: str, horizon: int) -> None:
             f"variant {variant} needs {makespan} slots for the greedy schedule, horizon is {horizon}")
 
 
+def _horizon(inst: Instance, variant: str, horizon: Optional[int]) -> int:
+    """The default slot count, or a chosen one of at least 1 that holds the witness."""
+    if horizon is None:  # the default holds every serialized schedule
+        return default_horizon(inst, variant)
+    if horizon < 1:
+        raise HorizonTooSmallError("horizon must be at least 1")
+    _check_witness(inst, variant, horizon)
+    return horizon
+
+
 def _coeff_parts(variant: str, dist: ProcDist) -> tuple[int, int, int]:
     """The objective coefficient (s + 1/2)/mean + (1 - scv)/2 of a pair
     at slot s, on integers: it is (first + s * step) / den.
@@ -188,11 +198,7 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
     """
     online = _is_online(variant)
     mean_only = _is_mean_only(variant)
-    T = default_horizon(inst, variant) if horizon is None else horizon
-    if T < 1:
-        raise HorizonTooSmallError("horizon must be at least 1")
-    if horizon is not None:  # the default holds every serialized schedule
-        _check_witness(inst, variant, T)
+    T = _horizon(inst, variant, horizon)
 
     one = Fraction(1)
     variables = []
@@ -248,11 +254,7 @@ def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> L
     if not _is_mean_only(variant):
         raise ValueError("duals exist for the mean-only variants only (P/D, P_o/D_o)")
     online = _is_online(variant)
-    T = default_horizon(inst, variant) if horizon is None else horizon
-    if T < 1:
-        raise HorizonTooSmallError("horizon must be at least 1")
-    if horizon is not None:  # the default holds every serialized schedule
-        _check_witness(inst, variant, T)
+    T = _horizon(inst, variant, horizon)
 
     one, minus_one = Fraction(1), Fraction(-1)
     variables = [Variable(f"alpha_{job.id}", free=True) for job in inst.jobs]

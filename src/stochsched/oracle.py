@@ -43,6 +43,7 @@ __all__ = [
     "staged_process",
     "heavy_process",
     "check_b2",
+    "appendix_checks",
     "check_lemma5",
     "random_dist",
 ]
@@ -539,6 +540,17 @@ def check_b2(process: StoppingProcess, trials: int, seed: int) -> Report:
             "mean_stop": sum(taus) / n,
         },
     )
+
+
+def appendix_checks(rng: random.Random, cases: int, trials: int,
+                    seed: int) -> tuple[Report, ...]:
+    """The appendix's checks: `identity_fuzz` on `cases` distributions
+    per family, then `check_b2` on the four stopped-sum processes at
+    threshold 8, each over `trials` trials from `seed`."""
+    threshold = Fraction(8)
+    processes = (constant_process(threshold), doubling_process(threshold),
+                 staged_process(threshold), heavy_process(threshold))
+    return (*identity_fuzz(rng, cases), *(check_b2(p, trials, seed) for p in processes))
 
 
 def _lemma5_bounds(inst: Instance, f: Fraction,

@@ -140,6 +140,7 @@ class TestExitCodes:
 
     def test_small_horizon_is_four(self, worked_path):
         assert cli.main(["lp", worked_path, "--horizon", "1"]) == 4
+        assert cli.main(["verify", worked_path, "--horizon", "1"]) == 4
 
     def test_oversized_family_is_five(self):
         assert cli.main(["lowerbound", "9"]) == 5
@@ -267,6 +268,20 @@ class TestOutputs:
             assert cli.main(["appendix", "--samples", "50", "--format", "json"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
+
+    def test_verify_compares_the_online_bound_with_p_o(self):
+        report = cli.run(cli.RunConfig("verify", instance=point_instance(1, [(1, 0, (2,))])))
+        online = report.checks[2]
+        assert online.name == "online-certificate" and online.passed
+        assert online.metrics["lower_bound"] == Fraction(2, 3)
+        assert online.metrics["lp_value"] == 2
+        assert online.metrics["lower_bound_le_lp"] is True
+
+    def test_verify_at_a_roomy_horizon_prints_the_same_bytes(self, worked_path, capsys):
+        assert cli.main(["verify", worked_path]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["verify", worked_path, "--horizon", "40"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_verify_worked_instance(self, worked_path, capsys):
         assert cli.main(["verify", worked_path]) == 0

@@ -45,8 +45,7 @@ class TestListCertificate:
 
     def test_worked_instance_feasible(self):
         inst = worked_instance()
-        run = dualfit.list_run(inst)
-        report = dualfit.check_list_feasibility(inst, dualfit.build_list_certificate(inst, run), run)
+        report = dualfit.check_list_feasibility(inst, dualfit.list_run(inst))
         assert report.passed
         assert report.violations == ()
         assert report.min_slack == F(2, 3)
@@ -57,8 +56,7 @@ class TestListCertificate:
         # one unit job: alpha = 1, beta_0 = 1; slot 0 gives
         # 1 <= 1 + 1*(0+1), slack 1; slot 1 gives 1 <= 0 + 2
         inst = point_instance(1, [(1, 0, (1,))])
-        run = dualfit.list_run(inst)
-        report = dualfit.check_list_feasibility(inst, dualfit.build_list_certificate(inst, run), run)
+        report = dualfit.check_list_feasibility(inst, dualfit.list_run(inst))
         assert report.passed and report.min_slack == 1
 
     def test_sum_identities_on_random_integer_mean_instances(self):
@@ -97,13 +95,6 @@ class TestListCertificate:
             assert not report.passed
             assert any(v.constraint == f"price_{machine}_{victim}_0"
                        for v in report.violations)
-
-    def test_wrong_kind_rejected(self):
-        inst = worked_instance()
-        run = dualfit.list_run(inst)
-        cert = dualfit.build_speed_certificate(inst, F(2), run)
-        with pytest.raises(ValueError):
-            dualfit.check_list_feasibility(inst, cert, run)
 
 
 class TestSpeedCertificate:
@@ -168,8 +159,6 @@ class TestOnlineCertificate:
         assert report.passed
         assert report.metrics["det_cost"] == 2
         assert report.metrics["lower_bound"] == F(2, 3)
-        assert report.metrics["lp_value"] == 2
-        assert report.metrics["lower_bound_le_lp"] is True
 
     def test_worked_instance_chain(self):
         report = dualfit.check_online(worked_instance(), F(2))
@@ -184,7 +173,7 @@ class TestOnlineCertificate:
         for _ in range(15):
             inst = random_instance(rng, even_mean=True, max_jobs=5,
                                    max_machines=3, releases=True)
-            report = dualfit.check_online(inst, F(2), solve=False)
+            report = dualfit.check_online(inst, F(2))
             assert report.passed, report.violations
 
     def test_mutation_is_caught(self):
@@ -253,13 +242,21 @@ class TestSerialization:
     def test_speed_and_online_need_a_positive_f(self):
         for kind in ("speed", "online"):
             with pytest.raises(ValueError):
-                dualfit.DualCertificate(kind, F(0), {1: F(1)}, {}, (F(1), F(1)))
+                dualfit.DualCertificate(kind, F(0), {1: F(1)}, {})
             text = GOOD_CERT.replace('"list"', f'"{kind}"').replace('"f":"1"', '"f":"-2"')
             with pytest.raises(SchemaError):
                 dualfit.parse_certificate(text)
         # a list certificate never reads f
-        cert = dualfit.DualCertificate("list", F(0), {1: F(1)}, {}, (F(1), F(1)))
+        cert = dualfit.DualCertificate("list", F(0), {1: F(1)}, {})
         assert cert.alpha_sum == 1 and cert.beta_sum == 0
+
+    def test_the_scale_is_read_off_the_kind(self):
+        assert [field.name for field in dataclasses.fields(dualfit.DualCertificate)] == [
+            "kind", "f", "alpha", "beta"]
+        for f in (F(2), F(5, 2), F(3)):
+            scales = {kind: dualfit.DualCertificate(kind, f, {1: F(1)}, {}).scale
+                      for kind in dualfit.KINDS}
+            assert scales == {"list": (2, 2), "speed": (1, f), "online": (3, 3 * f)}
 
 
 class TestAgainstTheSlotScan:
@@ -332,7 +329,7 @@ class TestAgainstTheSlotScan:
                         slot += 1
                     slot += rng.choice([0, 0, 1, 3])     # gaps
             alpha = {job.id: F(rng.randint(0, 60), rng.randint(1, 4)) for job in inst.jobs}
-            cert = dualfit.DualCertificate(kind, f, alpha, beta, (F(1), F(1)))
+            cert = dualfit.DualCertificate(kind, f, alpha, beta)
             self._assert_same(inst, cert)
 
     def test_beta_tables_match_the_rescan(self):

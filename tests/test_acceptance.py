@@ -244,7 +244,8 @@ def test_criterion_7_moment_and_stopping_bounds():
         reports = oracle.appendix_checks(random.Random(700), cases=500, trials=2000, seed=77)
         for report in reports:
             assert report.passed, (report.name, report.metrics)
-        names = [report.name for report in reports[2:]]
+        names = [report.name for report in reports
+                 if report.name.startswith("stopped-sum")]
         return (f"500 start-profile identities, 500 moment identities, "
                 f"stopped sums within 4x threshold for {', '.join(names)}")
 

@@ -113,11 +113,11 @@ class ProcDist:
         object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "mean", self._moment(1))
+        object.__setattr__(self, "mean", Fraction(self._power_sum(1), scale))
 
-    def _moment(self, power: int) -> Fraction:
-        return Fraction(sum([v ** power * c for (v, _), c in zip(self.pmf, self._counts)]),
-                        self._scale)
+    def _power_sum(self, power: int) -> int:
+        """sum_v v^power c_v: the moment of that power times `_scale`."""
+        return sum([v ** power * c for (v, _), c in zip(self.pmf, self._counts)])
 
     @classmethod
     def point(cls, value: int) -> "ProcDist":
@@ -153,7 +153,7 @@ class ProcDist:
 
     @cached_property
     def second_moment(self) -> Fraction:
-        return self._moment(2)
+        return Fraction(self._power_sum(2), self._scale)
 
     @property
     def variance(self) -> Fraction:
@@ -161,10 +161,13 @@ class ProcDist:
 
     @cached_property
     def scv(self) -> Fraction:
-        """Squared coefficient of variation Var/mean^2."""
-        if self.mean == 0:
+        """Squared coefficient of variation Var/mean^2.  With counts c_v
+        over the scale S it is (S sum v^2 c_v - (sum v c_v)^2) / (sum v c_v)^2,
+        one `Fraction` of ints."""
+        first = self._power_sum(1)
+        if not first:
             raise ZeroMeanError("squared coefficient of variation needs a positive mean")
-        return self.variance / (self.mean * self.mean)
+        return Fraction(self._scale * self._power_sum(2) - first * first, first * first)
 
     def tail(self, r: FractionLike) -> Fraction:
         """P(X > r)."""

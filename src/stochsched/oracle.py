@@ -7,17 +7,19 @@ the forced-idle Monte Carlo estimate it is handed; it runs neither.
 
 The two optima are exact dynamic programs: `det_opt` over job subsets,
 adding one machine's chain costs at a time in O(m 3^n) steps, and
-`stoch_opt` over information states.  Each scales its instance to
-integers once (weights by the lcm of their denominators, probabilities
-by the lcm of each pmf's) and builds a single `Fraction` at the end, so
-it stays exact while doing the work in ints.  Neither optimum shares
+`stoch_opt` over information states, each packed into one int: the
+unstarted bitmask plus, per machine, a code for its running job and
+elapsed time, with every start and one-unit move read from tables built
+before the recursion.  Each scales its instance to integers once
+(weights by the lcm of their denominators, probabilities by the lcm of
+each pmf's) and builds a single `Fraction` at the end, so it stays
+exact while doing the work in ints.  Neither optimum shares
 logic with the greedy rules it judges: no priority order, expected
 increase or dispatch step of theirs is reused, so a fault in a greedy
 rule cannot also sit in the yardstick it is measured against.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -96,6 +98,8 @@ def det_opt(inst: Instance) -> Fraction:
     limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
     if inst.n > limit:
         raise TooLargeError(f"{inst.n} jobs exceeds the exhaustive limit of {limit}")
+    if not inst.n:
+        return Fraction(0)  # the tables below need a job to size `never`
 
     scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
     weight = [job.weight.numerator * (scale // job.weight.denominator) for job in inst.jobs]
@@ -201,12 +205,26 @@ def stoch_opt(inst: Instance) -> Fraction:
     the weight denominators.  A state's value V is carried as
     U = V * W * prod_busy T(e) * prod_unstarted L_j, an integer:
     starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)),
-    advancing gives pay * W * prod T(e) * prod L plus, over completion
-    patterns, prod_completing a_{e+1} * U(next).  All candidates of one
+    advancing gives pay * W * prod T(e) * prod L plus, over the unit's
+    outcomes, prod_completing a_{e+1} * U(next).  All candidates of one
     state share its scale, so the minimum is taken on U directly, and
     the answer is U(start) / (W * prod_j L_j).  The scaling is the
     program's own and follows the state space, not the greedy's
     priorities, so the optimum stays an independent check on them.
+
+    A state is one int, the memo's key: the unstarted bitmask plus, per
+    machine i, a slot code times stride_i = 2^n B^i, with
+    B = 1 + n (STOCH_OPT_MAX_VALUE + 1).  The code is 0 on an idle
+    machine and 1 + j (STOCH_OPT_MAX_VALUE + 1) + e while job j has run
+    e units, so a start trades j's bit for its first code, a unit more
+    of work adds stride_i and a completion takes the code away.  Two
+    tables are built before the recursion: each job's start options
+    (machine, a_0, L_j / t_ij, and the first code times the stride, or 0
+    when T(0) = 0), and for each (machine, code) the move one unit on
+    (w_j, T(e), a_{e+1}, the code times the stride, and the stride, or 0
+    when T(e+1) = 0 and the job cannot continue).  A unit's outcomes are
+    built machine by machine, and a branch of probability zero is never
+    made.
     """
     if inst.has_releases:
         raise ValueError("the adaptive-optimum program handles release-free instances only")
@@ -223,88 +241,102 @@ def stoch_opt(inst: Instance) -> Fraction:
     machines = range(inst.machines)
     w_scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
     weight = [job.weight.numerator * (w_scale // job.weight.denominator) for job in inst.jobs]
-    # count[j][i][v] = a_v and tail[j][i][e] = T(e) of job j on machine i
-    count: list[list[Optional[list[int]]]] = []
-    tail: list[list[Optional[list[int]]]] = []
-    for job in inst.jobs:
-        count.append([])
-        tail.append([])
-        for d in job.proc:
-            a = None
+    # job j after e units holds slot code 1 + j * span + e; a job that
+    # can still run has e < STOCH_OPT_MAX_VALUE, so e + 1 indexes a_v
+    span = STOCH_OPT_MAX_VALUE + 1
+    base = 1 + n * span
+    stride = [base ** i << n for i in machines]
+    lcm: list[int] = []
+    # options[j]: (i, a_0, L_j / t_ij, first code * stride_i, or 0 when T(0) = 0)
+    options: list[list[tuple[int, int, int, int]]] = []
+    # moves[i][code]: (w_j, T(e), a_{e+1}, code * stride_i, stride_i or 0 when
+    # T(e+1) = 0); () for code 0, an idle machine
+    moves: list[list[tuple]] = [[()] * base for _ in machines]
+    for j, job in enumerate(inst.jobs):
+        pairs = []  # (i, counts a_v of v = 0..STOCH_OPT_MAX_VALUE, t_ij)
+        for i, d in enumerate(job.proc):
             if d is not None:
                 t = math.lcm(*(p.denominator for _, p in d.pmf))
-                a = [0] * (d.max_value + 1)
+                a = [0] * span
                 for v, p in d.pmf:
                     a[v] = p.numerator * (t // p.denominator)
-            count[-1].append(a)
-            tail[-1].append(None if a is None else [sum(a[e + 1:]) for e in range(len(a))])
-    lcm = [math.lcm(*(sum(a) for a in row if a is not None)) for row in count]
-    # L_j / t_ij, the factor of starting job j on machine i
-    widen = [[None if a is None else lcm[j] // sum(a) for a in row]
-             for j, row in enumerate(count)]
-    # per unstarted set, a bitmask of 0-based jobs: prod L_j and sum of weights
+                pairs.append((i, a, t))
+        lcm.append(math.lcm(*(t for _, _, t in pairs)))
+        options.append([])
+        first = 1 + j * span
+        for i, a, t in pairs:
+            tail = [sum(a[e + 1:]) for e in range(span)]
+            options[j].append((i, a[0], lcm[j] // t, first * stride[i] if tail[0] else 0))
+            for e in range(span - 1):
+                if tail[e]:
+                    code = first + e
+                    moves[i][code] = (weight[j], tail[e], a[e + 1], code * stride[i],
+                                      stride[i] if tail[e + 1] else 0)
+    # per unstarted set, a bitmask of 0-based jobs: prod L_j, sum of weights,
+    # and each start (j's bit, then j's option)
     subsets = range(1 << n)
     lcm_prod = [math.prod(lcm[j] for j in range(n) if mask >> j & 1) for mask in subsets]
     pay_of = [sum(weight[j] for j in range(n) if mask >> j & 1) for mask in subsets]
-    patterns = {k: list(itertools.product((True, False), repeat=k))
-                for k in range(1, inst.machines + 1)}
+    starts_of = [[(1 << j, *option) for j in range(n) if mask >> j & 1 for option in options[j]]
+                 for mask in subsets]
 
-    idle = (None,) * inst.machines
-    memo: dict[tuple, int] = {(idle, 0): 0}
+    everyone = (1 << n) - 1
+    memo = {0: 0}
 
-    def value(running: tuple, unstarted: int) -> int:
-        key = (running, unstarted)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def value(state: int) -> int:
+        """U of a state not yet in the memo; each successor is read from
+        the memo when it is there, without a call."""
+        unstarted = state & everyone
+        slots = []  # per machine, its move, or () when it is idle
+        running = state >> n
+        for row in moves:
+            running, code = divmod(running, base)
+            slots.append(row[code])
         best: Optional[int] = None
 
-        for j in range(n):
-            if not unstarted >> j & 1:
+        for bit, i, a0, widen, placed in starts_of[unstarted]:
+            if slots[i]:
                 continue
-            rest = unstarted & ~(1 << j)
-            for i in machines:
-                a = count[j][i]
-                if running[i] is not None or a is None:
-                    continue
-                u = 0
-                if a[0]:
-                    # completes instantly at the current epoch: zero cost
-                    u += a[0] * value(running, rest)
-                if tail[j][i][0]:
-                    u += value(running[:i] + ((j, 0),) + running[i + 1:], rest)
-                u *= widen[j][i]
-                if best is None or u < best:
-                    best = u
-
-        busy = [(i, slot) for i, slot in enumerate(running) if slot is not None]
-        if busy:
-            # advance one unit: everyone uncompleted pays its weight
-            pay = pay_of[unstarted] + sum(weight[j] for _, (j, _) in busy)
-            u = pay * math.prod(tail[j][i][e] for i, (j, e) in busy) * lcm_prod[unstarted]
-            for pattern in patterns[len(busy)]:
-                factor = 1
-                nxt = list(running)
-                for (i, (j, e)), completes in zip(busy, pattern):
-                    if completes:
-                        factor *= count[j][i][e + 1]
-                        nxt[i] = None
-                    elif tail[j][i][e + 1]:
-                        nxt[i] = (j, e + 1)
-                    else:
-                        factor = 0
-                    if not factor:
-                        break  # the pattern has probability zero
-                else:
-                    u += factor * value(tuple(nxt), unstarted)
+            rest = state - bit
+            u = 0
+            if a0:  # completes instantly at the current epoch, at zero cost
+                u = a0 * (memo[rest] if rest in memo else value(rest))
+            if placed:
+                rest += placed
+                u += memo[rest] if rest in memo else value(rest)
+            u *= widen
             if best is None or u < best:
                 best = u
 
-        memo[key] = best
+        if any(slots):
+            # advance one unit: everyone uncompleted pays its weight
+            pay = pay_of[unstarted]
+            scale = lcm_prod[unstarted]
+            outcomes = [(1, state)]  # (prod_completing a_{e+1}, next state)
+            for move in slots:
+                if not move:
+                    continue
+                w, t, hit, here, onward = move
+                pay += w
+                scale *= t
+                grown = []
+                for factor, nxt in outcomes:
+                    if hit:
+                        grown.append((factor * hit, nxt - here))
+                    if onward:
+                        grown.append((factor, nxt + onward))
+                outcomes = grown
+            u = pay * scale
+            for factor, nxt in outcomes:
+                u += factor * (memo[nxt] if nxt in memo else value(nxt))
+            if best is None or u < best:
+                best = u
+
+        memo[state] = best
         return best
 
-    everyone = (1 << n) - 1
-    return Fraction(value(idle, everyone), w_scale * lcm_prod[everyone])
+    start = memo[everyone] if everyone in memo else value(everyone)
+    return Fraction(start, w_scale * lcm_prod[everyone])
 
 
 def gen_lower_bound(k: int, m: int) -> Instance:

@@ -127,6 +127,9 @@ class TestStochOpt:
         long_support = Instance(1, [Job(1, F(1), 0, (ProcDist.point(5),))])
         with pytest.raises(TooLargeError):
             oracle.stoch_opt(long_support)
+        many = point_instance(1, [(1, 0, (1,)) for _ in range(5)])
+        with pytest.raises(TooLargeError):
+            oracle.stoch_opt(many)
 
 
 WEIGHTS = (F(1), F(3, 2), F(2, 3), F(5, 4), F(7))
@@ -145,9 +148,14 @@ class TestReferenceCrossCheck:
     agree exactly."""
 
     def test_stoch_opt_matches_reference(self):
+        # the program packs a slot code per machine into one int: two
+        # machines with four jobs reach its largest codes and strides, a 0
+        # in a support its instant-completion branch, and the largest
+        # support value a job's last elapsed time
         rng = random.Random(211)
-        seen = {"zero": 0, "fractional": 0, "forbidden": 0}
-        for _ in range(200):
+        seen = {"zero": 0, "fractional": 0, "forbidden": 0,
+                "two-by-four": 0, "zero-on-two-machines": 0, "max-value": 0}
+        for _ in range(300):
             machines = rng.randint(1, 2)
             jobs = []
             for job_id in range(1, rng.randint(1, 4) + 1):
@@ -163,8 +171,18 @@ class TestReferenceCrossCheck:
                                 for job in inst.jobs for d in job.proc)
             seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
             seen["forbidden"] += any(None in job.proc for job in inst.jobs)
+            seen["two-by-four"] += machines == 2 and inst.n == 4
+            seen["zero-on-two-machines"] += machines == 2 and any(
+                d is not None and 0 in d.support for job in inst.jobs for d in job.proc)
+            seen["max-value"] += any(d is not None and d.max_value == oracle.STOCH_OPT_MAX_VALUE
+                                     for job in inst.jobs for d in job.proc)
             assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("machines", [1, 2, 3])
+    def test_det_opt_of_no_jobs_matches_reference(self, machines):
+        inst = Instance(machines, [])
+        assert oracle.det_opt(inst) == reference.det_opt(inst) == 0
 
     @pytest.mark.parametrize("releases", [False, True])
     def test_det_opt_matches_reference(self, releases):

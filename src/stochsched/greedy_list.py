@@ -27,9 +27,6 @@ class Assignment:
     def machine_of(self, job_id: int) -> int:
         return self.machines[job_id - 1]
 
-    def jobs_on(self, machine: int) -> tuple[int, ...]:
-        return tuple(j + 1 for j, m in enumerate(self.machines) if m == machine)
-
     def as_mapping(self) -> dict[int, int]:
         return {j + 1: m for j, m in enumerate(self.machines)}
 

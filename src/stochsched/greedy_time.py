@@ -59,6 +59,13 @@ def _check_f(f: FractionLike) -> Fraction:
     return f
 
 
+def _check_f_and_mode(f: FractionLike, mode: str) -> Fraction:
+    f = _check_f(f)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    return f
+
+
 def modified_release(inst: Instance, job_id: int, machine: int, f: FractionLike) -> Fraction:
     """Wall-clock earliest start max{f*r_j, E[P_ij]} of the pair."""
     f = _check_f(f)
@@ -147,22 +154,6 @@ class ScheduleTrace:
         factor = as_fraction(factor)
         return ScheduleTrace(tuple(t.scaled(factor) for t in self.jobs))
 
-    def machine_segments(self, machine: int) -> tuple[tuple[str, Fraction, Fraction, Optional[int]], ...]:
-        """Timeline of one machine as (kind, start, end, job) segments,
-        kind in {'sleep', 'held', 'proc'}; 'held' is the forced idle."""
-        mine = sorted((t for t in self.jobs if t.machine == machine),
-                      key=lambda t: t.committed)
-        segments = []
-        clock = Fraction(0)
-        for t in mine:
-            if t.committed > clock:
-                segments.append(("sleep", clock, t.committed, None))
-            if t.started > t.committed:
-                segments.append(("held", t.committed, t.started, t.job))
-            segments.append(("proc", t.started, t.completed, t.job))
-            clock = t.completed
-        return tuple(segments)
-
 
 def _run_machine(entries):
     """Serve (release, rank, job, hold, proc) tuples on one machine.
@@ -215,9 +206,7 @@ def _trace(inst: Instance, assignment: Assignment,
 def simulate(inst: Instance, assignment: Assignment, realization: Realization,
              f: FractionLike, mode: str = "forced-idle") -> ScheduleTrace:
     """Trace of the policy on the speed-f clock for one realization."""
-    f = _check_f(f)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    f = _check_f_and_mode(f, mode)
 
     def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         release = sped_release(inst, job.id, machine, f)
@@ -233,9 +222,7 @@ def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Rea
                         f: FractionLike, mode: str = "forced-idle") -> ScheduleTrace:
     """Trace of the deployed policy on the original clock: releases at
     max{f*r_j, E[P_ij]}, full expected-duration hold, drawn durations."""
-    f = _check_f(f)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    f = _check_f_and_mode(f, mode)
 
     def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         release = max(f * job.release, mean)
@@ -294,9 +281,7 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     samples).  Event times inside a replication are floats; serving
     priority still uses exact ratios.
     """
-    f = _check_f(f)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    f = _check_f_and_mode(f, mode)
     if samples < 1:
         raise ValueError("need at least one replication")
     # static per-machine layout; only `proc` varies across replications

@@ -10,7 +10,9 @@ job j under way on machine i inside unit slot [s, s+1):
   P_o  P with variables only at slots s >= r_j
 
 Models are plain data; `solve_lp` runs the exact simplex; `export_lp`
-and `parse_lp` give a versioned text form that round-trips bytewise.
+writes a canonical versioned text form, TIDX-LP v1.  `y_from_x` turns
+start probabilities into y-mass, a plain mapping (machine, job, slot) ->
+Fraction, and `completion_from_y` prices it under a variant.
 
 The builders compute each coefficient on integers: a pair's mean and
 scv are read once (`_coeff_parts`), and each objective entry, price and
@@ -21,15 +23,13 @@ are, so a zero cell is never a `Fraction`.
 from __future__ import annotations
 
 import math
-import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import greedy_list, simplex
 from .core import FractionLike, Instance, ProcDist, as_fraction, list_schedule
-from .errors import HorizonTooSmallError, NotAPolicyDistributionError, SchemaError
+from .errors import HorizonTooSmallError, NotAPolicyDistributionError
 from .report import exact_text
 
 __all__ = [
@@ -38,16 +38,13 @@ __all__ = [
     "Constraint",
     "LpModel",
     "LpSolution",
-    "YSolution",
     "default_horizon",
     "build_primal",
     "build_dual",
     "y_from_x",
     "completion_from_y",
-    "weighted_mass",
     "solve_lp",
     "export_lp",
-    "parse_lp",
 ]
 
 VARIANTS = ("S", "P", "S_o", "P_o")
@@ -91,28 +88,6 @@ class LpSolution:
     value: Fraction
     primal: dict[str, Fraction]
     dual: dict[str, Fraction]
-
-
-@dataclass(frozen=True)
-class YSolution:
-    """Sparse y-mass: (machine, job, slot) -> Fraction."""
-
-    entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-    def __init__(self, entries):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned = sorted(((i, j, s), as_fraction(v)) for (i, j, s), v in items if v != 0)
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    def as_dict(self) -> dict[tuple[int, int, int], Fraction]:
-        return dict(self.entries)
-
-    @property
-    def jobs(self) -> tuple[int, ...]:
-        return tuple(sorted({j for (_, j, _), _ in self.entries}))
-
-    def mass_of(self, job_id: int) -> Fraction:
-        return sum((v for (_, j, _), v in self.entries if j == job_id), Fraction(0))
 
 
 def _slot_durations(inst: Instance, variant: str) -> dict[tuple[int, int], int]:
@@ -283,8 +258,9 @@ def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> L
 
 
 def y_from_x(x: Mapping[tuple[int, int, int], FractionLike],
-             dists: Mapping[tuple[int, int], ProcDist]) -> YSolution:
-    """Turn start probabilities x[(machine, job, t)] into y-mass.
+             dists: Mapping[tuple[int, int], ProcDist]) -> dict[tuple[int, int, int], Fraction]:
+    """Turn start probabilities x[(machine, job, t)] into y-mass, keyed
+    by (machine, job, slot); every entry is positive.
 
     A job started at t is still running in slot s with the probability
     its duration exceeds s - t; summed over starts this gives the
@@ -308,30 +284,25 @@ def y_from_x(x: Mapping[tuple[int, int, int], FractionLike],
         for s in range(t, t + dist.max_value):
             key = (machine, job_id, s)
             y[key] = y.get(key, Fraction(0)) + p * dist.tail(s - t)
-    return YSolution(y)
+    return y
 
 
-def completion_from_y(y: YSolution, variant: str,
+def completion_from_y(y: Mapping[tuple[int, int, int], Fraction], variant: str,
                       dists: Mapping[tuple[int, int], ProcDist]) -> dict[int, Fraction]:
-    """Per-job completion value the variant's objective assigns to y."""
+    """Per-job completion value the variant's objective assigns to the
+    y-mass; a job with no nonzero mass has no entry."""
     _is_online(variant)  # validates the name
     parts: dict[tuple[int, int], tuple[int, int, int]] = {}
     out: dict[int, Fraction] = {}
-    for (machine, job_id, s), mass in y.entries:
+    for (machine, job_id, s), mass in y.items():
+        if mass == 0:
+            continue
         pair = (machine, job_id)
         if pair not in parts:
             parts[pair] = _coeff_parts(variant, dists[pair])
         first, step, den = parts[pair]
         out[job_id] = out.get(job_id, Fraction(0)) + mass * Fraction(first + s * step, den)
     return out
-
-
-def weighted_mass(y: YSolution, weights: Mapping[int, FractionLike]) -> Fraction:
-    """Total weight-scaled y-mass (the quantity the S-variants bound)."""
-    total = Fraction(0)
-    for (_, job_id, _), mass in y.entries:
-        total += as_fraction(weights[job_id]) * mass
-    return total
 
 
 _EXACT = frozenset((int, Fraction))
@@ -426,7 +397,7 @@ def export_lp(model: LpModel) -> str:
     """Versioned plain text.  First line holds the sense, horizon and
     objective; then one bound line per variable, one line per
     constraint, and a closing `end`.  An empty model is the header
-    alone.  Output is canonical, so parse/export round-trips bytewise."""
+    alone.  Output is canonical: equal models give equal bytes."""
     header = f"TIDX-LP v1 {model.sense} horizon={model.horizon} obj {_terms_str(model.objective)}".rstrip()
     if not model.variables and not model.constraints:
         return header + "\n"
@@ -437,67 +408,3 @@ def export_lp(model: LpModel) -> str:
         lines.append(f"{con.name}: {_terms_str(con.coeffs)} {con.sense} {exact_text(con.rhs)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_HEADER = re.compile(
-    rf"^TIDX-LP v1 (min|max) horizon=(\d+) obj(?: (.*))?$")
-_BOUND = re.compile(rf"^(nonneg|free) ({_NAME})$")
-_CONSTRAINT = re.compile(rf"^({_NAME}): (.*) (<=|>=|=) (-?\d+(?:/\d+)?)$")
-_TERM = re.compile(rf"^(-?\d+(?:/\d+)?) ({_NAME})$")
-
-
-def _number(text: str) -> Fraction:
-    """A horizon or coefficient the grammar matched."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise SchemaError(f"a number needs more than {sys.get_int_max_str_digits()} "
-                          "digits") from None
-    except ZeroDivisionError:
-        raise SchemaError(f"{text!r} has a zero denominator") from None
-
-
-def _parse_terms(text: str) -> tuple[tuple[str, Fraction], ...]:
-    if not text:
-        return ()
-    terms = []
-    for chunk in text.split(" + "):
-        m = _TERM.match(chunk)
-        if not m:
-            raise SchemaError(f"bad term {chunk!r}")
-        terms.append((m.group(2), _number(m.group(1))))
-    return tuple(terms)
-
-
-def parse_lp(text: str) -> LpModel:
-    """Strict reader for `export_lp`'s text; anything else, a number
-    past Python's digit limit included, is a SchemaError."""
-    lines = text.splitlines()
-    if not lines:
-        raise SchemaError("empty input")
-    m = _HEADER.match(lines[0])
-    if not m:
-        raise SchemaError(f"bad header {lines[0]!r}")
-    sense, horizon = m.group(1), int(_number(m.group(2)))
-    objective = _parse_terms(m.group(3) or "")
-    body = [line for line in lines[1:] if line.strip()]
-    if not body:
-        return LpModel(sense, horizon, (), objective, ())
-    if body[-1] != "end":
-        raise SchemaError("missing end line")
-    variables = []
-    constraints = []
-    for line in body[:-1]:
-        bound = _BOUND.match(line)
-        if bound:
-            if constraints:
-                raise SchemaError("variable bounds must precede constraints")
-            variables.append(Variable(bound.group(2), free=bound.group(1) == "free"))
-            continue
-        con = _CONSTRAINT.match(line)
-        if not con:
-            raise SchemaError(f"bad line {line!r}")
-        constraints.append(Constraint(con.group(1), _parse_terms(con.group(2)),
-                                      con.group(3), _number(con.group(4))))
-    return LpModel(sense, horizon, tuple(variables), objective, tuple(constraints))

@@ -508,15 +508,19 @@ def staged_process(threshold: FractionLike, stages: int = 8) -> StoppingProcess:
     return StoppingProcess(f"staged[{stages}]", t, step)
 
 
-def heavy_process(threshold: FractionLike, chunk: FractionLike = Fraction(1, 8),
-                  tail_prob: FractionLike = Fraction(1, 16)) -> StoppingProcess:
-    """Small steps with a rare heavy reward: Y = A + A/q with
-    probability q, else exactly A; again E[Y] = 2A."""
+# the heavy process's step A as a share of T, and its tail probability q
+_HEAVY_CHUNK = Fraction(1, 8)
+_HEAVY_TAIL_PROB = Fraction(1, 16)
+
+
+def heavy_process(threshold: FractionLike) -> StoppingProcess:
+    """Small steps with a rare heavy reward: A = T/8 and Y = A + A/q
+    with probability q = 1/16, else exactly A; again E[Y] = 2A."""
     t = as_fraction(threshold)
-    a = as_fraction(chunk) * t
-    q = as_fraction(tail_prob)
-    if not 0 < q < 1 or not 0 < a <= t:
-        raise ValueError("need 0 < tail_prob < 1 and 0 < chunk*T <= T")
+    if t <= 0:
+        raise ValueError("threshold must be positive")
+    a = _HEAVY_CHUNK * t
+    q = _HEAVY_TAIL_PROB
     cutoff = float(q)
 
     def step(rng: random.Random, k: int) -> tuple[Fraction, Fraction]:

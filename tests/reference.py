@@ -18,14 +18,18 @@ by slot in `Fraction`s, and `beta_table` rescans every completion for
 every slot, where the package works per run of equal beta and sweeps
 the completions once.  `objective_coeff`, `build_primal` and
 `build_dual` write each LP coefficient as a `Fraction` expression,
-where the package builds it from integer parts.  The property tests
-require exact equality between these and the package's versions, so
-they share no code with them beyond the LP model classes and
-`lp.default_horizon` and `lp._check_witness`.
+where the package builds it from integer parts.  `parse_lp` reads
+`lp.export_lp`'s TIDX-LP v1 text back into a model, so the tests can
+check that the export is canonical.  The property tests require exact
+equality between these and the package's versions, so they share no
+code with them beyond the LP model classes and `lp.default_horizon` and
+`lp._check_witness`.
 """
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from stochsched import greedy_time, lp
 from stochsched.core import Instance, as_fraction, priority_split
 from stochsched.errors import (ForbiddenPairError, HorizonTooSmallError, InfeasibleError, ProbSumError,
-                               UnboundedError)
+                               SchemaError, UnboundedError)
 from stochsched.greedy_list import Assignment, GreedyRun
 from stochsched.report import Report, Violation
 
@@ -608,3 +612,69 @@ def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> l
                     ((f"alpha_{job.id}", 1 / mean), (f"beta_{machine}_{s}", Fraction(-1))),
                     "<=", price))
     return lp.LpModel("max", T, tuple(variables), tuple(objective), tuple(constraints))
+
+
+# ------------------------------------------------------ TIDX-LP reader
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_HEADER = re.compile(
+    rf"^TIDX-LP v1 (min|max) horizon=(\d+) obj(?: (.*))?$")
+_BOUND = re.compile(rf"^(nonneg|free) ({_NAME})$")
+_CONSTRAINT = re.compile(rf"^({_NAME}): (.*) (<=|>=|=) (-?\d+(?:/\d+)?)$")
+_TERM = re.compile(rf"^(-?\d+(?:/\d+)?) ({_NAME})$")
+
+
+def _number(text: str) -> Fraction:
+    """A horizon or coefficient the grammar matched."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise SchemaError(f"a number needs more than {sys.get_int_max_str_digits()} "
+                          "digits") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"{text!r} has a zero denominator") from None
+
+
+def _parse_terms(text: str) -> tuple[tuple[str, Fraction], ...]:
+    if not text:
+        return ()
+    terms = []
+    for chunk in text.split(" + "):
+        m = _TERM.match(chunk)
+        if not m:
+            raise SchemaError(f"bad term {chunk!r}")
+        terms.append((m.group(2), _number(m.group(1))))
+    return tuple(terms)
+
+
+def parse_lp(text: str) -> lp.LpModel:
+    """Strict reader for `lp.export_lp`'s text; anything else, a number
+    past Python's digit limit included, is a SchemaError."""
+    lines = text.splitlines()
+    if not lines:
+        raise SchemaError("empty input")
+    m = _HEADER.match(lines[0])
+    if not m:
+        raise SchemaError(f"bad header {lines[0]!r}")
+    sense, horizon = m.group(1), int(_number(m.group(2)))
+    objective = _parse_terms(m.group(3) or "")
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
+        return lp.LpModel(sense, horizon, (), objective, ())
+    if body[-1] != "end":
+        raise SchemaError("missing end line")
+    variables = []
+    constraints = []
+    for line in body[:-1]:
+        bound = _BOUND.match(line)
+        if bound:
+            if constraints:
+                raise SchemaError("variable bounds must precede constraints")
+            variables.append(lp.Variable(bound.group(2), free=bound.group(1) == "free"))
+            continue
+        con = _CONSTRAINT.match(line)
+        if not con:
+            raise SchemaError(f"bad line {line!r}")
+        constraints.append(lp.Constraint(con.group(1), _parse_terms(con.group(2)),
+                                         con.group(3), _number(con.group(4))))
+    return lp.LpModel(sense, horizon, tuple(variables), objective, tuple(constraints))

@@ -16,6 +16,7 @@ from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import SchemaError
 from stochsched.report import Report, Violation, jsonable
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
@@ -223,7 +224,7 @@ class TestOutputs:
         assert cli.main(["lp", worked_path, "--variant", "S",
                          "--export", str(target)]) == 0
         capsys.readouterr()
-        model = lp.parse_lp(target.read_text())
+        model = reference.parse_lp(target.read_text())
         assert lp.solve_lp(model).value == 4
 
     def test_lp_export_past_the_digit_limit_is_six_in_own_words(self, tmp_path, capsys):

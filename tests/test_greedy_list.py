@@ -59,7 +59,7 @@ def test_forbidden_machines_are_skipped():
 def test_assignment_accessors():
     a = Assignment((1, 2, 1))
     assert a.machine_of(3) == 1
-    assert a.jobs_on(1) == (1, 3)
+    assert a.machines == (1, 2, 1)
     assert a.as_mapping() == {1: 1, 2: 2, 3: 1}
 
 
@@ -163,7 +163,8 @@ def _ties(inst: Instance, assignment) -> int:
     """Pairs of jobs on one machine with equal priority ratios."""
     ties = 0
     for machine in range(1, inst.machines + 1):
-        ratios = [inst.ratio(machine, j) for j in assignment.jobs_on(machine)]
+        ratios = [inst.ratio(machine, j + 1)
+                  for j, m in enumerate(assignment.machines) if m == machine]
         ties += len(ratios) - len(set(ratios))
     return ties
 

@@ -131,11 +131,9 @@ class TestSimulate:
         assignment = gt.assign(inst, F(1))
         trace = gt.simulate(inst, assignment, gt.Realization(((2,),)), F(1))
         assert trace.cost(inst) == 6
-        assert trace.machine_segments(1) == (
-            ("sleep", F(0), F(2), None),
-            ("held", F(2), F(4), 1),
-            ("proc", F(4), F(6), 1),
-        )
+        # asleep until 2, held until 4, processing until 6
+        job = trace.trace(1)
+        assert (job.committed, job.started, job.completed) == (2, 4, 6)
 
     def test_short_draw_still_pays_full_hold(self):
         inst = _one_job()
@@ -178,9 +176,9 @@ class TestSimulate:
         assignment = gt.assign(inst, F(1))
         trace = gt.simulate(inst, assignment, gt.Realization(((1,),)), F(1), mode="max-proc")
         # release 2, no hold, processing stretched to the mean
-        assert trace.trace(1).completed == 4
-        kinds = [kind for kind, *_ in trace.machine_segments(1)]
-        assert "held" not in kinds
+        job = trace.trace(1)
+        assert job.completed == 4
+        assert job.started == job.committed
 
 
 class TestDeterministicSchedule:
@@ -215,6 +213,36 @@ class TestEstimate:
         a = gt.estimate_cost(inst, F(2), 300, 5, gt.assign(inst, F(2)))
         b = gt.estimate_cost(inst, F(2), 300, 5, gt.assign(inst, F(2)))
         assert a == b
+
+    def test_point_masses_match_the_exact_trace(self):
+        # every event time is a multiple of 1/2 below 2^53, so the float
+        # layout adds exactly and each per-job mean is the exact float
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            rows = []
+            for release in sorted(rng.randint(0, 6) for _ in range(rng.randint(1, 5))):
+                durations = [rng.randint(1, 5) if rng.random() < 0.75 else None for _ in range(m)]
+                if all(d is None for d in durations):
+                    durations[rng.randrange(m)] = rng.randint(1, 5)
+                rows.append((F(rng.randint(1, 9), rng.randint(1, 4)), release, tuple(durations)))
+            inst = point_instance(m, rows)
+            seen.update(name for name, present in (
+                ("releases", inst.has_releases),
+                ("forbidden pairs", any(None in job.proc for job in inst.jobs)),
+                ("fractional weights", any(job.weight.denominator > 1 for job in inst.jobs)),
+            ) if present)
+            realization = gt.Realization(tuple(
+                tuple(None if d is None else d.max_value for d in job.proc) for job in inst.jobs))
+            for f in (F(1), F(2), F(3), F(5, 2)):
+                assignment = gt.assign(inst, f)
+                for mode in gt.MODES:
+                    exact = gt.simulate_wall_clock(inst, assignment, realization, f, mode)
+                    est = gt.estimate_cost(inst, f, rng.randint(1, 8), rng.randint(0, 99),
+                                           assignment, mode)
+                    assert est.per_job_mean == tuple(float(t.completed) for t in exact.jobs)
+        assert seen == {"releases", "forbidden pairs", "fractional weights"}
 
     def test_distinct_seeds_agree_statistically(self):
         inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])

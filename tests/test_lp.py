@@ -139,16 +139,16 @@ class TestDuality:
 class TestYMass:
     def test_point_mass_start(self):
         y = lp.y_from_x({(1, 1, 0): 1}, {(1, 1): ProcDist.point(2)})
-        assert y.as_dict() == {(1, 1, 0): F(1), (1, 1, 1): F(1)}
+        assert y == {(1, 1, 0): F(1), (1, 1, 1): F(1)}
 
     def test_spread_start_decays_by_tail(self):
         y = lp.y_from_x({(1, 1, 0): 1}, {(1, 1): SPREAD})
-        assert y.as_dict() == {(1, 1, 0): F(1), (1, 1, 1): F(1, 2), (1, 1, 2): F(1, 2)}
+        assert y == {(1, 1, 0): F(1), (1, 1, 1): F(1, 2), (1, 1, 2): F(1, 2)}
 
     def test_split_starts_accumulate(self):
         y = lp.y_from_x({(1, 1, 0): F(1, 2), (1, 1, 1): F(1, 2)},
                         {(1, 1): ProcDist.point(1)})
-        assert y.as_dict() == {(1, 1, 0): F(1, 2), (1, 1, 1): F(1, 2)}
+        assert y == {(1, 1, 0): F(1, 2), (1, 1, 1): F(1, 2)}
 
     def test_start_mass_must_be_a_distribution(self):
         with pytest.raises(NotAPolicyDistributionError):
@@ -173,24 +173,21 @@ class TestYMass:
                 clocks[machine] += job.dist(machine).max_value
             y = lp.y_from_x(x, dists)
             per_slot: dict[tuple[int, int], Fraction] = {}
-            for (machine, job_id, s), mass in y.entries:
+            per_job: dict[int, Fraction] = {}
+            for (machine, job_id, s), mass in y.items():
                 per_slot[(machine, s)] = per_slot.get((machine, s), F(0)) + mass
-                assert mass <= 1
+                per_job[job_id] = per_job.get(job_id, F(0)) + mass
+                assert 0 < mass <= 1
             assert all(v <= 1 for v in per_slot.values())
-            for job in inst.jobs:
-                assert y.mass_of(job.id) == job.dist(
-                    next(m for (m, j, _), _ in y.entries if j == job.id)).mean
+            for (machine, job_id, _) in x:
+                assert per_job[job_id] == dists[(machine, job_id)].mean
 
     def test_completion_difference_between_variants_is_scv_term(self):
         y = lp.y_from_x({(1, 1, 0): 1}, {(1, 1): SPREAD})
         c_s = lp.completion_from_y(y, "S", {(1, 1): SPREAD})[1]
         c_p = lp.completion_from_y(y, "P", {(1, 1): SPREAD})[1]
         assert c_s == 2
-        assert c_p - c_s == SPREAD.scv / 2 * y.mass_of(1)
-
-    def test_weighted_mass(self):
-        y = lp.y_from_x({(1, 1, 0): 1}, {(1, 1): SPREAD})
-        assert lp.weighted_mass(y, {1: F(3)}) == 6
+        assert c_p - c_s == SPREAD.scv / 2 * sum(y.values())
 
 
 class TestSerialization:
@@ -199,46 +196,27 @@ class TestSerialization:
         for variant in ("S", "P", "S_o", "P_o"):
             model = lp.build_primal(inst, variant)
             text = lp.export_lp(model)
-            assert lp.parse_lp(text) == model
-            assert lp.export_lp(lp.parse_lp(text)) == text
+            assert reference.parse_lp(text) == model
+            assert lp.export_lp(reference.parse_lp(text)) == text
         model = lp.build_dual(inst, "P")
-        assert lp.parse_lp(lp.export_lp(model)) == model
+        assert reference.parse_lp(lp.export_lp(model)) == model
 
     def test_empty_model_is_header_only(self):
         model = lp.LpModel("min", 1, (), (), ())
         text = lp.export_lp(model)
         assert text == "TIDX-LP v1 min horizon=1 obj\n"
-        assert lp.parse_lp(text) == model
+        assert reference.parse_lp(text) == model
 
     def test_single_variable_no_constraints_is_three_lines(self):
         model = lp.LpModel("min", 1, (lp.Variable("y_1_1_0"),),
                            (("y_1_1_0", F(1)),), ())
         text = lp.export_lp(model)
         assert len(text.splitlines()) == 3
-        assert lp.parse_lp(text) == model
-
-    def test_parse_refuses_numbers_past_the_digit_limit(self):
-        from stochsched.errors import SchemaError
-        big = "9" * 4301
-        for text in (f"TIDX-LP v1 min horizon={big} obj\n",
-                     f"TIDX-LP v1 min horizon=1 obj {big} y\n",
-                     f"TIDX-LP v1 min horizon=1 obj 1/{big} y\n",
-                     f"TIDX-LP v1 min horizon=1 obj 1 y\nnonneg y\nc: 1 y <= {big}\nend\n"):
-            with pytest.raises(SchemaError, match="more than 4300 digits"):
-                lp.parse_lp(text)
-        with pytest.raises(SchemaError, match="zero denominator"):
-            lp.parse_lp("TIDX-LP v1 min horizon=1 obj 1/0 y\n")
+        assert reference.parse_lp(text) == model
 
     def test_model_is_its_fields_alone(self):
         # plain data: no derived view beside the five fields
         assert [name for name in vars(lp.LpModel) if not name.startswith("_")] == []
-
-    def test_parse_rejects_garbage(self):
-        from stochsched.errors import SchemaError
-        with pytest.raises(SchemaError):
-            lp.parse_lp("LP v0 min\n")
-        with pytest.raises(SchemaError):
-            lp.parse_lp("TIDX-LP v1 min horizon=x obj\n")
 
 
 def _fractional_instance(rng: random.Random) -> Instance:
@@ -314,11 +292,13 @@ class TestAgainstReference:
         for _ in range(40):
             inst = _fractional_instance(rng)
             dists = {(m, job.id): job.dist(m) for job in inst.jobs for m in job.permitted}
-            y = lp.YSolution({(m, j, s): F(rng.randint(0, 4), rng.randint(1, 3))
-                              for (m, j) in dists for s in range(rng.randint(0, 4))})
+            y = {(m, j, s): F(rng.randint(0, 4), rng.randint(1, 3))
+                 for (m, j) in dists for s in range(rng.randint(0, 4))}
             for variant in lp.VARIANTS:
                 expected = {}
-                for (machine, job_id, s), mass in y.entries:
+                for (machine, job_id, s), mass in y.items():
+                    if mass == 0:   # a job with no nonzero mass has no entry
+                        continue
                     coeff = reference.objective_coeff(variant, dists[(machine, job_id)], s)
                     expected[job_id] = expected.get(job_id, F(0)) + mass * coeff
                 assert lp.completion_from_y(y, variant, dists) == expected

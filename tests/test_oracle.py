@@ -300,6 +300,11 @@ class TestStoppedSums:
             assert report.passed
             assert report.metrics["mean"] <= float(4 * t)
 
+    def test_heavy_family_needs_a_positive_threshold(self):
+        for t in (F(0), F(-1)):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                oracle.heavy_process(t)
+
     def test_staged_family_approaches_three_t(self):
         t = F(8)
         report = oracle.check_b2(oracle.staged_process(t, stages=32), 1500, 17)

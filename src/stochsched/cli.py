@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import Instance, Job, ProcDist, as_fraction, max_scv, strict_fraction
+from .core import Instance, Job, ProcDist, as_fraction, max_scv, read_format, strict_fraction
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -65,28 +65,9 @@ def _field(row: dict, context: str, key: str, kind: type):
     return value
 
 
-def _rational(value, context: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(f"{context}: rationals are integers or 'p/q' strings, got {value!r}")
-    try:
-        return strict_fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{context}: cannot parse rational {value!r}") from None
-
-
 def parse_instance(text: str) -> Instance:
     """Strict reader for the `SCHED v1` schema."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also an integer literal over the digit limit
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SchemaError("top level must be an object")
-    if payload.get("format") != "SCHED v1":
-        raise SchemaError("missing or wrong format marker, expected 'SCHED v1'")
-    extra = set(payload) - {"format", "machines", "jobs"}
-    if extra:
-        raise SchemaError(f"unknown top-level fields {sorted(extra)}")
+    payload = read_format(text, "SCHED v1", ("machines", "jobs"))
     machines = _field(payload, "instance", "machines", int)
     if machines < 1:
         raise SchemaError("machines must be at least 1")
@@ -102,7 +83,7 @@ def parse_instance(text: str) -> Instance:
         if extra:
             raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
         job_id = _field(row, context, "id", int)
-        weight = _rational(_field(row, context, "w", object), f"{context}.w")
+        weight = strict_fraction(_field(row, context, "w", object), f"{context}.w")
         release = _field(row, context, "r", int)
         proc_rows = _field(row, context, "proc", list)
         dists: list[Optional[ProcDist]] = []
@@ -123,11 +104,9 @@ def parse_instance(text: str) -> Instance:
                                       "nonnegative integer")
                 if value in pmf:
                     raise SchemaError(f"{where}: duplicate support value {value}")
-                pmf[value] = _rational(prob, where)
+                pmf[value] = strict_fraction(prob, where)
             try:
                 dists.append(ProcDist(pmf))
-            except SchemaError:
-                raise
             except ValueError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
         try:
@@ -175,14 +154,6 @@ class RunConfig:
     variant: str = "S"
     k: int = 2
     export: Optional[str] = None
-
-    def __post_init__(self):
-        if self.f < 1:
-            raise ValueError(f"speed factor must be >= 1, got {self.f}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
 
 
 def _list_checks(inst: Instance, f: Fraction) -> tuple[dualfit.ListRun, Report, Report]:
@@ -307,8 +278,7 @@ def _run_verify(config: RunConfig) -> Report:
 
 def _run_oracle(config: RunConfig) -> Report:
     inst = config.instance
-    deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)
-    opt = oracle.det_opt(inst) if deterministic else oracle.stoch_opt(inst)
+    opt = oracle.det_opt(inst) if inst.deterministic else oracle.stoch_opt(inst)
     alg = greedy_list.greedy_cost(inst)
     delta = max_scv(inst)
     factor = 4 + 2 * delta
@@ -317,7 +287,7 @@ def _run_oracle(config: RunConfig) -> Report:
         name="oracle",
         passed=within,
         metrics={
-            "method": "exhaustive" if deterministic else "adaptive-dp",
+            "method": "exhaustive" if inst.deterministic else "adaptive-dp",
             "opt_value": opt,
             "alg_value": alg,
             "ratio": alg / opt,
@@ -572,7 +542,12 @@ _EXIT_CODES = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error code, 2, is the schema code here
+        if exc.code != 2:  # --help
+            raise
+        return EXIT_USAGE
     try:
         config = _config_from(args)
         report = run(config)

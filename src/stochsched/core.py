@@ -5,17 +5,19 @@ Everything exact: probabilities, weights and all derived quantities are
 identities tested elsewhere hold to the bit.  `ProcDist` checks its
 probabilities and sums its moments as integer counts over the lcm of
 their denominators.  `Instance.scaled` holds every weight and mean as an
-integer over one weight scale and one mean scale; the greedy dispatch,
-`machine_order` and `list_schedule` run on it and build a `Fraction`
-only for what they return.  `list_schedule` is the one kernel of the
-expected-duration list schedule: the list cost, the list and speed beta
-tables (`dualfit`), the per-job bounds (`oracle`), the serving order of
-`greedy_time` and the LP horizon witness (`lp`) read it.
-`Instance.ratio`, `priority_split` and the `expected_increase`
-references stay on `Fraction`s, independent of that view.
+integer over one weight scale and one mean scale; the greedy dispatch
+and `list_schedule` run on it and build a `Fraction` only for what they
+return.  `list_schedule` is the one kernel of the expected-duration list
+schedule: the list cost, the list and speed beta tables (`dualfit`), the
+per-job bounds (`oracle`), the serving order of `greedy_time` and the LP
+horizon witness (`lp`) read it.  `Instance.ratio`, `priority_split` and
+the `expected_increase` references stay on `Fraction`s, independent of
+that view.  `read_format` and `strict_fraction` are the one strict JSON
+layer of the exchange formats, `SCHED v1` (`cli`) and `CERT v1` (`dualfit`).
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import warnings
@@ -29,6 +31,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import (
     ForbiddenPairError,
     ProbSumError,
+    SchemaError,
     SmallMeanWarning,
     UnschedulableError,
     ZeroMeanError,
@@ -46,6 +49,7 @@ __all__ = [
     "PrioritySplit",
     "as_fraction",
     "strict_fraction",
+    "read_format",
     "max_scv",
     "priority_split",
     "list_schedule",
@@ -68,14 +72,49 @@ def as_fraction(value: FractionLike) -> Fraction:
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def strict_fraction(value: Union[int, str]) -> Fraction:
-    """`as_fraction` for the exchange formats: an int, or a string that
-    is an integer or 'p/q' in ASCII digits with an optional sign.  A
-    decimal point or an exponent raises ValueError, so a short text can
+def strict_fraction(value: object, where: str) -> Fraction:
+    """A rational of the exchange formats: an int, or a string that is
+    an integer or 'p/q' in ASCII digits with an optional sign.  Anything
+    else, such as a float, a bool, a decimal point, an exponent or a zero
+    denominator, raises SchemaError naming `where`, so a short text can
     never stand for a huge integer."""
-    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
-        raise ValueError(f"{value!r} is not an integer or 'p/q' string")
-    return as_fraction(value)
+    if ((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value))):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
+            pass
+    raise SchemaError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def read_format(text: str, marker: str, fields: Iterable[str]) -> dict:
+    """Decode one exchange-format text: JSON whose top level is an object
+    with `format` equal to `marker` and no other field outside `fields`.
+    No object may name a key twice.  Anything else, nesting too deep to
+    decode included, raises SchemaError."""
+    try:
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deep to decode") from None
+    except ValueError as exc:  # also an integer literal over the digit limit
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError("top level must be an object")
+    if payload.get("format") != marker:
+        raise SchemaError(f"missing or wrong format marker, expected {marker!r}")
+    extra = set(payload) - {"format", *fields}
+    if extra:
+        raise SchemaError(f"unknown top-level fields {sorted(extra)}")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -196,7 +235,7 @@ class Job:
 
     def __init__(self, id: int, weight: FractionLike, release: int,
                  proc: Sequence[Optional[ProcDist]]):
-        if not isinstance(id, int) or id < 1:
+        if not isinstance(id, int) or isinstance(id, bool) or id < 1:
             raise ValueError(f"job id must be a positive integer, got {id!r}")
         w = as_fraction(weight)
         if w <= 0:
@@ -250,7 +289,7 @@ class Instance:
     jobs: tuple[Job, ...]
 
     def __init__(self, machines: int, jobs: Sequence[Job]):
-        if not isinstance(machines, int) or machines < 1:
+        if not isinstance(machines, int) or isinstance(machines, bool) or machines < 1:
             raise ValueError("machine count must be a positive integer")
         jobs = tuple(jobs)
         small = 0
@@ -317,6 +356,11 @@ class Instance:
     def has_releases(self) -> bool:
         return any(job.release > 0 for job in self.jobs)
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether every permitted pair's distribution is a point mass."""
+        return all(d.is_point for d in self._dists.values())
+
 
 @dataclass(frozen=True)
 class PrioritySplit:
@@ -371,11 +415,6 @@ def _priority_order(inst: Instance, machine: int,
     common = math.lcm(*{mean for _, _, mean in rows})
     rows.sort(key=lambda row: (-row[1] * (common // row[2]), row[0]))
     return rows
-
-
-def machine_order(inst: Instance, machine: int, job_ids: Iterable[int]) -> list[int]:
-    """Processing order on one machine: ratio descending, id ascending."""
-    return [j for j, _, _ in _priority_order(inst, machine, job_ids)]
 
 
 def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> Schedule:

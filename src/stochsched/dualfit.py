@@ -47,8 +47,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import greedy_list, greedy_time
-from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, schedule_cost,
-                   strict_fraction)
+from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, read_format,
+                   schedule_cost, strict_fraction)
 from .errors import RequiresFGeq2Error, SchemaError
 from .report import Report, Violation
 
@@ -122,7 +122,8 @@ class DualCertificate:
     def scale(self) -> tuple[Fraction, Fraction]:
         """Divide alpha by scale[0] and beta by scale[1] to get the point
         that is feasible for the corresponding dual LP."""
-        return _kind_scale(self.kind, self.f)
+        return {"list": (Fraction(2), Fraction(2)), "speed": (Fraction(1), self.f),
+                "online": (Fraction(3), 3 * self.f)}[self.kind]
 
     def beta_at(self, machine: int, slot: int) -> Fraction:
         return self.beta.get((machine, slot), Fraction(0))
@@ -160,12 +161,6 @@ def _beta_table(schedule: Schedule, time_scale: int, weight_scale: int,
             beta[(machine, s)] = level
             s += 1
     return beta
-
-
-def _kind_scale(kind: str, f: Fraction) -> tuple[Fraction, Fraction]:
-    """The divisor pair that makes a kind's tables a feasible dual point."""
-    return {"list": (Fraction(2), Fraction(2)), "speed": (Fraction(1), f),
-            "online": (Fraction(3), 3 * f)}[kind]
 
 
 def build_list_certificate(inst: Instance, run: ListRun) -> DualCertificate:
@@ -447,39 +442,29 @@ def parse_certificate(text: str) -> DualCertificate:
     """Strict reader for `CERT v1`: rationals are integers or 'p/q'
     strings, never floats or bools, and keys are integers.  The scale
     is the kind's own pair: list (2, 2), speed (1, f), online (3, 3f)."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also an integer literal over the digit limit
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != "CERT v1":
-        raise SchemaError("missing or wrong format marker, expected 'CERT v1'")
-    extra = set(payload) - {"format", "kind", "f", "scale", "alpha", "beta"}
-    if extra:
-        raise SchemaError(f"unknown top-level fields {sorted(extra)}")
+    payload = read_format(text, "CERT v1", ("kind", "f", "scale", "alpha", "beta"))
     try:
         kind = payload["kind"]
-        f = strict_fraction(payload["f"])
+        f = strict_fraction(payload["f"], "f")
         entries = payload["scale"]
         if not isinstance(entries, list) or len(entries) != 2:
             raise SchemaError(f"scale must list exactly two rationals, got {entries!r}")
-        scale = (strict_fraction(entries[0]), strict_fraction(entries[1]))
+        scale = (strict_fraction(entries[0], "scale"), strict_fraction(entries[1], "scale"))
         alpha = {}
         for job_id, value in payload["alpha"]:
             if not _is_int(job_id):
                 raise SchemaError(f"alpha key {job_id!r} is not an integer job id")
             if job_id in alpha:
                 raise SchemaError(f"alpha lists job {job_id} twice")
-            alpha[job_id] = strict_fraction(value)
+            alpha[job_id] = strict_fraction(value, f"alpha[{job_id}]")
         beta = {}
         for machine, slot, value in payload["beta"]:
             if not _is_int(machine) or not _is_int(slot):
                 raise SchemaError(f"beta key {(machine, slot)!r} must be integer pairs")
             if (machine, slot) in beta:
                 raise SchemaError(f"beta lists machine {machine}, slot {slot} twice")
-            beta[(machine, slot)] = strict_fraction(value)
-    except SchemaError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            beta[(machine, slot)] = strict_fraction(value, f"beta[{machine}, {slot}]")
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed certificate: {exc}") from None
     try:
         cert = DualCertificate(kind, f, alpha, beta)

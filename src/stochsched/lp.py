@@ -222,12 +222,9 @@ def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> L
     """LP dual of the mean-only primal: one free alpha per job, one
     nonnegative beta per machine and slot, maximizing sum(alpha) minus
     sum(beta) under the pricing constraints.
-
-    Accepts the dual names D / D_o as aliases for P / P_o.
     """
-    variant = {"D": "P", "D_o": "P_o"}.get(variant, variant)
     if not _is_mean_only(variant):
-        raise ValueError("duals exist for the mean-only variants only (P/D, P_o/D_o)")
+        raise ValueError("duals exist for the mean-only variants only (P, P_o)")
     online = _is_online(variant)
     T = _horizon(inst, variant, horizon)
 

@@ -58,14 +58,6 @@ STOCH_OPT_MAX_VALUE = 4
 LOWER_BOUND_MAX_K = 6
 
 
-def _require_deterministic(inst: Instance) -> None:
-    for job in inst.jobs:
-        for d in job.proc:
-            if d is not None and not d.is_point:
-                raise ValueError(f"job {job.id} has a non-degenerate distribution; "
-                                 "the deterministic optimum is undefined")
-
-
 def det_opt(inst: Instance) -> Fraction:
     """Exact optimum for point-mass instances, by a dynamic program over
     job subsets, each subset a bitmask of 0-based job indices.
@@ -93,7 +85,8 @@ def det_opt(inst: Instance) -> Fraction:
     of their denominators, so the program runs on ints and one
     `Fraction` is built at the end.
     """
-    _require_deterministic(inst)
+    if not inst.deterministic:
+        raise ValueError("the deterministic optimum needs point-mass distributions")
     released = inst.has_releases
     limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
     if inst.n > limit:
@@ -586,7 +579,9 @@ def appendix_checks(rng: random.Random, cases: int, trials: int,
     threshold = Fraction(8)
     processes = (constant_process(threshold), doubling_process(threshold),
                  staged_process(threshold), heavy_process(threshold))
-    return (*identity_fuzz(rng, cases), *(check_b2(p, trials, seed) for p in processes))
+    # before the fuzz, which alone draws from `rng`: a refused trial count costs none
+    stopped = [check_b2(p, trials, seed) for p in processes]
+    return (*identity_fuzz(rng, cases), *stopped)
 
 
 def _lemma5_bounds(inst: Instance, f: Fraction,
@@ -620,8 +615,7 @@ def check_lemma5(inst: Instance, f: FractionLike, assignment: greedy_list.Assign
         raise ValueError(f"the bound needs a forced-idle estimate, got {estimate.mode}")
     bounds = _lemma5_bounds(inst, f, assignment)
 
-    deterministic = all(d is None or d.is_point for job in inst.jobs for d in job.proc)
-    if deterministic:
+    if inst.deterministic:
         values = tuple(tuple(None if d is None else d.support[0] for d in job.proc)
                        for job in inst.jobs)
         trace = greedy_time.simulate_wall_clock(
@@ -635,7 +629,7 @@ def check_lemma5(inst: Instance, f: FractionLike, assignment: greedy_list.Assign
     violations = tuple(Violation(f"job_{job.id}", got, allowed)
                        for job, (got, allowed) in zip(inst.jobs, rows) if got > allowed)
     worst = min((allowed - got for got, allowed in rows), default=None)
-    if deterministic:
+    if inst.deterministic:
         return Report(name="per-job-bound[exact]", passed=not violations,
                       metrics={"jobs": inst.n, "f": f, "samples": 1},
                       violations=violations, min_slack=worst)

@@ -60,6 +60,26 @@ class TestInstanceIO:
         ('{"format": "SCHED v1", "machines": 1, "jobs": []}', "at least one job"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
          '"r": 0, "proc": [[[0, "1"]]]}]}', "zero expected"),
+        ('{"format": "SCHED v1", "machines": "1", "jobs": []}', "integer"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1.0, "w": "1", '
+         '"r": 0, "proc": [[[1, "1"]]]}]}', "integer"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": true, "proc": [[[1, "1"]]]}]}', "integer"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": {}}', "array"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [1]}', "object"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": [[]]}]}', "nonempty array"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": [[[1]]]}]}', "pairs"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": [[[1, "0"]]]}]}', "positive"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 0, "w": "1", '
+         '"r": 0, "proc": [[[1, "1"]]]}]}', "positive integer"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": -1, "proc": [[[1, "1"]]]}]}', "release"),
+        ('{"format": "SCHED v1", "machines": 2, "machines": 1, "jobs": [{"id": 1, '
+         '"w": "1", "r": 0, "proc": [[[1, "1"]]]}]}', "twice"),
+        pytest.param("[" * 100_000, "too deep", id="nested-too-deep"),
     ])
     def test_schema_errors(self, text, hint):
         with pytest.raises(SchemaError) as err:
@@ -204,6 +224,35 @@ class TestExitCodes:
 
     def test_missing_file_is_six(self):
         assert cli.main(["list", "/nonexistent/nope.json"]) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["oracle", "-", "--format", "xml"],
+        ["time", "WORKED", "--samples", "0"],
+        ["time", "WORKED", "--f", "1/2"],
+        ["appendix", "--samples", "1"],
+    ], ids=["no-instance", "unknown-format", "zero-samples", "f-below-1", "one-trial"])
+    def test_usage_error_is_six(self, worked_path, capsys, argv):
+        assert cli.main([worked_path if arg == "WORKED" else arg for arg in argv]) == 6
+        assert capsys.readouterr().out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: stochsched" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"format": "SCHED v1", "machines": 2, "machines": 1, "jobs": [{"id": 1, '
+        '"w": "1", "r": 0, "proc": [[[1, "1"]]]}]}',
+    ], ids=["nested-too-deep", "repeated-key"])
+    def test_too_deep_or_repeated_key_is_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["oracle", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestOutputs:
@@ -414,10 +463,8 @@ def test_each_subcommand_runs_the_greedy_once(argv, expected, tmp_path, monkeypa
 
 def test_cached_parser_survives_usage_errors(worked_path, capsys):
     assert cli._build_parser() is cli._build_parser()
-    with pytest.raises(SystemExit):
-        cli.main(["list", worked_path, "--mode", "max-proc"])
-    with pytest.raises(SystemExit):
-        cli.main(["time", worked_path, "--samples", "x"])
+    assert cli.main(["list", worked_path, "--mode", "max-proc"]) == 6
+    assert cli.main(["time", worked_path, "--samples", "x"]) == 6
     capsys.readouterr()
     assert cli.main(["time", worked_path, "--samples", "20", "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("job,machine,modified_release")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from stochsched.core import (
-    Instance, Job, ProcDist, as_fraction, fixed_assignment_cost, machine_order,
+    Instance, Job, ProcDist, as_fraction, fixed_assignment_cost, list_schedule,
     max_scv, priority_split,
 )
 from stochsched.errors import ProbSumError, SmallMeanWarning, UnschedulableError, ZeroMeanError
@@ -203,6 +203,22 @@ class TestJobAndInstance:
         with pytest.raises(ValueError):
             Job(1, F(1), -2, (ProcDist.point(1),))
 
+    def test_bools_are_not_integers_here(self):
+        # bool subclasses int, so True would otherwise read as id 1 or one machine
+        row = (ProcDist.point(1),)
+        with pytest.raises(ValueError, match="job id"):
+            Job(True, F(1), 0, row)
+        with pytest.raises(ValueError, match="release"):
+            Job(1, F(1), True, row)
+        with pytest.raises(ValueError, match="machine count"):
+            Instance(True, [Job(1, F(1), 0, row)])
+
+    def test_deterministic_reads_every_permitted_pair(self):
+        point, spread = ProcDist.point(2), ProcDist({1: F(1, 2), 3: F(1, 2)})
+        assert Instance(2, [Job(1, F(1), 0, (point, None))]).deterministic
+        assert not Instance(2, [Job(1, F(1), 0, (point, None)),
+                                Job(2, F(1), 0, (None, spread))]).deterministic
+
     def test_ids_must_be_arrival_order(self):
         with pytest.raises(ValueError):
             Instance(1, [Job(2, F(1), 0, (ProcDist.point(1),))])
@@ -301,11 +317,14 @@ class TestPriorityOrder:
         assert split.after == frozenset({1})
 
     def test_machine_order_sorts_by_ratio_then_id(self):
+        def order(inst, ids):
+            return [j for j, _, _ in list_schedule(inst, dict.fromkeys(ids, 1))[1]]
+
         inst = point_instance(1, [(1, 0, (2,)), (3, 0, (1,)), (1, 0, (2,))])
-        assert machine_order(inst, 1, [1, 2, 3]) == [2, 1, 3]
+        assert order(inst, [1, 2, 3]) == [2, 1, 3]
         # equal ratios from different pairs (1/2, 3/6, 2/4): ids decide
         inst = point_instance(1, [(1, 0, (2,)), (3, 0, (6,)), (2, 0, (4,)), (5, 0, (2,))])
-        assert machine_order(inst, 1, [3, 2, 1, 4]) == [4, 1, 2, 3]
+        assert order(inst, [3, 2, 1, 4]) == [4, 1, 2, 3]
 
 
 class TestFixedAssignmentCost:

@@ -420,6 +420,9 @@ GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
     pytest.param('"kind":"list"', '"kind":"list","junk":1', id="unknown-field"),
     pytest.param('[[1,"2"],[2,"2"]]', '[[1,"2"],[1,"2"]]', id="alpha-repeated-id"),
     pytest.param('[1,1,"1"]', '[1,0,"1"]', id="beta-repeated-key"),
+    pytest.param('"kind":"list"', '"kind":"list","alpha":[[1,"9"],[2,"9"]]',
+                 id="alpha-field-twice"),
+    pytest.param('"f":"1"', '"f":' + "[" * 100_000, id="nested-too-deep"),
 ])
 def test_malformed_certificate_is_a_schema_error(old, new):
     inst = worked_instance()

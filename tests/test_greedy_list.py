@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stochsched import greedy_time
-from stochsched.core import (Instance, Job, ProcDist, fixed_assignment_cost, list_schedule,
-                             machine_order)
+from stochsched.core import Instance, Job, ProcDist, fixed_assignment_cost, list_schedule
 from stochsched.errors import ForbiddenPairError, SmallMeanWarning
 from stochsched.greedy_list import Assignment, assign, expected_increase, greedy_cost
 
@@ -192,7 +191,8 @@ def test_machine_order_and_list_cost_match_the_fraction_reference():
         for machine in range(1, inst.machines + 1):
             ids = [job.id for job in inst.jobs if job.allows(machine)]
             rng.shuffle(ids)
-            assert machine_order(inst, machine, ids) == reference.machine_order(inst, machine, ids)
+            rows = list_schedule(inst, dict.fromkeys(ids, machine)).get(machine, [])
+            assert [j for j, _, _ in rows] == reference.machine_order(inst, machine, ids)
         greedy = assign(inst).assignment.as_mapping()
         drawn = {job.id: rng.choice(job.permitted) for job in inst.jobs}
         prefix = {j: m for j, m in drawn.items() if j <= rng.randint(1, inst.n)}

@@ -103,10 +103,6 @@ class TestVariantRelations:
 
 
 class TestDuality:
-    def test_dual_names_alias_the_mean_only_variants(self):
-        inst = worked_instance()
-        assert lp.export_lp(lp.build_dual(inst, "D")) == lp.export_lp(lp.build_dual(inst, "P"))
-
     def test_variance_aware_duals_are_refused(self):
         with pytest.raises(ValueError):
             lp.build_dual(worked_instance(), "S")

@@ -134,7 +134,7 @@ def test_lp_models_match_reference_and_certify(seen):
         for variant in lp.VARIANTS:
             model = lp.build_primal(inst, variant)
             _check_certificate(model, lp.solve_lp(model))
-        for variant in ("D", "D_o"):
+        for variant in ("P", "P_o"):
             model = lp.build_dual(inst, variant)
             _check_certificate(model, lp.solve_lp(model))
     assert seen["solved"] == 30 * 6

@@ -5,7 +5,9 @@ accepted at, `beta` the weight still unfinished at each integer slot of
 a reference schedule.  Scaled down by the certificate's divisor pair,
 the tables satisfy the pricing constraints of the time-indexed dual, so
 their objective lower-bounds the LP optimum; that turns a greedy trace
-into a machine-checkable performance proof.
+into a machine-checkable performance proof.  `lp` writes no model of
+that dual: the LP's own optimal dual point is read off the multipliers
+`lp.solve_lp` returns with the primal optimum.
 
 Three kinds:
 
@@ -203,9 +205,10 @@ def build_online_certificate(inst: Instance, f: FractionLike) -> DualCertificate
     return _online_run(inst, f)[0]
 
 
-def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fraction]:
-    """The online certificate and the deterministic speed-f cost, read
-    off one greedy run and its trace."""
+def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fraction, Fraction]:
+    """The online certificate, the deterministic speed-f cost and that
+    cost with each completion rounded up to an integer, read off one
+    greedy run and its trace."""
     f = as_fraction(f)
     if f < 2:
         raise RequiresFGeq2Error(f"online certificates need f >= 2, got {f}")
@@ -216,13 +219,15 @@ def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fract
     time_scale = math.lcm(*[row.completed.denominator for row in trace.jobs])
     scaled = inst.scaled
     schedule: Schedule = {}
+    slot_cost = Fraction(0)
     for row in trace.jobs:
         completed = row.completed
         schedule.setdefault(row.machine, []).append(
             (row.job, scaled.weights[row.job - 1],
              completed.numerator * (time_scale // completed.denominator)))
+        slot_cost += inst.job(row.job).weight * math.ceil(completed)
     beta = _beta_table(schedule, time_scale, scaled.weight_scale)
-    return DualCertificate("online", f, alpha, beta), det_cost
+    return DualCertificate("online", f, alpha, beta), det_cost, slot_cost
 
 
 def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
@@ -397,18 +402,21 @@ def check_online(inst: Instance, f: FractionLike) -> Report:
     """Build and verify the online certificate, f >= 2.
 
     Checks, all exact: pricing feasibility; the deterministic speed-f
-    cost is at most sum(alpha) and equals sum(beta) (the latter needs
-    the deterministic completions to land on integers).  `lower_bound`
-    is the scaled point's objective, at most the online LP optimum by
-    weak duality.  The certificate and the cost read one greedy run and
-    one trace.
+    cost is at most sum(alpha); and sum(beta) equals sum_j w_j ceil(C_j)
+    over the speed-f completions C_j, since beta counts job j's weight
+    at every slot s < C_j.  That sum is the cost itself when every C_j
+    is an integer, which `beta_matches_cost` reports but does not gate.
+    `lower_bound` is the scaled point's objective, at most the online
+    LP optimum by weak duality.  The certificate and the cost read one
+    greedy run and one trace.
     """
-    cert, det_cost = _online_run(inst, f)
+    cert, det_cost, slot_cost = _online_run(inst, f)
     report = verify_certificate(inst, cert)
     cost_le_alpha = det_cost <= cert.alpha_sum
     beta_matches = cert.beta_sum == det_cost
+    passed = report.passed and cost_le_alpha and cert.beta_sum == slot_cost
     return dataclasses.replace(
-        report, name="online-certificate", passed=report.passed and cost_le_alpha and beta_matches,
+        report, name="online-certificate", passed=passed,
         metrics={**report.metrics, "det_cost": det_cost, "cost_le_alpha": cost_le_alpha,
                  "beta_matches_cost": beta_matches, "lower_bound": cert.objective()})
 

@@ -9,14 +9,18 @@ job j under way on machine i inside unit slot [s, s+1):
   S_o  S with variables only at slots s >= r_j
   P_o  P with variables only at slots s >= r_j
 
-Models are plain data; `solve_lp` runs the exact simplex; `export_lp`
+Every model minimizes over nonnegative, named columns.  Models are
+plain data; `solve_lp` runs the exact simplex and returns each row's
+multiplier with the optimum, so the dual of P and P_o is read off the
+primal solve: alpha_j is the multiplier of `need_j`, and beta_{i,s} is
+minus that of `cap_i_s` (0 where the row is absent).  `export_lp`
 writes a canonical versioned text form, TIDX-LP v1.  `y_from_x` turns
 start probabilities into y-mass, a plain mapping (machine, job, slot) ->
 Fraction, and `completion_from_y` prices it under a variant.
 
-The builders compute each coefficient on integers: a pair's mean and
-scv are read once (`_coeff_parts`), and each objective entry, price and
-mass term is one `Fraction` of two ints.  `solve_lp` hands the simplex
+The builder computes each coefficient on integers: a pair's mean and
+scv are read once (`_coeff_parts`), and each objective entry and mass
+term is one `Fraction` of two ints.  `solve_lp` hands the simplex
 dense rows that start as int zeros and hold the model's entries as they
 are, so a zero cell is never a `Fraction`.
 """
@@ -34,13 +38,11 @@ from .report import exact_text
 
 __all__ = [
     "VARIANTS",
-    "Variable",
     "Constraint",
     "LpModel",
     "LpSolution",
     "default_horizon",
     "build_primal",
-    "build_dual",
     "y_from_x",
     "completion_from_y",
     "solve_lp",
@@ -61,12 +63,6 @@ def _is_mean_only(variant: str) -> bool:
 
 
 @dataclass(frozen=True)
-class Variable:
-    name: str
-    free: bool = False
-
-
-@dataclass(frozen=True)
 class Constraint:
     name: str
     coeffs: tuple[tuple[str, Fraction], ...]
@@ -76,9 +72,8 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LpModel:
-    sense: str
     horizon: int
-    variables: tuple[Variable, ...]
+    variables: tuple[str, ...]
     objective: tuple[tuple[str, Fraction], ...]
     constraints: tuple[Constraint, ...]
 
@@ -198,7 +193,7 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
             num = first + start * step
             for s in range(start, T):
                 name = f"y_{machine}_{job.id}_{s}"
-                variables.append(Variable(name))
+                variables.append(name)
                 objective.append((name, Fraction(w_num * num, obj_den)))
                 need.append((name, inv_mean))
                 caps[s].append((name, one))
@@ -215,43 +210,7 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
                    for s, terms in enumerate(cap_rows[machine]) if terms]
     constraints += need_rows
     constraints += mass_rows
-    return LpModel("min", T, tuple(variables), tuple(objective), tuple(constraints))
-
-
-def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> LpModel:
-    """LP dual of the mean-only primal: one free alpha per job, one
-    nonnegative beta per machine and slot, maximizing sum(alpha) minus
-    sum(beta) under the pricing constraints.
-    """
-    if not _is_mean_only(variant):
-        raise ValueError("duals exist for the mean-only variants only (P, P_o)")
-    online = _is_online(variant)
-    T = _horizon(inst, variant, horizon)
-
-    one, minus_one = Fraction(1), Fraction(-1)
-    variables = [Variable(f"alpha_{job.id}", free=True) for job in inst.jobs]
-    objective = [(f"alpha_{job.id}", one) for job in inst.jobs]
-    for machine in range(1, inst.machines + 1):
-        for s in range(T):
-            variables.append(Variable(f"beta_{machine}_{s}"))
-            objective.append((f"beta_{machine}_{s}", minus_one))
-
-    constraints = []
-    for job in inst.jobs:
-        start = job.release if online else 0
-        w_num, w_den = job.weight.numerator, job.weight.denominator
-        alpha = f"alpha_{job.id}"
-        for machine in job.permitted:
-            dist = job.dist(machine)
-            first, step, den = _coeff_parts(variant, dist)
-            inv_mean = 1 / dist.mean
-            for s in range(start, T):
-                # the price is the weighted P coefficient of the pair
-                constraints.append(Constraint(
-                    f"price_{machine}_{job.id}_{s}",
-                    ((alpha, inv_mean), (f"beta_{machine}_{s}", minus_one)),
-                    "<=", Fraction(w_num * (first + s * step), w_den * den)))
-    return LpModel("max", T, tuple(variables), tuple(objective), tuple(constraints))
+    return LpModel(T, tuple(variables), tuple(objective), tuple(constraints))
 
 
 def y_from_x(x: Mapping[tuple[int, int, int], FractionLike],
@@ -315,48 +274,30 @@ def _require_exact(value, constraint: Optional[str], what: str) -> None:
 
 
 def solve_lp(model: LpModel) -> LpSolution:
-    """Exact optimum of the model via two-phase simplex.
+    """Exact minimum of the model via two-phase simplex.
 
-    Free variables are split into positive and negative parts; maximize
-    becomes minimize of the negation.  The returned duals are Lagrange
-    multipliers for the constraints as written: multipliers times the
-    right-hand sides equal the optimal value.  Every objective entry,
-    coefficient and right-hand side must be an int or a Fraction; a
-    float or a bool raises TypeError naming its constraint and
-    variable.  The rows handed to the simplex are dense with int zeros.
+    The returned duals are Lagrange multipliers for the constraints as
+    written: multipliers times the right-hand sides equal the optimal
+    value.  Every objective entry, coefficient and right-hand side must
+    be an int or a Fraction; a float or a bool raises TypeError naming
+    its constraint and variable.  The rows handed to the simplex are
+    dense with int zeros.
     """
-    col_of: dict[str, int] = {}
-    split: dict[str, tuple[int, int]] = {}
-    n_cols = 0
-    for var in model.variables:
-        if var.free:
-            split[var.name] = (n_cols, n_cols + 1)
-            n_cols += 2
-        else:
-            col_of[var.name] = n_cols
-            n_cols += 1
+    col_of = {name: col for col, name in enumerate(model.variables)}
+    n_cols = len(model.variables)
 
     def fill(coeffs, row, owner: Optional[str]) -> None:
         for name, value in coeffs:
             if value.__class__ not in _EXACT:
                 _require_exact(value, owner, f"coefficient of {name!r}")
             col = col_of.get(name)
-            if col is not None:
-                # most columns appear once per row: add only on a repeat
-                row[col] = row[col] + value if row[col] else value
-            elif name in split:
-                plus, minus = split[name]
-                row[plus] += value
-                row[minus] -= value
-            else:
+            if col is None:
                 raise ValueError(f"unknown variable {name!r}")
+            # most columns appear once per row: add only on a repeat
+            row[col] = row[col] + value if row[col] else value
 
     costs = [0] * n_cols
     fill(model.objective, costs, None)
-    if model.sense == "max":
-        costs = [-c for c in costs]
-    elif model.sense != "min":
-        raise ValueError(f"sense must be min or max, got {model.sense!r}")
 
     rows = []
     senses = []
@@ -371,17 +312,7 @@ def solve_lp(model: LpModel) -> LpSolution:
         rhs.append(con.rhs)
 
     value, x, duals = simplex.solve_standard(costs, rows, senses, rhs)
-    if model.sense == "max":
-        value = -value
-        duals = [-d for d in duals]
-
-    primal = {}
-    for var in model.variables:
-        if var.free:
-            plus, minus = split[var.name]
-            primal[var.name] = x[plus] - x[minus]
-        else:
-            primal[var.name] = x[col_of[var.name]]
+    primal = dict(zip(model.variables, x))
     dual = {con.name: duals[i] for i, con in enumerate(model.constraints)}
     return LpSolution(value, primal, dual)
 
@@ -391,16 +322,16 @@ def _terms_str(terms) -> str:
 
 
 def export_lp(model: LpModel) -> str:
-    """Versioned plain text.  First line holds the sense, horizon and
-    objective; then one bound line per variable, one line per
-    constraint, and a closing `end`.  An empty model is the header
-    alone.  Output is canonical: equal models give equal bytes."""
-    header = f"TIDX-LP v1 {model.sense} horizon={model.horizon} obj {_terms_str(model.objective)}".rstrip()
+    """Versioned plain text.  First line holds the sense `min`, the
+    horizon and the objective; then one `nonneg` bound line per
+    variable, one line per constraint, and a closing `end`.  An empty
+    model is the header alone.  Output is canonical: equal models give
+    equal bytes."""
+    header = f"TIDX-LP v1 min horizon={model.horizon} obj {_terms_str(model.objective)}".rstrip()
     if not model.variables and not model.constraints:
         return header + "\n"
     lines = [header]
-    for var in model.variables:
-        lines.append(f"{'free' if var.free else 'nonneg'} {var.name}")
+    lines.extend(f"nonneg {name}" for name in model.variables)
     for con in model.constraints:
         lines.append(f"{con.name}: {_terms_str(con.coeffs)} {con.sense} {exact_text(con.rhs)}")
     lines.append("end")

@@ -16,14 +16,15 @@ schedule, the list cost and the distribution checks written on
 `verify_certificate` scans every pricing row of a dual certificate slot
 by slot in `Fraction`s, and `beta_table` rescans every completion for
 every slot, where the package works per run of equal beta and sweeps
-the completions once.  `objective_coeff`, `build_primal` and
-`build_dual` write each LP coefficient as a `Fraction` expression,
-where the package builds it from integer parts.  `parse_lp` reads
-`lp.export_lp`'s TIDX-LP v1 text back into a model, so the tests can
-check that the export is canonical.  The property tests require exact
-equality between these and the package's versions, so they share no
-code with them beyond the LP model classes and `lp.default_horizon` and
-`lp._check_witness`.
+the completions once.  `objective_coeff` and `build_primal` write
+each LP coefficient as a `Fraction` expression, where the package
+builds it from integer parts; the dual of P and P_o has no builder
+here or in the package, and the tests read it off `lp.solve_lp`'s
+multipliers.  `parse_lp` reads `lp.export_lp`'s TIDX-LP v1 text back
+into a model, so the tests can check that the export is canonical.
+The property tests require exact equality between these and the
+package's versions, so they share no code with them beyond the LP model
+classes and `lp.default_horizon` and `lp._check_witness`.
 """
 from __future__ import annotations
 
@@ -569,7 +570,7 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
             dist = job.dist(machine)
             for s in range(start, T):
                 name = f"y_{machine}_{job.id}_{s}"
-                variables.append(lp.Variable(name))
+                variables.append(name)
                 coeff = objective_coeff(variant, dist, s)
                 objective.append((name, job.weight * coeff))
                 need_rows[job.id].append((name, 1 / dist.mean))
@@ -583,43 +584,15 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
     if not mean_only:
         constraints += [lp.Constraint(f"mass_{job.id}", tuple(mass_rows[job.id]), ">=", Fraction(0))
                         for job in inst.jobs]
-    return lp.LpModel("min", T, tuple(variables), tuple(objective), tuple(constraints))
-
-
-def build_dual(inst: Instance, variant: str, horizon: Optional[int] = None) -> lp.LpModel:
-    """`lp.build_dual` of P or P_o with each price written out as
-    w * ((s + 1/2)/mean + 1/2) in `Fraction`s."""
-    T = lp.default_horizon(inst, variant) if horizon is None else horizon
-    if T < 1:
-        raise HorizonTooSmallError("horizon must be at least 1")
-    if horizon is not None:
-        lp._check_witness(inst, variant, T)
-    variables = [lp.Variable(f"alpha_{job.id}", free=True) for job in inst.jobs]
-    objective = [(f"alpha_{job.id}", Fraction(1)) for job in inst.jobs]
-    for machine in range(1, inst.machines + 1):
-        for s in range(T):
-            variables.append(lp.Variable(f"beta_{machine}_{s}"))
-            objective.append((f"beta_{machine}_{s}", Fraction(-1)))
-    constraints = []
-    for job in inst.jobs:
-        start = job.release if variant.endswith("_o") else 0
-        for machine in job.permitted:
-            mean = job.dist(machine).mean
-            for s in range(start, T):
-                price = job.weight * ((Fraction(s) + Fraction(1, 2)) / mean + Fraction(1, 2))
-                constraints.append(lp.Constraint(
-                    f"price_{machine}_{job.id}_{s}",
-                    ((f"alpha_{job.id}", 1 / mean), (f"beta_{machine}_{s}", Fraction(-1))),
-                    "<=", price))
-    return lp.LpModel("max", T, tuple(variables), tuple(objective), tuple(constraints))
+    return lp.LpModel(T, tuple(variables), tuple(objective), tuple(constraints))
 
 
 # ------------------------------------------------------ TIDX-LP reader
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _HEADER = re.compile(
-    rf"^TIDX-LP v1 (min|max) horizon=(\d+) obj(?: (.*))?$")
-_BOUND = re.compile(rf"^(nonneg|free) ({_NAME})$")
+    rf"^TIDX-LP v1 min horizon=(\d+) obj(?: (.*))?$")
+_BOUND = re.compile(rf"^nonneg ({_NAME})$")
 _CONSTRAINT = re.compile(rf"^({_NAME}): (.*) (<=|>=|=) (-?\d+(?:/\d+)?)$")
 _TERM = re.compile(rf"^(-?\d+(?:/\d+)?) ({_NAME})$")
 
@@ -656,11 +629,11 @@ def parse_lp(text: str) -> lp.LpModel:
     m = _HEADER.match(lines[0])
     if not m:
         raise SchemaError(f"bad header {lines[0]!r}")
-    sense, horizon = m.group(1), int(_number(m.group(2)))
-    objective = _parse_terms(m.group(3) or "")
+    horizon = int(_number(m.group(1)))
+    objective = _parse_terms(m.group(2) or "")
     body = [line for line in lines[1:] if line.strip()]
     if not body:
-        return lp.LpModel(sense, horizon, (), objective, ())
+        return lp.LpModel(horizon, (), objective, ())
     if body[-1] != "end":
         raise SchemaError("missing end line")
     variables = []
@@ -670,11 +643,11 @@ def parse_lp(text: str) -> lp.LpModel:
         if bound:
             if constraints:
                 raise SchemaError("variable bounds must precede constraints")
-            variables.append(lp.Variable(bound.group(2), free=bound.group(1) == "free"))
+            variables.append(bound.group(1))
             continue
         con = _CONSTRAINT.match(line)
         if not con:
             raise SchemaError(f"bad line {line!r}")
         constraints.append(lp.Constraint(con.group(1), _parse_terms(con.group(2)),
                                          con.group(3), _number(con.group(4))))
-    return lp.LpModel(sense, horizon, tuple(variables), objective, tuple(constraints))
+    return lp.LpModel(horizon, tuple(variables), objective, tuple(constraints))

@@ -98,13 +98,14 @@ class TestExitCodes:
         assert cli.main(["list", worked_path]) == 0
         assert "list: PASS" in capsys.readouterr().out
 
-    def test_failed_check_is_one(self, tmp_path, capsys):
-        # two odd unit jobs at f=2 give a half-integral sped trace, so
-        # the exact table identity fails and verify reports it
-        path = tmp_path / "odd.json"
-        path.write_text(cli.emit_instance(point_instance(1, [(1, 0, (1,)), (1, 0, (1,))])))
-        assert cli.main(["verify", str(path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_failed_check_is_one(self, worked_path, monkeypatch, capsys):
+        # a speed certificate check that fails fails list and verify
+        check_speedf = dualfit.check_speedf
+        monkeypatch.setattr(dualfit, "check_speedf", lambda *args: dataclasses.replace(
+            check_speedf(*args), passed=False))
+        for sub in ("list", "verify"):
+            assert cli.main([sub, worked_path]) == 1
+            assert "[FAIL] speed-certificate" in capsys.readouterr().out
 
     def test_schema_error_is_two(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

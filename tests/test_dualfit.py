@@ -176,6 +176,28 @@ class TestOnlineCertificate:
             report = dualfit.check_online(inst, F(2))
             assert report.passed, report.violations
 
+    def test_fractional_completion_passes(self):
+        # mean 3/2: the completion is 3/2, so beta counts the weight at
+        # slots 0 and 1 and sums to 2 = w * ceil(C), not to the cost
+        inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 2: F(1, 2)}),))])
+        report = dualfit.check_online(inst, F(2))
+        assert report.passed, report.violations
+        assert report.metrics["det_cost"] == F(3, 2)
+        assert report.metrics["beta_sum"] == 2
+        assert report.metrics["beta_matches_cost"] is False
+
+    def test_fractional_completions_pass(self):
+        rng = random.Random(90)
+        fractional = 0
+        for _ in range(40):
+            inst = random_instance(rng, max_jobs=5, max_machines=3, releases=True)
+            for f in (F(2), F(5, 2)):
+                report = dualfit.check_online(inst, f)
+                assert report.passed, report.violations
+                trace, _ = greedy_time.deterministic_schedule(inst, f, greedy_time.assign(inst, f))
+                fractional += any(row.completed.denominator > 1 for row in trace.jobs)
+        assert fractional >= 60  # 78 of the 80 runs
+
     def test_mutation_is_caught(self):
         inst = worked_instance()
         cert = dualfit.build_online_certificate(inst, F(2))

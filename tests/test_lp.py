@@ -37,8 +37,7 @@ class TestKnownOptima:
     def test_online_release_shifts_slots(self):
         inst = _single(ProcDist.point(1), release=2)
         model = lp.build_primal(inst, "P_o")
-        assert all(int(v.name.rsplit("_", 1)[1]) >= 2
-                   for v in model.variables)
+        assert all(int(name.rsplit("_", 1)[1]) >= 2 for name in model.variables)
         assert lp.solve_lp(model).value == 3
 
     def test_worked_instance_values(self):
@@ -65,7 +64,7 @@ class TestHorizon:
         assert lp.solve_lp(lp.build_primal(inst, "P", horizon=4)).value == 4
 
     def test_default_horizon_holds_the_greedy_witness(self):
-        # build_primal and build_dual skip the witness at the default
+        # build_primal skips the witness at the default
         rng = random.Random(61)
         for _ in range(40):
             inst = random_instance(rng, max_machines=3, max_jobs=6, max_value=5,
@@ -102,34 +101,50 @@ class TestVariantRelations:
             assert z_o >= z
 
 
+def _dual_point(inst: Instance, variant: str):
+    """The optimum of P or P_o and the dual point its multipliers give:
+    alpha_j of need_j, beta_(i, s) minus that of cap_i_s, 0 where no
+    cap row exists."""
+    model = lp.build_primal(inst, variant)
+    solution = lp.solve_lp(model)
+    alpha = {job.id: solution.dual[f"need_{job.id}"] for job in inst.jobs}
+    beta = {(machine, s): -solution.dual.get(f"cap_{machine}_{s}", 0)
+            for machine in range(1, inst.machines + 1) for s in range(model.horizon)}
+    return solution.value, alpha, beta
+
+
 class TestDuality:
-    def test_variance_aware_duals_are_refused(self):
-        with pytest.raises(ValueError):
-            lp.build_dual(worked_instance(), "S")
+    """The dual of P and P_o read off the primal solve: free alpha_j,
+    beta_is >= 0, and the price row alpha_j/mean - beta_is <=
+    w_j((s + 1/2)/mean + 1/2) for each permitted pair, at s >= r_j on
+    P_o."""
 
     def test_strong_duality_on_random_instances(self):
         rng = random.Random(61)
         for _ in range(15):
             inst = random_instance(rng, max_machines=2, max_jobs=3, max_value=4,
                                    releases=rng.random() < 0.5)
-            variant = "P_o" if inst.has_releases else "P"
-            primal = lp.solve_lp(lp.build_primal(inst, variant))
-            dual = lp.solve_lp(lp.build_dual(inst, variant))
-            assert primal.value == dual.value
+            for variant in ("P", "P_o"):
+                value, alpha, beta = _dual_point(inst, variant)
+                assert all(b >= 0 for b in beta.values())
+                assert sum(alpha.values()) - sum(beta.values()) == value
 
-    def test_dual_solution_is_price_feasible(self):
-        inst = worked_instance()
-        solution = lp.solve_lp(lp.build_dual(inst, "P"))
-        model = lp.build_primal(inst, "P")
-        T = model.horizon
-        for job in inst.jobs:
-            for machine in job.permitted:
-                mean = job.dist(machine).mean
-                for s in range(T):
-                    lhs = solution.primal[f"alpha_{job.id}"] / mean
-                    rhs = (solution.primal[f"beta_{machine}_{s}"]
-                           + job.weight * ((F(s) + F(1, 2)) / mean + F(1, 2)))
-                    assert lhs <= rhs
+    def test_dual_point_is_price_feasible(self):
+        rng = random.Random(62)
+        instances = [worked_instance()] + [
+            random_instance(rng, max_machines=3, max_jobs=4, max_value=4, releases=True)
+            for _ in range(15)]
+        for inst in instances:
+            for variant in ("P", "P_o"):
+                _, alpha, beta = _dual_point(inst, variant)
+                for job in inst.jobs:
+                    start = job.release if variant == "P_o" else 0
+                    for machine in job.permitted:
+                        mean = job.dist(machine).mean
+                        for (i, s), b in beta.items():
+                            if i == machine and s >= start:
+                                price = job.weight * ((F(s) + F(1, 2)) / mean + F(1, 2))
+                                assert alpha[job.id] / mean - b <= price
 
 
 class TestYMass:
@@ -194,24 +209,21 @@ class TestSerialization:
             text = lp.export_lp(model)
             assert reference.parse_lp(text) == model
             assert lp.export_lp(reference.parse_lp(text)) == text
-        model = lp.build_dual(inst, "P")
-        assert reference.parse_lp(lp.export_lp(model)) == model
 
     def test_empty_model_is_header_only(self):
-        model = lp.LpModel("min", 1, (), (), ())
+        model = lp.LpModel(1, (), (), ())
         text = lp.export_lp(model)
         assert text == "TIDX-LP v1 min horizon=1 obj\n"
         assert reference.parse_lp(text) == model
 
     def test_single_variable_no_constraints_is_three_lines(self):
-        model = lp.LpModel("min", 1, (lp.Variable("y_1_1_0"),),
-                           (("y_1_1_0", F(1)),), ())
+        model = lp.LpModel(1, ("y_1_1_0",), (("y_1_1_0", F(1)),), ())
         text = lp.export_lp(model)
         assert len(text.splitlines()) == 3
         assert reference.parse_lp(text) == model
 
     def test_model_is_its_fields_alone(self):
-        # plain data: no derived view beside the five fields
+        # plain data: no derived view beside the four fields
         assert [name for name in vars(lp.LpModel) if not name.startswith("_")] == []
 
 
@@ -228,7 +240,7 @@ def _typed(model: lp.LpModel):
     """The model with every number paired with its type."""
     def terms(pairs):
         return tuple((name, type(v), v) for name, v in pairs)
-    return (model.sense, model.horizon, model.variables, terms(model.objective),
+    return (model.horizon, model.variables, terms(model.objective),
             tuple((c.name, terms(c.coeffs), c.sense, type(c.rhs), c.rhs)
                   for c in model.constraints))
 
@@ -274,15 +286,6 @@ class TestAgainstReference:
         assert seen == {*lp.VARIANTS, "releases", "forbidden pairs", "fractional weights",
                         "fractional means", "too small", "chosen horizon"}
 
-    def test_build_dual_matches_reference(self):
-        rng = random.Random(1011)
-        for _ in range(60):
-            inst = _fractional_instance(rng)
-            for variant in ("P", "P_o"):
-                horizon = rng.choice([None, lp.default_horizon(inst, variant) + rng.randint(-3, 2)])
-                self._check(_outcome(lp.build_dual, inst, variant, horizon),
-                            _outcome(reference.build_dual, inst, variant, horizon))
-
     def test_completion_from_y_matches_reference(self):
         rng = random.Random(1012)
         for _ in range(40):
@@ -306,8 +309,7 @@ def _model_with(place: str, value) -> lp.LpModel:
     objective = (("x", value if place == "objective" else two), ("y", two))
     coeffs = (("x", two), ("y", value if place == "coefficient" else two))
     rhs = value if place == "rhs" else two
-    return lp.LpModel("min", 1, (lp.Variable("x"), lp.Variable("y")), objective,
-                      (lp.Constraint("c1", coeffs, ">=", rhs),))
+    return lp.LpModel(1, ("x", "y"), objective, (lp.Constraint("c1", coeffs, ">=", rhs),))
 
 
 @pytest.mark.parametrize("bad", [True, 2.0])

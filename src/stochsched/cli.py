@@ -196,9 +196,11 @@ def _run_time(config: RunConfig) -> Report:
     estimate = greedy_time.estimate_cost(inst, config.f, config.samples, config.seed,
                                          assignment, config.mode)
     # the bound judges the forced-idle policy, so a max-proc run draws
-    # that policy's estimate for it
-    forced = estimate if config.mode == "forced-idle" else greedy_time.estimate_cost(
-        inst, config.f, config.samples, config.seed, assignment)
+    # that policy's estimate for it; on point masses the bound is exact
+    # and reads no estimate
+    forced = (estimate if config.mode == "forced-idle" or inst.deterministic
+              else greedy_time.estimate_cost(inst, config.f, config.samples, config.seed,
+                                             assignment))
     bound = oracle.check_lemma5(inst, config.f, assignment, forced)
     rows = []
     for job in inst.jobs:

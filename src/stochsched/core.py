@@ -4,9 +4,10 @@ Everything exact: probabilities, weights and all derived quantities are
 `fractions.Fraction` or integers over a known common denominator, so
 identities tested elsewhere hold to the bit.  `ProcDist` checks its
 probabilities and sums its moments as integer counts over the lcm of
-their denominators.  `Instance.scaled` holds every weight and mean as an
-integer over one weight scale and one mean scale; the greedy dispatch
-and `list_schedule` run on it and build a `Fraction` only for what they
+their denominators.  `Instance.scaled`, built with the instance in the
+pass that validates it, holds every weight and mean as an integer over
+one weight scale and one mean scale; the greedy dispatch and
+`list_schedule` run on it and build a `Fraction` only for what they
 return.  `list_schedule` is the one kernel of the expected-duration list
 schedule: the list cost, the list and speed beta tables (`dualfit`), the
 per-job bounds (`oracle`), the serving order of `greedy_time` and the LP
@@ -130,29 +131,39 @@ class ProcDist:
     pmf: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, pmf: Union[Mapping[int, FractionLike], Iterable[tuple[int, FractionLike]]]):
-        items = pmf.items() if isinstance(pmf, Mapping) else pmf
+        kind = pmf.__class__
+        items = (pmf.items() if kind is dict or (kind is not tuple and isinstance(pmf, Mapping))
+                 else pmf)
         norm: dict[int, Fraction] = {}
         for value, prob in items:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if ((value.__class__ is not int
+                 and (not isinstance(value, int) or isinstance(value, bool))) or value < 0):
                 raise ValueError(f"support value {value!r} must be a nonnegative integer")
-            p = as_fraction(prob)
+            p = prob if prob.__class__ is Fraction else as_fraction(prob)
             if p.numerator <= 0:
                 raise ValueError(f"probability of {value} must be positive, got {p}")
             if value in norm:
                 p += norm[value]
             norm[value] = p
-        pmf = tuple(sorted(norm.items()))
         # probability k is counts[k] / scale, so the sum check and the
         # moments are integer sums
-        scale = math.lcm(*[p.denominator for _, p in pmf])
-        counts = tuple([p.numerator * (scale // p.denominator) for _, p in pmf])
-        total = sum(counts)
+        if len(norm) == 1:
+            pmf = tuple(norm.items())
+            scale = pmf[0][1].denominator
+        else:
+            pmf = tuple(sorted(norm.items()))
+            scale = math.lcm(*[p.denominator for _, p in pmf])
+        counts = []
+        total = first = 0
+        for value, p in pmf:
+            count = p.numerator * (scale // p.denominator)
+            counts.append(count)
+            total += count
+            first += value * count
         if total != scale:
             raise ProbSumError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-        object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "mean", Fraction(self._power_sum(1), scale))
+        self.__dict__.update(pmf=pmf, _counts=tuple(counts), _scale=scale,
+                             mean=Fraction(first, scale))
 
     def _power_sum(self, power: int) -> int:
         """sum_v v^power c_v: the moment of that power times `_scale`."""
@@ -235,20 +246,22 @@ class Job:
 
     def __init__(self, id: int, weight: FractionLike, release: int,
                  proc: Sequence[Optional[ProcDist]]):
-        if not isinstance(id, int) or isinstance(id, bool) or id < 1:
+        if ((id.__class__ is not int
+             and (not isinstance(id, int) or isinstance(id, bool))) or id < 1):
             raise ValueError(f"job id must be a positive integer, got {id!r}")
-        w = as_fraction(weight)
-        if w <= 0:
+        w = weight if weight.__class__ is Fraction else as_fraction(weight)
+        if w.numerator <= 0:
             raise ValueError(f"job {id}: weight must be positive, got {w}")
-        if not isinstance(release, int) or isinstance(release, bool) or release < 0:
+        if ((release.__class__ is not int
+             and (not isinstance(release, int) or isinstance(release, bool))) or release < 0):
             raise ValueError(f"job {id}: release must be a nonnegative integer")
         proc = tuple(proc)
-        if not any(d is not None for d in proc):
+        for d in proc:
+            if d is not None:
+                break  # stop at the first permitted machine
+        else:
             raise UnschedulableError(f"job {id} is forbidden on every machine")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "release", release)
-        object.__setattr__(self, "proc", proc)
+        self.__dict__.update(id=id, weight=w, release=release, proc=proc)
 
     @property
     def permitted(self) -> tuple[int, ...]:
@@ -283,59 +296,70 @@ class Scaled(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
-    """m unrelated machines and jobs numbered 1..n in arrival order."""
+    """m unrelated machines and jobs numbered 1..n in arrival order.
+
+    Construction validates the jobs and, in the same pass over every
+    distinct distribution, builds the integer view `scaled` and records
+    `deterministic`, whether every permitted pair's distribution is a
+    point mass.  Neither is a field."""
 
     machines: int
     jobs: tuple[Job, ...]
 
     def __init__(self, machines: int, jobs: Sequence[Job]):
-        if not isinstance(machines, int) or isinstance(machines, bool) or machines < 1:
+        if ((machines.__class__ is not int
+             and (not isinstance(machines, int) or isinstance(machines, bool))) or machines < 1):
             raise ValueError("machine count must be a positive integer")
         jobs = tuple(jobs)
         small = 0
-        # id()s are stable here: the jobs keep every distribution alive
-        seen_dists: dict[int, ProcDist] = {}
+        deterministic = True
+        release = 0
+        weight_scale = mean_scale = 1
+        # id()s are stable here: the jobs keep every row and distribution alive
+        rows: set[int] = set()
+        means: dict[int, Fraction] = {}
         for pos, job in enumerate(jobs, start=1):
             if job.id != pos:
                 raise ValueError(f"job ids must be 1..n in order; position {pos} has id {job.id}")
             if len(job.proc) != machines:
                 raise ValueError(f"job {job.id} lists {len(job.proc)} machines, expected {machines}")
-            if pos > 1 and job.release < jobs[pos - 2].release:
+            if job.release < release:
                 raise ValueError(f"releases must be nondecreasing in id; job {job.id} breaks this")
+            release = job.release
+            if job.weight.denominator != 1:
+                weight_scale = math.lcm(weight_scale, job.weight.denominator)
+            if id(job.proc) in rows:
+                continue  # shared row already read
+            rows.add(id(job.proc))
             for d in job.proc:
-                if d is None or id(d) in seen_dists:
+                if d is None or id(d) in means:
                     continue  # shared distribution already validated
-                seen_dists[id(d)] = d
-                mean = d.mean
+                mean = means[id(d)] = d.mean
                 if mean.numerator == 0:
                     raise ZeroMeanError(
                         f"job {job.id} has zero expected processing time on some machine")
-                if mean.numerator < mean.denominator:
-                    small += 1
+                if mean.denominator != 1:
+                    mean_scale = math.lcm(mean_scale, mean.denominator)
+                    if mean.numerator < mean.denominator:
+                        small += 1
+                if deterministic and len(d.pmf) != 1:
+                    deterministic = False
         if small:
             warnings.warn(
                 "some machine/job pairs have expected processing time < 1; "
                 "approximation guarantees assume means >= 1",
                 SmallMeanWarning, stacklevel=2)
-        object.__setattr__(self, "machines", machines)
-        object.__setattr__(self, "jobs", jobs)
-        object.__setattr__(self, "_dists", seen_dists)
+        scaled = Scaled(
+            weight_scale, mean_scale,
+            tuple([job.weight.numerator * (weight_scale // job.weight.denominator)
+                   for job in jobs]),
+            {key: m.numerator * (mean_scale // m.denominator) for key, m in means.items()})
+        self.__dict__.update(machines=machines, jobs=jobs, scaled=scaled,
+                             deterministic=deterministic)
 
     def __reduce__(self):
-        # rebuild rather than copy state: `_dists` and `scaled` key by id()
+        # rebuild rather than copy state: `scaled` keys by id()
         return Instance, (self.machines, self.jobs)
-
-    @cached_property
-    def scaled(self) -> Scaled:
-        """The integer view, built on first use."""
-        means = [(key, d.mean) for key, d in self._dists.items()]
-        weights = [job.weight for job in self.jobs]
-        mean_scale = math.lcm(*[m.denominator for _, m in means])
-        weight_scale = math.lcm(*[w.denominator for w in weights])
-        return Scaled(
-            weight_scale, mean_scale,
-            tuple([w.numerator * (weight_scale // w.denominator) for w in weights]),
-            {key: m.numerator * (mean_scale // m.denominator) for key, m in means})
 
     @property
     def n(self) -> int:
@@ -355,11 +379,6 @@ class Instance:
     @property
     def has_releases(self) -> bool:
         return any(job.release > 0 for job in self.jobs)
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether every permitted pair's distribution is a point mass."""
-        return all(d.is_point for d in self._dists.values())
 
 
 @dataclass(frozen=True)
@@ -404,19 +423,6 @@ def max_scv(inst: Instance) -> Fraction:
     return best
 
 
-def _priority_order(inst: Instance, machine: int,
-                    job_ids: Iterable[int]) -> list[tuple[int, int, int]]:
-    """(id, scaled weight, scaled mean) of each job on `machine`, ratio
-    descending and id ascending.  The sort key w * K / mean is an exact
-    integer: K is the lcm of the scaled means."""
-    scaled = inst.scaled
-    weights, means = scaled.weights, scaled.means
-    rows = [(j, weights[j - 1], means[id(inst.job(j).dist(machine))]) for j in job_ids]
-    common = math.lcm(*{mean for _, _, mean in rows})
-    rows.sort(key=lambda row: (-row[1] * (common // row[2]), row[0]))
-    return rows
-
-
 def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> Schedule:
     """The expected-duration list schedule: each machine serves its jobs
     by ratio, ties by id, processing times at their means, releases
@@ -424,21 +430,31 @@ def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> Schedule:
     its jobs.  Per machine, in the order of its first job in
     `assignment`: the (job id, weight, completion) rows in serving
     order, weights over `inst.scaled.weight_scale` and completions over
-    `inst.scaled.mean_scale`."""
-    per_machine: dict[int, list[int]] = {}
+    `inst.scaled.mean_scale`.  A machine with two or more jobs sorts
+    them by the key w * K / mean, ratio descending and id ascending,
+    which is an exact integer: K is the lcm of their scaled means."""
+    jobs = inst.jobs
+    scaled = inst.scaled
+    weights, means = scaled.weights, scaled.means
+    # per machine: (id, scaled weight, scaled mean) of each of its jobs
+    per_machine: dict[int, list[tuple[int, int, int]]] = {}
     for job_id, machine in assignment.items():
-        job = inst.job(job_id)
-        if not job.allows(machine):
+        job = jobs[job_id - 1]
+        dist = job.proc[machine - 1]
+        if dist is None:
             raise ForbiddenPairError(f"job {job.id} assigned to forbidden machine {machine}")
-        per_machine.setdefault(machine, []).append(job.id)
+        per_machine.setdefault(machine, []).append((job.id, weights[job.id - 1], means[id(dist)]))
     schedule: Schedule = {}
-    for machine, ids in per_machine.items():
+    for machine, rows in per_machine.items():
+        if len(rows) > 1:
+            common = math.lcm(*{mean for _, _, mean in rows})
+            rows.sort(key=lambda row: (-row[1] * (common // row[2]), row[0]))
         clock = 0
-        rows = []
-        for job_id, weight, mean in _priority_order(inst, machine, ids):
+        served = []
+        for job_id, weight, mean in rows:
             clock += mean
-            rows.append((job_id, weight, clock))
-        schedule[machine] = rows
+            served.append((job_id, weight, clock))
+        schedule[machine] = served
     return schedule
 
 

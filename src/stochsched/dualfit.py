@@ -165,6 +165,16 @@ def _beta_table(schedule: Schedule, time_scale: int, weight_scale: int,
     return beta
 
 
+def _slot_cost(schedule: Schedule, time_scale: int, weight_scale: int) -> Fraction:
+    """sum_j w_j ceil(C_j) over the rows of `schedule`, weights over
+    `weight_scale` and completions over `time_scale`.  A beta table read
+    off the schedule counts job j's weight at every slot s < C_j, so its
+    sum must equal this."""
+    total = sum([weight * -(-completion // time_scale)
+                 for rows in schedule.values() for _, weight, completion in rows])
+    return Fraction(total, weight_scale)
+
+
 def build_list_certificate(inst: Instance, run: ListRun) -> DualCertificate:
     """Tables of the list greedy: accepted scores and the unfinished
     weight per slot of its expected-duration schedule.  Halving both
@@ -219,15 +229,14 @@ def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fract
     time_scale = math.lcm(*[row.completed.denominator for row in trace.jobs])
     scaled = inst.scaled
     schedule: Schedule = {}
-    slot_cost = Fraction(0)
     for row in trace.jobs:
         completed = row.completed
         schedule.setdefault(row.machine, []).append(
             (row.job, scaled.weights[row.job - 1],
              completed.numerator * (time_scale // completed.denominator)))
-        slot_cost += inst.job(row.job).weight * math.ceil(completed)
     beta = _beta_table(schedule, time_scale, scaled.weight_scale)
-    return DualCertificate("online", f, alpha, beta), det_cost, slot_cost
+    return (DualCertificate("online", f, alpha, beta), det_cost,
+            _slot_cost(schedule, time_scale, scaled.weight_scale))
 
 
 def _pricing_coefficients(cert: DualCertificate) -> tuple[int, int, int, int, int, int]:
@@ -372,12 +381,23 @@ def verify_certificate(inst: Instance, cert: DualCertificate) -> Report:
 
 def check_list_feasibility(inst: Instance, run: ListRun) -> Report:
     """Build and verify the list certificate of `run`, with the
-    bookkeeping identities between its tables and the run's cost."""
+    bookkeeping identities between its tables and the run's cost.
+
+    Passing needs pricing feasibility and sum(beta) = sum_j w_j ceil(C_j)
+    over the expected completions C_j of `run.schedule`, since beta
+    counts job j's weight at every slot s < C_j.  That sum is the cost
+    itself when every C_j is an integer; `beta_matches_alg` reports
+    whether sum(beta) equals the cost, so it reads no whenever some C_j
+    is fractional, and does not gate."""
     cert = build_list_certificate(inst, run)
     report = verify_certificate(inst, cert)
-    return dataclasses.replace(report, name="list-certificate", metrics={
-        **report.metrics, "alg_value": run.cost, "alpha_matches_alg": cert.alpha_sum == run.cost,
-        "beta_matches_alg": cert.beta_sum == run.cost})
+    scaled = inst.scaled
+    slot_cost = _slot_cost(run.schedule, scaled.mean_scale, scaled.weight_scale)
+    return dataclasses.replace(
+        report, name="list-certificate", passed=report.passed and cert.beta_sum == slot_cost,
+        metrics={**report.metrics, "alg_value": run.cost,
+                 "alpha_matches_alg": cert.alpha_sum == run.cost,
+                 "beta_matches_alg": cert.beta_sum == run.cost})
 
 
 def check_speedf(inst: Instance, f: FractionLike, run: ListRun) -> Report:

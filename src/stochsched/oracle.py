@@ -87,28 +87,30 @@ def det_opt(inst: Instance) -> Fraction:
     """
     if not inst.deterministic:
         raise ValueError("the deterministic optimum needs point-mass distributions")
-    released = inst.has_releases
-    limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
-    if inst.n > limit:
-        raise TooLargeError(f"{inst.n} jobs exceeds the exhaustive limit of {limit}")
-    if not inst.n:
+    jobs = inst.jobs
+    if not jobs:
         return Fraction(0)  # the tables below need a job to size `never`
+    last_release = jobs[-1].release  # releases are nondecreasing in id
+    released = last_release > 0
+    limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
+    if len(jobs) > limit:
+        raise TooLargeError(f"{len(jobs)} jobs exceeds the exhaustive limit of {limit}")
 
-    scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
-    weight = [job.weight.numerator * (scale // job.weight.denominator) for job in inst.jobs]
-    release = [job.release for job in inst.jobs]
+    scale = math.lcm(*[job.weight.denominator for job in jobs])
+    weight = [job.weight.numerator * (scale // job.weight.denominator) for job in jobs]
+    release = [job.release for job in jobs]
     # durations[j][i] of job j on machine i, None where i forbids j
-    durations = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in inst.jobs]
+    durations = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in jobs]
     # a schedule starting every job as early as it can ends each job by the
     # last release plus every job's longest duration, so costs less than this
-    never = 1 + sum(weight) * (max(release) + sum(
-        max(p for p in row if p is not None) for row in durations))
+    never = 1 + sum(weight) * (last_release + sum(
+        [max([p for p in row if p is not None]) for row in durations]))
     if released:
         chains = [_released_chain(weight, release, column, never) for column in zip(*durations)]
     else:
         chains = [_smith_chain(weight, column, never) for column in zip(*durations)]
 
-    everyone = (1 << inst.n) - 1
+    everyone = (1 << len(jobs)) - 1
     *middle, last = chains
     # the first machine's chain is its best; with none, only the empty set is done
     best = middle.pop(0) if middle else [0] + [never] * everyone
@@ -607,11 +609,12 @@ def check_lemma5(inst: Instance, f: FractionLike, assignment: greedy_list.Assign
     `assignment`, the greedy's `greedy_time.assign(inst, f)`, and
     `estimate`, a forced-idle `greedy_time.estimate_cost` on it (the
     bound is stated for that policy, so another mode is refused).
-    Point-mass instances are checked exactly on the single trace;
-    otherwise the Monte Carlo mean must stay within three intervals.
+    Point-mass instances are checked exactly on the single trace and
+    `estimate` is not read; otherwise the Monte Carlo mean must stay
+    within three intervals.
     """
     f = as_fraction(f)
-    if estimate.mode != "forced-idle":
+    if not inst.deterministic and estimate.mode != "forced-idle":
         raise ValueError(f"the bound needs a forced-idle estimate, got {estimate.mode}")
     bounds = _lemma5_bounds(inst, f, assignment)
 

@@ -462,6 +462,14 @@ def test_each_subcommand_runs_the_greedy_once(argv, expected, tmp_path, monkeypa
     assert _count_work([argv[0], str(path), *argv[1:]], monkeypatch) == expected
 
 
+def test_max_proc_on_point_masses_draws_one_estimate(worked_path, monkeypatch):
+    # the per-job bound is exact on point masses and reads no estimate,
+    # so no forced-idle one is drawn beside the max-proc one
+    argv = ["time", worked_path, "--samples", "20", "--mode", "max-proc"]
+    assert _count_work(argv, monkeypatch) == {
+        "online": 1, "estimate_cost": 1, "deterministic_schedule": 1}
+
+
 def test_cached_parser_survives_usage_errors(worked_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     assert cli.main(["list", worked_path, "--mode", "max-proc"]) == 6

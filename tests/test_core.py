@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 import math
 import pickle
@@ -293,6 +294,116 @@ class TestJobAndInstance:
         assert max_scv(inst) == 0
         mixed = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
         assert max_scv(mixed) == F(1, 4)
+
+
+def _random_items(rng: random.Random, broken: float = 0.25) -> list[tuple[object, object]]:
+    """A pmf as (value, probability) items, unsorted, with repeated
+    values now and then and probabilities as str, int or Fraction; a
+    share `broken` of them is broken in one of the ways `ProcDist`
+    refuses."""
+    values = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+    raw = [rng.randint(1, 9) for _ in values]
+    total = sum(raw)
+    items = []
+    for value, count in zip(values, raw):
+        p = F(count, total)
+        spelled = rng.choice((p, f"{count * 2}/{total * 2}", str(p)))
+        items.append((value, 1 if p == 1 and rng.random() < 0.5 else spelled))
+    if rng.random() < broken:
+        k = rng.randrange(len(items))
+        value, p = items[k]
+        items[k] = rng.choice((
+            (value, F(as_fraction(p) * 2)), (value, 0), (value, "-1/3"), (value, 2),
+            (-1, p), (True, p), (1.0, p), (str(value), p), (value, 0.5), (value, True)))
+    rng.shuffle(items)
+    return items
+
+
+def _outcome(build, items):
+    """What `build` returns for `items`, or the class and text it raises."""
+    try:
+        return build(items)
+    except (ValueError, TypeError, ProbSumError) as exc:
+        return type(exc), str(exc)
+
+
+class _Rank(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+class TestConstructorFastPaths:
+    """The constructors test exact classes before `isinstance` and skip
+    work for one-point pmfs; these hold them to the plain `Fraction`
+    checks of `reference` on every spelling of the input."""
+
+    def test_random_pmfs_match_the_reference(self):
+        rng = random.Random(419)
+        refused = zero_mean = 0
+        for _ in range(2000):
+            items = _random_items(rng)
+            expected = _outcome(reference.normalize_pmf, items)
+            forms = [tuple(items), list(items), (item for item in items)]
+            if len({value for value, _ in items}) == len(items):
+                forms.append(dict(items))
+            for form in forms:
+                got = _outcome(ProcDist, form)
+                if not isinstance(got, ProcDist):
+                    assert got == expected, items
+                    continue
+                assert got.pmf == expected, items
+                if got.mean == 0:
+                    with pytest.raises(ZeroMeanError):
+                        got.scv
+                    assert got.second_moment == 0
+                else:
+                    assert (got.mean, got.second_moment, got.scv) == reference.moments(got.pmf)
+            refused += isinstance(expected[0], type)
+            zero_mean += expected == ((0, F(1)),)
+        assert 300 < refused < 700 and zero_mean > 10
+
+    def test_scaled_matches_a_fraction_recomputation(self):
+        rng = random.Random(421)
+        for _ in range(200):
+            machines = rng.randint(1, 3)
+            pool = [ProcDist(_random_items(rng, broken=0)) for _ in range(8)]
+            pool = [d for d in pool if d.mean > 0]
+            if not pool:
+                continue
+            jobs = []
+            for j in range(1, rng.randint(1, 6) + 1):
+                # per slot a shared distribution, an equal copy of one or
+                # none; now and then the previous job's row itself
+                if jobs and rng.random() < 0.3:
+                    row = jobs[-1].proc
+                else:
+                    row = [rng.choice((rng.choice(pool), ProcDist(rng.choice(pool).pmf), None))
+                           for _ in range(machines)]
+                    row[0] = row[0] or pool[0]
+                weight = F(rng.randint(1, 9), rng.randint(1, 4))
+                jobs.append(Job(j, weight, 0, row))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SmallMeanWarning)
+                inst = Instance(machines, jobs)
+            dists = {id(d): d for job in jobs for d in job.proc if d is not None}
+            weight_scale = math.lcm(*[job.weight.denominator for job in jobs])
+            means = {key: reference.moments(d.pmf)[0] for key, d in dists.items()}
+            mean_scale = math.lcm(*[mean.denominator for mean in means.values()])
+            scaled = inst.scaled
+            assert (scaled.weight_scale, scaled.mean_scale) == (weight_scale, mean_scale)
+            assert scaled.weights == tuple(job.weight * weight_scale for job in jobs)
+            assert scaled.means == {key: mean * mean_scale for key, mean in means.items()}
+            assert inst.deterministic == all(len(d.pmf) == 1 for d in dists.values())
+
+    def test_int_subclasses_other_than_bool_are_accepted(self):
+        d = ProcDist({_Rank.THREE: 1})
+        assert d == ProcDist.point(3) and d.mean == 3
+        assert ProcDist([(_Rank.ONE, F(1, 2)), (_Rank.THREE, "1/2")]).mean == 2
+        job = Job(_Rank.ONE, 2, _Rank.TWO, (d,))
+        assert job == Job(1, 2, 2, (ProcDist.point(3),))
+        inst = Instance(_Rank.ONE, [job])
+        assert inst.machines == 1 and inst.scaled.means == {id(d): 3}
 
 
 class TestPriorityOrder:

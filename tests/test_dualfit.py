@@ -52,6 +52,33 @@ class TestListCertificate:
         assert report.metrics["alpha_matches_alg"] is True
         assert report.metrics["beta_matches_alg"] is True
 
+    def test_fractional_completion_passes(self):
+        # mean 3/2: the completion is 3/2, so beta counts the weight at
+        # slots 0 and 1 and sums to 2 = w * ceil(C), not to the cost
+        inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 2: F(1, 2)}),))])
+        report = dualfit.check_list_feasibility(inst, dualfit.list_run(inst))
+        assert report.passed, report.violations
+        assert report.metrics["alg_value"] == F(3, 2)
+        assert report.metrics["beta_sum"] == 2
+        assert report.metrics["beta_matches_alg"] is False
+
+    def test_raised_beta_entry_fails_the_sum_gate(self, monkeypatch):
+        # a larger beta entry only adds slack, so feasibility alone passes it
+        inst = worked_instance()
+        run = dualfit.list_run(inst)
+        honest = dualfit.build_list_certificate(inst, run)
+
+        def raised(inst, run):
+            beta = dict(honest.beta)
+            beta[(1, 0)] += 1
+            return dataclasses.replace(honest, beta=beta)
+
+        monkeypatch.setattr(dualfit, "build_list_certificate", raised)
+        report = dualfit.check_list_feasibility(inst, run)
+        assert report.violations == ()
+        assert report.metrics["beta_sum"] == honest.beta_sum + 1
+        assert not report.passed
+
     def test_single_job_slack_is_half_weight(self):
         # one unit job: alpha = 1, beta_0 = 1; slot 0 gives
         # 1 <= 1 + 1*(0+1), slack 1; slot 1 gives 1 <= 0 + 2

@@ -393,12 +393,21 @@ class TestPerJobBound:
 
     def test_shared_estimate_must_be_the_forced_idle_draws(self):
         two_point = ProcDist({1: F(1, 2), 3: F(1, 2)})
-        stochastic = Instance(2, [Job(1, F(1), 0, (two_point, two_point)),
-                                  Job(2, F(2), 1, (two_point, None)),
-                                  Job(3, F(1), 2, (None, two_point))])
-        # refused on the exact point-mass path too, which never reads it
-        for inst in (stochastic, worked_instance()):
-            assignment = greedy_time.assign(inst, F(2))
-            other = greedy_time.estimate_cost(inst, F(2), 30, 4, assignment, "max-proc")
-            with pytest.raises(ValueError, match="forced-idle estimate"):
-                oracle.check_lemma5(inst, F(2), assignment, other)
+        inst = Instance(2, [Job(1, F(1), 0, (two_point, two_point)),
+                            Job(2, F(2), 1, (two_point, None)),
+                            Job(3, F(1), 2, (None, two_point))])
+        assignment = greedy_time.assign(inst, F(2))
+        other = greedy_time.estimate_cost(inst, F(2), 30, 4, assignment, "max-proc")
+        with pytest.raises(ValueError, match="forced-idle estimate, got max-proc"):
+            oracle.check_lemma5(inst, F(2), assignment, other)
+
+    def test_exact_path_reads_no_estimate(self):
+        # on point masses the bound is judged on the single trace, so the
+        # estimate's mode does not matter and its draws are never read
+        inst = worked_instance()
+        assignment = greedy_time.assign(inst, F(2))
+        forced = oracle.check_lemma5(inst, F(2), assignment, greedy_time.estimate_cost(
+            inst, F(2), 10, 0, assignment))
+        for other in (greedy_time.estimate_cost(inst, F(2), 30, 4, assignment, "max-proc"),
+                      greedy_time.estimate_cost(inst, F(2), 1, 9, assignment)):
+            assert oracle.check_lemma5(inst, F(2), assignment, other) == forced

@@ -3,7 +3,8 @@
 Instances travel as versioned JSON (`SCHED v1`) with rationals encoded
 as "p/q" strings; float literals are rejected outright so results never
 depend on parsing luck.  Reports render as human text, a flat CSV
-table, or JSON mirroring the Report structure.  Output bytes are a pure
+table, or JSON mirroring the Report structure, written in one pass with
+the bytes `json.dumps(..., indent=2)` gives.  Output bytes are a pure
 function of (instance, flags, seed).
 
 Exit codes are stable: 0 all checks passed, 1 a check failed, 2 schema
@@ -17,9 +18,11 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -37,7 +40,7 @@ from .errors import (
     UnschedulableError,
     ZeroMeanError,
 )
-from .report import Report, exact_text, jsonable
+from .report import Report, Violation, exact_text
 
 __all__ = ["RunConfig", "parse_instance", "emit_instance", "run", "render", "main"]
 
@@ -167,7 +170,7 @@ def _run_list(config: RunConfig) -> Report:
     run, feasibility, speed = _list_checks(inst, config.f)
     assignment, increases = run.greedy
     alg = run.cost
-    optimum = lp.solve_lp(lp.build_primal(inst, "P", config.horizon)).value
+    optimum = lp.optimum(inst, "P", config.horizon)
     factor = config.f * config.f / (config.f - 1)  # _list_checks has refused f < 2
     chain_ok = alg <= factor * optimum
     weak_ok = speed.metrics["objective_actual"] <= optimum
@@ -261,7 +264,7 @@ def _run_verify(config: RunConfig) -> Report:
     inst, f = config.instance, config.f
     _, feasibility, speed = _list_checks(inst, f)
     online = dualfit.check_online(inst, f)
-    optimum = lp.solve_lp(lp.build_primal(inst, "P_o", config.horizon)).value
+    optimum = lp.optimum(inst, "P_o", config.horizon)
     bound_ok = online.metrics["lower_bound"] <= optimum
     chain_ok = online.metrics["det_cost"] <= 3 * f / (f - 1) * optimum
     online = replace(online, passed=online.passed and bound_ok and chain_ok, metrics={
@@ -429,13 +432,101 @@ def _render_csv(report: Report) -> str:
     return buffer.getvalue()
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# the scalar classes a report holds, each with its JSON text; a Fraction
+# is its exact 'p/q' string
+_JSON_SCALARS = {
+    str: _json_string,
+    Fraction: lambda value: f'"{exact_text(value)}"',
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    type(None): lambda value: "null",
+    float: _json_float,
+}
+
+
+def _write_object(items, out: list, pad: str) -> None:
+    """(key text, value) pairs as a JSON object, its entries one level
+    deeper than `pad`, a newline and the enclosing indent."""
+    inner = pad + "  "
+    opener = "{"
+    for key, value in items:
+        scalar = _JSON_SCALARS.get(value.__class__)
+        if scalar is not None:
+            out.append(f"{opener}{inner}{key}: {scalar(value)}")
+        else:
+            out.append(f"{opener}{inner}{key}: ")
+            _write_json(value, out, inner)
+        opener = ","
+    out.append("{}" if opener == "{" else pad + "}")
+
+
+def _write_json(value, out: list, pad: str) -> None:
+    """Append `value` as `json.dumps(..., indent=2)` spells it, after the
+    report pieces are converted as README's JSON section describes: a
+    Report or Violation is an object, a rational its 'p/q' text, a tuple
+    a list, a mapping an object with `str` keys."""
+    scalar = _JSON_SCALARS.get(value.__class__)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, Report):
+        metrics = value.metrics
+        if value.checks or value.rows:  # the last keys inside "metrics"
+            metrics = dict(metrics)
+            if value.checks:
+                metrics["checks"] = value.checks
+            if value.rows:
+                metrics["rows"] = value.rows
+        _write_object((('"name"', value.name), ('"passed"', value.passed), ('"metrics"', metrics),
+                       ('"violations"', value.violations), ('"min_slack"', value.min_slack)),
+                      out, pad)
+    elif isinstance(value, Violation):
+        _write_object((('"constraint"', value.constraint), ('"lhs"', value.lhs),
+                       ('"rhs"', value.rhs), ('"slack"', value.slack)), out, pad)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            opener = ","
+            _write_json(item, out, inner)
+        out.append(pad + "]")
+    elif isinstance(value, Mapping):
+        _write_object([(_json_string(str(k)), v) for k, v in value.items()], out, pad)
+    else:  # a subclass, such as an IntEnum, is written as its scalar base
+        base = next((c for c in value.__class__.__mro__ if c in _JSON_SCALARS), None)
+        if base is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(_JSON_SCALARS[base](value))
+
+
+def _render_json(report: Report) -> str:
+    out: list[str] = []
+    _write_json(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def render(report: Report, fmt: str) -> str:
     if fmt == "human":
         return _render_human(report)
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "json":
-        return json.dumps(jsonable(report), indent=2) + "\n"
+        return _render_json(report)
     raise ValueError(f"format must be one of {FORMATS}")
 
 

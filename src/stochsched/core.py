@@ -70,7 +70,7 @@ def as_fraction(value: FractionLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def strict_fraction(value: object, where: str) -> Fraction:
@@ -78,11 +78,15 @@ def strict_fraction(value: object, where: str) -> Fraction:
     an integer or 'p/q' in ASCII digits with an optional sign.  Anything
     else, such as a float, a bool, a decimal point, an exponent or a zero
     denominator, raises SchemaError naming `where`, so a short text can
-    never stand for a huge integer."""
-    if ((isinstance(value, int) and not isinstance(value, bool))
-            or (isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value))):
+    never stand for a huge integer.  A string's value is built from the
+    pattern's own digit groups."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        p, q = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
             pass
     raise SchemaError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")

@@ -278,8 +278,10 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
 
     Each replication draws from its own child generator keyed by
     (seed, index), so results are reproducible for a fixed (seed,
-    samples).  Event times inside a replication are floats; serving
-    priority still uses exact ratios.
+    samples).  On point masses every replication is the same trace, so
+    one is simulated and its sums are added once per sample.  Event
+    times inside a replication are floats; serving priority still uses
+    exact ratios.
     """
     f = _check_f_and_mode(f, mode)
     if samples < 1:
@@ -302,7 +304,8 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     total_sum = total_sq = 0.0
     job_sum = [0.0] * inst.n
     job_sq = [0.0] * inst.n
-    for rep in range(samples):
+    draws, repeats = (1, samples) if inst.deterministic else (samples, 1)
+    for rep in range(draws):
         rng = random.Random(f"{seed}:{rep}")
         completions = [0.0] * inst.n
         total = 0.0
@@ -316,11 +319,12 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
             for job_id, _, _, end in _run_machine(drawn_entries):
                 completions[job_id - 1] = end
                 total += weights[job_id - 1] * end
-        total_sum += total
-        total_sq += total * total
-        for j, end in enumerate(completions):
-            job_sum[j] += end
-            job_sq[j] += end * end
+        for _ in range(repeats):
+            total_sum += total
+            total_sq += total * total
+            for j, end in enumerate(completions):
+                job_sum[j] += end
+                job_sq[j] += end * end
 
     mean, ci = _mean_ci(total_sum, total_sq, samples)
     per_job = [_mean_ci(s, ssq, samples) for s, ssq in zip(job_sum, job_sq)]

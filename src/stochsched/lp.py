@@ -18,11 +18,17 @@ writes a canonical versioned text form, TIDX-LP v1.  `y_from_x` turns
 start probabilities into y-mass, a plain mapping (machine, job, slot) ->
 Fraction, and `completion_from_y` prices it under a variant.
 
-The builder computes each coefficient on integers: a pair's mean and
-scv are read once (`_coeff_parts`), and each objective entry and mass
-term is one `Fraction` of two ints.  `solve_lp` hands the simplex
-dense rows that start as int zeros and hold the model's entries as they
-are, so a zero cell is never a `Fraction`.
+`optimum` returns the optimal value alone, for callers that print
+nothing else: it hands the simplex the model's rows with no model, no
+names and no primal or dual built, and the simplex takes the same
+pivots as on `solve_lp(build_primal(...))`.
+
+Both lay their columns out by one walk, `_columns`, which reads a
+pair's mean and scv once (`_coeff_parts`) and gives its objective
+numerators over one integer denominator.  The builder makes each
+objective entry and mass term one `Fraction` of two ints.  `solve_lp`
+hands the simplex dense rows that start as int zeros and hold the
+model's entries as they are, so a zero cell is never a `Fraction`.
 """
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ __all__ = [
     "LpSolution",
     "default_horizon",
     "build_primal",
+    "optimum",
     "y_from_x",
     "completion_from_y",
     "solve_lp",
@@ -159,6 +166,21 @@ def _coeff_parts(variant: str, dist: ProcDist) -> tuple[int, int, int]:
     return b * e + a * (e - c), 2 * b * e, 2 * a * e
 
 
+def _columns(inst: Instance, variant: str, T: int):
+    """The model's columns in order, one entry per permitted (job,
+    machine) pair: the job, the machine, the pair's distribution, its
+    first slot, and its objective numerators first + s * step over `den`
+    (`_coeff_parts`, before the weight), one per slot s up to T - 1.
+    `build_primal` and `optimum` both lay their columns out by it."""
+    online = _is_online(variant)
+    for job in inst.jobs:
+        start = job.release if online else 0
+        for machine in job.permitted:
+            dist = job.dist(machine)
+            first, step, den = _coeff_parts(variant, dist)
+            yield job, machine, dist, start, range(first + start * step, first + T * step, step), den
+
+
 def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) -> LpModel:
     """Time-indexed relaxation of the chosen variant at the horizon.
 
@@ -166,51 +188,96 @@ def build_primal(inst: Instance, variant: str, horizon: Optional[int] = None) ->
     range only shrinks the feasible set, so the truncated optimum is
     never below the untruncated one.
     """
-    online = _is_online(variant)
+    _is_online(variant)  # validates the name before the horizon is read
     mean_only = _is_mean_only(variant)
     T = _horizon(inst, variant, horizon)
 
     one = Fraction(1)
     variables = []
     objective = []
-    need_rows = []
-    mass_rows = []
+    need_rows: dict[int, list[tuple[str, Fraction]]] = {job.id: [] for job in inst.jobs}
+    mass_rows: dict[int, list[tuple[str, Fraction]]] = {job.id: [] for job in inst.jobs}
     # per machine, the cap row of each slot
     cap_rows: dict[int, list[list[tuple[str, Fraction]]]] = {}
-    for job in inst.jobs:
-        start = job.release if online else 0
-        w_num, w_den = job.weight.numerator, job.weight.denominator
-        need = []
-        mass = []
-        for machine in job.permitted:
-            dist = job.dist(machine)
-            first, step, den = _coeff_parts(variant, dist)
-            inv_mean = 1 / dist.mean
-            obj_den = w_den * den
-            caps = cap_rows.get(machine)
-            if caps is None:
-                caps = cap_rows[machine] = [[] for _ in range(T)]
-            num = first + start * step
-            for s in range(start, T):
-                name = f"y_{machine}_{job.id}_{s}"
-                variables.append(name)
-                objective.append((name, Fraction(w_num * num, obj_den)))
-                need.append((name, inv_mean))
-                caps[s].append((name, one))
-                if not mean_only and num != den:
-                    # zero terms would not survive serialization anyway
-                    mass.append((name, Fraction(num - den, den)))
-                num += step
-        need_rows.append(Constraint(f"need_{job.id}", tuple(need), "=", one))
-        if not mean_only:
-            mass_rows.append(Constraint(f"mass_{job.id}", tuple(mass), ">=", Fraction(0)))
+    for job, machine, dist, start, nums, den in _columns(inst, variant, T):
+        w_num = job.weight.numerator
+        obj_den = job.weight.denominator * den
+        inv_mean = 1 / dist.mean
+        need = need_rows[job.id]
+        mass = mass_rows[job.id]
+        caps = cap_rows.get(machine)
+        if caps is None:
+            caps = cap_rows[machine] = [[] for _ in range(T)]
+        for s, num in zip(range(start, T), nums):
+            name = f"y_{machine}_{job.id}_{s}"
+            variables.append(name)
+            objective.append((name, Fraction(w_num * num, obj_den)))
+            need.append((name, inv_mean))
+            caps[s].append((name, one))
+            if not mean_only and num != den:
+                # zero terms would not survive serialization anyway
+                mass.append((name, Fraction(num - den, den)))
 
     constraints = [Constraint(f"cap_{machine}_{s}", tuple(terms), "<=", one)
                    for machine in sorted(cap_rows)
                    for s, terms in enumerate(cap_rows[machine]) if terms]
-    constraints += need_rows
-    constraints += mass_rows
+    constraints += [Constraint(f"need_{job_id}", tuple(terms), "=", one)
+                    for job_id, terms in need_rows.items()]
+    if not mean_only:
+        constraints += [Constraint(f"mass_{job_id}", tuple(terms), ">=", Fraction(0))
+                        for job_id, terms in mass_rows.items()]
     return LpModel(T, tuple(variables), tuple(objective), tuple(constraints))
+
+
+def optimum(inst: Instance, variant: str, horizon: Optional[int] = None) -> Fraction:
+    """The optimal value of `build_primal(inst, variant, horizon)`, with
+    no model built: the same columns and rows in the same order go to the
+    simplex, with no names and no primal or dual read back.
+
+    The costs are ints over one common denominator, and so are the cap
+    rows.  The need and mass rows keep their rationals: phase 1 weights
+    each row's artificial by the inverse of the scale the simplex finds
+    for the row, so a row handed over already scaled to ints could send
+    phase 1 down other pivots.  As they are, the simplex takes the pivots
+    it takes on `solve_lp(build_primal(...))`.
+    """
+    _is_online(variant)  # validates the name before the horizon is read
+    mean_only = _is_mean_only(variant)
+    T = _horizon(inst, variant, horizon)
+    columns = list(_columns(inst, variant, T))
+    n = sum(len(nums) for *_, nums, _ in columns)
+    cost_scale = math.lcm(*(job.weight.denominator * den for job, *_, den in columns))
+
+    costs = []
+    need_rows = {job.id: [0] * n for job in inst.jobs}
+    mass_rows = {job.id: [0] * n for job in inst.jobs} if not mean_only else {}
+    # (machine, slot) -> the columns of its cap row
+    cap_cols: dict[tuple[int, int], list[int]] = {}
+    col = 0
+    for job, machine, dist, start, nums, den in columns:
+        weight = job.weight
+        cost_factor = weight.numerator * (cost_scale // (weight.denominator * den))
+        costs += [cost_factor * num for num in nums]
+        end = col + len(nums)
+        need_rows[job.id][col:end] = [1 / dist.mean] * len(nums)
+        if not mean_only:
+            mass_rows[job.id][col:end] = [Fraction(num - den, den) if num != den else 0
+                                          for num in nums]
+        for s in range(start, T):
+            cap_cols.setdefault((machine, s), []).append(col)
+            col += 1
+
+    cap_rows = []
+    for key in sorted(cap_cols):
+        row = [0] * n
+        for c in cap_cols[key]:
+            row[c] = 1
+        cap_rows.append(row)
+    rows = [*cap_rows, *need_rows.values(), *mass_rows.values()]
+    senses = ["<="] * len(cap_rows) + ["="] * len(need_rows) + [">="] * len(mass_rows)
+    rhs = [1] * (len(cap_rows) + len(need_rows)) + [0] * len(mass_rows)
+    value, _, _ = simplex.solve_standard(costs, rows, senses, rhs)
+    return value / cost_scale
 
 
 def y_from_x(x: Mapping[tuple[int, int, int], FractionLike],

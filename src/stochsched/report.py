@@ -1,4 +1,8 @@
-"""Structured results for certificate and bound checks."""
+"""Structured results for certificate and bound checks.
+
+A `Report` is plain data that `cli.render` writes as human text, CSV
+or JSON.  `exact_text` spells an exact rational in every output.
+"""
 from __future__ import annotations
 
 import sys
@@ -7,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-__all__ = ["Scalar", "Violation", "Report", "exact_text", "jsonable"]
+__all__ = ["Scalar", "Violation", "Report", "exact_text"]
 
 Scalar = Union[Fraction, float, int, bool, str, None]
 
@@ -50,33 +54,3 @@ def exact_text(value: Fraction) -> str:
     except ValueError:
         raise ValueError(f"a result needs more than {sys.get_int_max_str_digits()} digits "
                          "to print exactly") from None
-
-
-def jsonable(value):
-    """Recursively convert report pieces to JSON-safe primitives;
-    rationals become canonical 'p/q' strings so nothing is rounded.
-    Sub-checks, then rows, are the last keys inside "metrics", present
-    only when nonempty."""
-    if isinstance(value, Report):
-        metrics = {k: jsonable(v) for k, v in value.metrics.items()}
-        if value.checks:
-            metrics["checks"] = jsonable(value.checks)
-        if value.rows:
-            metrics["rows"] = jsonable(value.rows)
-        return {
-            "name": value.name,
-            "passed": value.passed,
-            "metrics": metrics,
-            "violations": [jsonable(v) for v in value.violations],
-            "min_slack": jsonable(value.min_slack),
-        }
-    if isinstance(value, Violation):
-        return {"constraint": value.constraint, "lhs": jsonable(value.lhs),
-                "rhs": jsonable(value.rhs), "slack": jsonable(value.slack)}
-    if isinstance(value, Fraction):
-        return exact_text(value)
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    return value

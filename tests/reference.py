@@ -22,9 +22,12 @@ builds it from integer parts; the dual of P and P_o has no builder
 here or in the package, and the tests read it off `lp.solve_lp`'s
 multipliers.  `parse_lp` reads `lp.export_lp`'s TIDX-LP v1 text back
 into a model, so the tests can check that the export is canonical.
-The property tests require exact equality between these and the
-package's versions, so they share no code with them beyond the LP model
-classes and `lp.default_horizon` and `lp._check_witness`.
+`jsonable` turns a report into JSON-safe primitives, and
+`json.dumps(jsonable(report), indent=2)` is the byte oracle of the
+package's one-pass JSON writer.  The property tests require exact
+equality between these and the package's versions, so they share no
+code with them beyond the LP model classes, `lp.default_horizon`,
+`lp._check_witness` and `report.exact_text`.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from stochsched.core import Instance, as_fraction, priority_split
 from stochsched.errors import (ForbiddenPairError, HorizonTooSmallError, InfeasibleError, ProbSumError,
                                SchemaError, UnboundedError)
 from stochsched.greedy_list import Assignment, GreedyRun
-from stochsched.report import Report, Violation
+from stochsched.report import Report, Violation, exact_text
 
 
 def stoch_opt(inst: Instance) -> Fraction:
@@ -651,3 +654,36 @@ def parse_lp(text: str) -> lp.LpModel:
         constraints.append(lp.Constraint(con.group(1), _parse_terms(con.group(2)),
                                          con.group(3), _number(con.group(4))))
     return lp.LpModel(horizon, tuple(variables), objective, tuple(constraints))
+
+
+# ------------------------------------------------------ JSON report oracle
+
+def jsonable(value):
+    """Recursively convert report pieces to JSON-safe primitives;
+    rationals become canonical 'p/q' strings so nothing is rounded.
+    Sub-checks, then rows, are the last keys inside "metrics", present
+    only when nonempty.  `json.dumps(jsonable(report), indent=2) + "\\n"`
+    is the byte oracle of `cli.render(report, "json")`."""
+    if isinstance(value, Report):
+        metrics = {k: jsonable(v) for k, v in value.metrics.items()}
+        if value.checks:
+            metrics["checks"] = jsonable(value.checks)
+        if value.rows:
+            metrics["rows"] = jsonable(value.rows)
+        return {
+            "name": value.name,
+            "passed": value.passed,
+            "metrics": metrics,
+            "violations": [jsonable(v) for v in value.violations],
+            "min_slack": jsonable(value.min_slack),
+        }
+    if isinstance(value, Violation):
+        return {"constraint": value.constraint, "lhs": jsonable(value.lhs),
+                "rhs": jsonable(value.rhs), "slack": jsonable(value.slack)}
+    if isinstance(value, Fraction):
+        return exact_text(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value

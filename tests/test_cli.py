@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import enum
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -14,7 +16,7 @@ import pytest
 from stochsched import cli, dualfit, greedy_list, greedy_time, lp
 from stochsched.core import Instance, Job, ProcDist
 from stochsched.errors import SchemaError
-from stochsched.report import Report, Violation, jsonable
+from stochsched.report import Report, Violation
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -352,7 +354,7 @@ class TestReport:
                        violations=(Violation("c", F(2), F(1)),), min_slack=F(-1))
         report = Report("parent", False, {"x": F(3), "y": 1.5},
                         checks=(child,), rows=({"k": 1, "v": F(1, 3)},))
-        payload = jsonable(report)
+        payload = json.loads(cli.render(report, "json"))
         assert list(payload) == ["name", "passed", "metrics", "violations", "min_slack"]
         assert list(payload["metrics"]) == ["x", "y", "checks", "rows"]
         assert payload["metrics"]["checks"][0]["violations"] == [
@@ -360,7 +362,155 @@ class TestReport:
         assert payload["metrics"]["rows"] == [{"k": 1, "v": "1/3"}]
 
     def test_json_omits_empty_checks_and_rows(self):
-        assert jsonable(Report("r", True, {"x": 1}))["metrics"] == {"x": 1}
+        assert json.loads(cli.render(Report("r", True, {"x": 1}), "json"))["metrics"] == {"x": 1}
+
+
+def _json_oracle(report: Report) -> str:
+    return json.dumps(reference.jsonable(report), indent=2) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+_STRINGS = ("", "plain", "na\u00efve \u2713", "tab\there\r\n", "nul\x00 bell\x07 del\x7f",
+            'quote" back\\slash /', "\u2028\u2029", "\U0001f600", "\ud800 lone surrogate")
+_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -2.5e-310, 0.1, 1.5)
+_KEYS = ("alpha", "na\u00efve \u2713", "tab\t", "checks", "rows")
+
+
+def _number(rng: random.Random):
+    return (F(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.5
+            else rng.choice(_FLOATS))
+
+
+def _scalar(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(11)
+    if kind == 0:
+        return rng.choice(_STRINGS)
+    if kind == 1:
+        return rng.choice(_FLOATS)
+    if kind == 2:
+        return rng.choice([0, -1, 10 ** 1000, -(10 ** 400) - 7])
+    if kind == 3:
+        return rng.choice([*_Level, _Text("sub\u00e9"), _Real(-2.5), _Real(math.inf)])
+    if kind == 4:
+        return rng.random() < 0.5
+    if kind == 5:
+        return None
+    if kind == 6:
+        return F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+    if kind == 7 and depth < 2:
+        return tuple(_scalar(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if kind == 8 and depth < 2:
+        return {rng.choice([2, None, 1.5, "k", "\u00e9"]): _scalar(rng, depth + 1)
+                for _ in range(rng.randint(0, 3))}
+    return rng.randint(-9, 9)
+
+
+def _generated_report(rng: random.Random, depth: int = 0) -> Report:
+    """A report of every piece a JSON rendering can meet, nested by sub-checks."""
+    return Report(
+        name=rng.choice(_STRINGS),
+        passed=rng.random() < 0.5,
+        metrics={rng.choice(_KEYS): _scalar(rng) for _ in range(rng.randint(0, 4))},
+        violations=tuple(Violation(rng.choice(_STRINGS), _number(rng), _number(rng))
+                         for _ in range(rng.randint(0, 2))),
+        min_slack=rng.choice([None, _number(rng)]),
+        checks=tuple(_generated_report(rng, depth + 1)
+                     for _ in range(rng.randint(0, 2) if depth < 3 else 0)),
+        rows=tuple({rng.choice([*_KEYS, 3, 2.5, None, True]): _scalar(rng)
+                    for _ in range(rng.randint(0, 3))}
+                   for _ in range(rng.randint(0, 3))),
+    )
+
+
+def _pieces(report: Report):
+    """Every report and scalar inside `report`, depth first."""
+    yield report
+    for violation in report.violations:
+        yield from (violation.lhs, violation.rhs)
+    yield report.min_slack
+    for value in [*report.metrics.values(), *(v for row in report.rows for v in row.values())]:
+        yield from _pieces(value) if isinstance(value, Report) else (value,)
+    for child in report.checks:
+        yield from _pieces(child)
+
+
+class TestJsonWriter:
+    """`render(report, "json")` against `json.dumps` of
+    `reference.jsonable(report)`, byte for byte."""
+
+    def test_every_golden_report(self, tmp_path, monkeypatch):
+        reports = []
+        render = cli.render
+
+        def recording(report, fmt):
+            reports.append(report)
+            return render(report, fmt)
+
+        monkeypatch.setattr(cli, "render", recording)
+        _cli_outputs(tmp_path)
+        assert {r.name for r in reports} == {"list", "time", "lp", "verify", "oracle",
+                                             "lowerbound", "appendix"}
+        for report in reports:
+            assert render(report, "json") == _json_oracle(report)
+
+    def test_generated_reports(self):
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(400):
+            report = _generated_report(rng)
+            assert cli.render(report, "json") == _json_oracle(report)
+            for piece in _pieces(report):
+                if isinstance(piece, Report):
+                    seen.update(name for name, present in (
+                        ("no checks", not piece.checks), ("nested checks", piece.checks),
+                        ("no rows", not piece.rows), ("rows", piece.rows),
+                        ("empty row", any(not row for row in piece.rows)),
+                        ("no violations", not piece.violations),
+                        ("violations", piece.violations),
+                        ("checks key", "checks" in piece.metrics and piece.checks),
+                    ) if present)
+                elif isinstance(piece, float):
+                    seen.add(repr(piece))
+                elif isinstance(piece, _Level):
+                    seen.add("IntEnum")
+                elif piece.__class__ is int and abs(piece) > 10 ** 300:
+                    seen.add("huge int")
+                elif isinstance(piece, str) and not piece.isascii():
+                    seen.add("non-ASCII")
+                elif isinstance(piece, str) and any(ord(c) < 32 for c in piece):
+                    seen.add("control character")
+        assert seen >= {"no checks", "nested checks", "no rows", "rows", "empty row",
+                        "no violations", "violations", "checks key", "nan", "inf", "-inf",
+                        "-0.0", "1e+300", "IntEnum", "huge int", "non-ASCII",
+                        "control character"}
+
+    @pytest.mark.parametrize("value, error", [
+        (F(10 ** 4400, 3), ValueError),
+        (10 ** 4400, ValueError),
+        ({1, 2}, TypeError),
+        (object(), TypeError),
+        (1j, TypeError),
+    ], ids=["fraction-past-digit-limit", "int-past-digit-limit", "set", "object", "complex"])
+    def test_refusals_match_json(self, value, error):
+        child = Report("child", True, {"x": 1}, rows=({"bad": value},))
+        report = Report("r", False, {"a": F(1, 2)}, checks=(child,))
+        with pytest.raises(error) as ours:
+            cli.render(report, "json")
+        with pytest.raises(error) as theirs:
+            _json_oracle(report)
+        assert str(ours.value) == str(theirs.value)
 
 
 # ------------------------------------------------------------ malformed input

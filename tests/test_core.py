@@ -11,9 +11,10 @@ import pytest
 
 from stochsched.core import (
     Instance, Job, ProcDist, as_fraction, fixed_assignment_cost, list_schedule,
-    max_scv, priority_split,
+    max_scv, priority_split, strict_fraction,
 )
-from stochsched.errors import ProbSumError, SmallMeanWarning, UnschedulableError, ZeroMeanError
+from stochsched.errors import (ProbSumError, SchemaError, SmallMeanWarning, UnschedulableError,
+                               ZeroMeanError)
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -32,6 +33,27 @@ def test_as_fraction_rejects_floats_and_bools():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         as_fraction(True)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("3/6", F(1, 2)), ("+4", F(4)), ("-0", F(0)), (7, F(7)), ("-12/8", F(-3, 2)),
+    ("0007/0014", F(1, 2)),
+], ids=["reduced", "plus-sign", "minus-zero", "int", "negative-p-over-q", "leading-zeros"])
+def test_strict_fraction_accepts(value, expected):
+    got = strict_fraction(value, "where")
+    assert got.__class__ is Fraction and got == expected
+
+
+@pytest.mark.parametrize("value", [
+    True, 1.5, " 1", "1 ", "1_0", "\u0661", "1/0", "1/-2", "1e3", "0x1", "1/2/3", "", "+",
+    "1" * 4301, "1/" + "1" * 4301, None,
+], ids=["bool", "float", "leading-space", "trailing-space", "underscore", "arabic-indic-digit",
+        "zero-denominator", "signed-denominator", "exponent", "hex", "two-slashes", "empty",
+        "sign-alone", "4301-digit-numerator", "4301-digit-denominator", "null"])
+def test_strict_fraction_refuses_naming_where(value):
+    with pytest.raises(SchemaError) as info:
+        strict_fraction(value, "jobs[0].w")
+    assert str(info.value) == f"jobs[0].w: rationals are integers or 'p/q' strings, got {value!r}"
 
 
 class TestProcDist:

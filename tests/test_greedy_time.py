@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochsched.core import Instance, Job, ProcDist
+from stochsched.core import Instance, Job, ProcDist, list_schedule
 from stochsched import greedy_list as gl
 from stochsched import greedy_time as gt
 
@@ -244,6 +244,42 @@ class TestEstimate:
                     assert est.per_job_mean == tuple(float(t.completed) for t in exact.jobs)
         assert seen == {"releases", "forbidden pairs", "fractional weights"}
 
+    @pytest.mark.parametrize("point_masses", [True, False], ids=["point-masses", "stochastic"])
+    def test_point_masses_simulate_one_replication(self, monkeypatch, point_masses):
+        # weights p/q with q = 3 or 7 make the summed floats inexact, so
+        # adding one trace `samples` times must repeat the old order
+        rng = random.Random(2020 if point_masses else 2021)
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        checked = 0
+        while checked < 30:
+            inst = random_instance(rng, max_machines=3, max_jobs=5, releases=True)
+            if not point_masses and inst.deterministic:
+                continue  # a draw of point masses alone
+            checked += 1
+            if point_masses:
+                inst = Instance(inst.machines, [
+                    Job(job.id, F(rng.randint(1, 20), rng.choice([3, 7])), job.release,
+                        tuple(None if d is None else ProcDist.point(d.max_value) for d in job.proc))
+                    for job in inst.jobs])
+            assert inst.deterministic is point_masses
+            f = rng.choice([F(1), F(2), F(5, 2)])
+            samples, seed = rng.randint(1, 40), rng.randint(0, 99)
+            assignment = gt.assign(inst, f)
+            for mode in gt.MODES:
+                expected = _per_replication_estimate(inst, f, samples, seed, assignment, mode)
+                built.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(gt.random, "Random", Counted)
+                    est = gt.estimate_cost(inst, f, samples, seed, assignment, mode)
+                assert est == expected
+                assert built == [f"{seed}:{rep}" for rep in range(1 if point_masses else samples)]
+
     def test_distinct_seeds_agree_statistically(self):
         inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
         hits = 0
@@ -253,3 +289,44 @@ class TestEstimate:
             if abs(a.mean - b.mean) <= a.ci95 + b.ci95:
                 hits += 1
         assert hits >= 18
+
+
+def _per_replication_estimate(inst, f, samples, seed, assignment, mode):
+    """`estimate_cost` as it ran before point masses took one trace:
+    every replication draws from its own generator and adds its sums."""
+    forced = mode == "forced-idle"
+    layout = []
+    for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
+        entries = []
+        for rank, (job_id, _, _) in enumerate(ranked):
+            job = inst.job(job_id)
+            dist = job.dist(machine)
+            entries.append((float(max(f * job.release, dist.mean)), rank, job_id,
+                            float(dist.mean) if forced else 0.0, dist))
+        layout.append(entries)
+    weights = [float(job.weight) for job in inst.jobs]
+    total_sum = total_sq = 0.0
+    job_sum = [0.0] * inst.n
+    job_sq = [0.0] * inst.n
+    for rep in range(samples):
+        rng = random.Random(f"{seed}:{rep}")
+        completions = [0.0] * inst.n
+        total = 0.0
+        for entries in layout:
+            drawn_entries = []
+            for release, rank, job_id, hold, dist in entries:
+                drawn = float(dist.sample(rng))
+                proc = drawn if forced else max(drawn, float(dist.mean))
+                drawn_entries.append((release, rank, job_id, hold, proc))
+            for job_id, _, _, end in gt._run_machine(drawn_entries):
+                completions[job_id - 1] = end
+                total += weights[job_id - 1] * end
+        total_sum += total
+        total_sq += total * total
+        for j, end in enumerate(completions):
+            job_sum[j] += end
+            job_sq[j] += end * end
+    mean, ci = gt._mean_ci(total_sum, total_sq, samples)
+    per_job = [gt._mean_ci(s, ssq, samples) for s, ssq in zip(job_sum, job_sq)]
+    return gt.CostEstimate(mean, ci, samples, tuple(m for m, _ in per_job),
+                           tuple(c for _, c in per_job), mode, seed)

@@ -5,7 +5,7 @@ import pytest
 
 from stochsched.core import Instance, Job, ProcDist, max_scv
 from stochsched.errors import HorizonTooSmallError, NotAPolicyDistributionError
-from stochsched import lp
+from stochsched import lp, simplex
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -301,6 +301,112 @@ class TestAgainstReference:
                     coeff = reference.objective_coeff(variant, dists[(machine, job_id)], s)
                     expected[job_id] = expected.get(job_id, F(0)) + mass * coeff
                 assert lp.completion_from_y(y, variant, dists) == expected
+
+
+def _small_fractional_instance(rng: random.Random) -> Instance:
+    """`_fractional_instance` at most 2 x 3 with supports up to 4, small
+    enough for the reference simplex on every variant."""
+    inst = random_instance(rng, max_machines=2, max_jobs=3, max_value=4,
+                           releases=rng.random() < 0.5, max_release=4)
+    return Instance(inst.machines, [
+        Job(job.id, F(rng.randint(1, 9), rng.randint(1, 3)), job.release, job.proc)
+        for job in inst.jobs])
+
+
+def _reference_value(model: lp.LpModel) -> Fraction:
+    """The model's optimum by `reference.solve_standard` on dense rows."""
+    col = {name: j for j, name in enumerate(model.variables)}
+
+    def dense(terms):
+        row = [F(0)] * len(col)
+        for name, value in terms:
+            row[col[name]] += value
+        return row
+
+    value, _, _ = reference.solve_standard(
+        dense(model.objective), [dense(c.coeffs) for c in model.constraints],
+        [c.sense for c in model.constraints], [c.rhs for c in model.constraints])
+    return value
+
+
+def _error_text(fn, *args):
+    with pytest.raises(HorizonTooSmallError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestOptimum:
+    """`lp.optimum` against the optimum of the built model, solved by
+    `solve_lp` and by the reference simplex on the reference model."""
+
+    def test_matches_built_models_on_every_variant(self, monkeypatch):
+        rng = random.Random(2023)
+        pivots = []
+        pivot = simplex._pivot
+
+        def recording(tableau, objrow, row, col, d):
+            pivots.append((row, col))
+            return pivot(tableau, objrow, row, col, d)
+
+        monkeypatch.setattr(simplex, "_pivot", recording)
+        seen = set()
+        for _ in range(40):
+            inst = _small_fractional_instance(rng)
+            if rng.random() < 0.25:
+                inst = Instance(inst.machines, [
+                    Job(job.id, job.weight, job.release,
+                        tuple(None if d is None else ProcDist.point(d.max_value) for d in job.proc))
+                    for job in inst.jobs])
+            seen.update(name for name, present in (
+                ("releases", inst.has_releases),
+                ("forbidden pairs", any(None in job.proc for job in inst.jobs)),
+                ("fractional weights", any(job.weight.denominator > 1 for job in inst.jobs)),
+                ("fractional probabilities", any(p.denominator > 1 for job in inst.jobs
+                                                 for m in job.permitted
+                                                 for _, p in job.dist(m).pmf)),
+                ("point masses", inst.deterministic),
+            ) if present)
+            for variant in lp.VARIANTS:
+                horizon = rng.choice([None, lp.default_horizon(inst, variant) + rng.randint(-3, 2)])
+                try:
+                    model = lp.build_primal(inst, variant, horizon)
+                except HorizonTooSmallError:
+                    continue
+                seen.add(variant)
+                seen.add("default horizon" if horizon is None else "chosen horizon")
+                pivots.clear()
+                expected = lp.solve_lp(model).value
+                dense_pivots = list(pivots)
+                pivots.clear()
+                assert lp.optimum(inst, variant, horizon) == expected
+                # the same rows in the same order: the same Bland pivots
+                assert pivots == dense_pivots
+                assert _reference_value(reference.build_primal(inst, variant, horizon)) == expected
+        assert seen == {*lp.VARIANTS, "releases", "forbidden pairs", "fractional weights",
+                        "fractional probabilities", "point masses", "default horizon",
+                        "chosen horizon"}
+
+    def test_small_horizons_raise_build_primal_text(self):
+        rng = random.Random(2024)
+        below_witness = 0
+        for _ in range(30):
+            inst = _small_fractional_instance(rng)
+            for variant in lp.VARIANTS:
+                for horizon in (0, -2, lp.default_horizon(inst, variant) - rng.randint(1, 4)):
+                    try:
+                        lp.build_primal(inst, variant, horizon)
+                    except HorizonTooSmallError as exc:
+                        assert _error_text(lp.optimum, inst, variant, horizon) == str(exc)
+                        below_witness += horizon >= 1
+                    else:
+                        assert lp.optimum(inst, variant, horizon) == lp.solve_lp(
+                            lp.build_primal(inst, variant, horizon)).value
+        assert _error_text(lp.optimum, worked_instance(), "P", 0) == "horizon must be at least 1"
+        assert below_witness >= 20
+
+    def test_unknown_variant_is_refused_first(self):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            lp.optimum(worked_instance(), "Q", 0)
 
 
 def _model_with(place: str, value) -> lp.LpModel:

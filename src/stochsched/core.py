@@ -4,11 +4,13 @@ Everything exact: probabilities, weights and all derived quantities are
 `fractions.Fraction` or integers over a known common denominator, so
 identities tested elsewhere hold to the bit.  `ProcDist` checks its
 probabilities and sums its moments as integer counts over the lcm of
-their denominators.  `Instance.scaled`, built with the instance in the
-pass that validates it, holds every weight and mean as an integer over
-one weight scale and one mean scale; the greedy dispatch and
-`list_schedule` run on it and build a `Fraction` only for what they
-return.  `list_schedule` is the one kernel of the expected-duration list
+their denominators; a one-point pmf, an `int` value with the `Fraction`
+1 given as a 1-tuple or a dict, stores that same state directly, and
+every other spelling runs the general loop.  `Instance.scaled`, built
+with the instance in the pass that validates it, holds every weight and
+mean as an integer over one weight scale and one mean scale; the greedy
+dispatch and `list_schedule` run on it and build a `Fraction` only for
+what they return.  `list_schedule` is the one kernel of the expected-duration list
 schedule: the list cost, the list and speed beta tables (`dualfit`), the
 per-job bounds (`oracle`), the serving order of `greedy_time` and the LP
 horizon witness (`lp`) read it.  `Instance.ratio`, `priority_split` and
@@ -136,6 +138,17 @@ class ProcDist:
 
     def __init__(self, pmf: Union[Mapping[int, FractionLike], Iterable[tuple[int, FractionLike]]]):
         kind = pmf.__class__
+        if (kind is tuple or kind is dict) and len(pmf) == 1:
+            # one point, an exact int with the Fraction 1: what the loop
+            # below would store, without its merge, sort and sums
+            (item,) = pmf if kind is tuple else pmf.items()
+            if item.__class__ is tuple and len(item) == 2:
+                value, prob = item
+                if (value.__class__ is int and value >= 0
+                        and prob.__class__ is Fraction and prob == 1):
+                    self.__dict__.update(pmf=(item,), _counts=(1,), _scale=1,
+                                         mean=Fraction(value))
+                    return
         items = (pmf.items() if kind is dict or (kind is not tuple and isinstance(pmf, Mapping))
                  else pmf)
         norm: dict[int, Fraction] = {}

@@ -4,6 +4,12 @@ expected increase in total weighted completion time is smallest.
 The increase accounts for the job's own expected completion in priority
 order plus the delay it inflicts on lower-priority jobs already there.
 The release-date greedy in `greedy_time` runs the same kernel.
+
+`_kernel` runs it on integers and returns the chosen machines and the
+integer scores over one denominator; `_dispatch` wraps them as the
+`GreedyRun` of `assign`, `greedy_time.assign` and `assign_with_increases`.
+`greedy_cost` prices the kernel's machines with `fixed_assignment_cost`,
+the independent list-schedule price, and builds no wrapper.
 """
 from __future__ import annotations
 
@@ -69,21 +75,22 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int],
     return job.weight * work_before + mean * weight_after
 
 
-def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
+def _kernel(inst: Instance, f: Optional[Fraction]) -> tuple[list[int], list[int], int]:
     """The greedy shared by the arrival-order and release-date models.
 
     Each job, in arrival order, goes to the permitted machine with the
     smallest score `w*work_before + mean*weight_after`; with a speed
     factor `f` (the release-date model) the score also carries the job's
     own charge 2*w*max{f*r, mean}.  Ties go to the lowest machine index.
-    Returns the assignment and each job's accepted score.
+    Returns the chosen machine and the accepted score of each job, and
+    the scores' common denominator.
 
     Scores run on `inst.scaled`: with weights over W and means over L,
     and f = p/q, every score is an integer over W*L*q, so probes compare
-    integers and each accepted score becomes one `Fraction`.  Each
-    machine keeps one bucket per priority ratio, keyed by the reduced
-    pair (w, mean) and holding the bucket's total mean and weight; a
-    probe sums the buckets, comparing ratios by cross-multiplication.
+    integers and no `Fraction` is built.  Each machine keeps one bucket
+    per priority ratio, keyed by the reduced pair (w, mean) and holding
+    the bucket's total mean and weight; a probe sums the buckets,
+    comparing ratios by cross-multiplication.
     """
     scaled = inst.scaled
     weights, means = scaled.weights, scaled.means
@@ -95,7 +102,7 @@ def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
     bucket_of: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(inst.machines)]
 
     chosen: list[int] = []
-    increases: list[Fraction] = []
+    scores: list[int] = []
     for job in inst.jobs:
         w = weights[job.id - 1]
         if f is not None:
@@ -130,7 +137,7 @@ def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
                 best_machine0 = machine0
                 best_mean = mean
         chosen.append(best_machine0 + 1)
-        increases.append(Fraction(best, denominator))
+        scores.append(best)
         g = math.gcd(w, best_mean)
         key = (w // g, best_mean // g)
         bucket = bucket_of[best_machine0].get(key)
@@ -141,7 +148,15 @@ def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
         else:
             bucket[2] += best_mean
             bucket[3] += w
-    return GreedyRun(Assignment(tuple(chosen)), tuple(increases))
+    return chosen, scores, denominator
+
+
+def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
+    """`_kernel` as a `GreedyRun`: the assignment and each job's
+    accepted score as one `Fraction`."""
+    chosen, scores, denominator = _kernel(inst, f)
+    return GreedyRun(Assignment(tuple(chosen)),
+                     tuple([Fraction(score, denominator) for score in scores]))
 
 
 def assign(inst: Instance) -> GreedyRun:
@@ -154,6 +169,8 @@ def assign(inst: Instance) -> GreedyRun:
 
 
 def greedy_cost(inst: Instance) -> Fraction:
-    """Expected total weighted completion time of the greedy assignment."""
-    assignment, _ = assign(inst)
-    return fixed_assignment_cost(inst, assignment.as_mapping())
+    """Expected total weighted completion time of the greedy assignment:
+    `fixed_assignment_cost` of the kernel's machine choices.  The scores
+    are not summed, so the price does not rest on the kernel's sums."""
+    chosen, _, _ = _kernel(inst, None)
+    return fixed_assignment_cost(inst, dict(enumerate(chosen, start=1)))

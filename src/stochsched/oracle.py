@@ -96,19 +96,22 @@ def det_opt(inst: Instance) -> Fraction:
     if len(jobs) > limit:
         raise TooLargeError(f"{len(jobs)} jobs exceeds the exhaustive limit of {limit}")
 
-    scale = math.lcm(*[job.weight.denominator for job in jobs])
+    scale = 1
+    for job in jobs:
+        if job.weight.denominator != 1:
+            scale = math.lcm(scale, job.weight.denominator)
     weight = [job.weight.numerator * (scale // job.weight.denominator) for job in jobs]
-    release = [job.release for job in jobs]
-    # durations[j][i] of job j on machine i, None where i forbids j
-    durations = [[None if d is None else d.pmf[0][0] for d in job.proc] for job in jobs]
+    # columns[i][j], job j's duration on machine i, None where i forbids j
+    columns = [[None if d is None else d.pmf[0][0] for d in column]
+               for column in zip(*[job.proc for job in jobs])]
     # a schedule starting every job as early as it can ends each job by the
-    # last release plus every job's longest duration, so costs less than this
-    never = 1 + sum(weight) * (last_release + sum(
-        [max([p for p in row if p is not None]) for row in durations]))
+    # last release plus every permitted duration, so costs less than this
+    never = 1 + sum(weight) * (last_release + sum([sum(filter(None, c)) for c in columns]))
     if released:
-        chains = [_released_chain(weight, release, column, never) for column in zip(*durations)]
+        release = [job.release for job in jobs]
+        chains = [_released_chain(weight, release, column, never) for column in columns]
     else:
-        chains = [_smith_chain(weight, column, never) for column in zip(*durations)]
+        chains = [_smith_chain(weight, column, never) for column in columns]
 
     everyone = (1 << len(jobs)) - 1
     *middle, last = chains
@@ -127,10 +130,11 @@ def det_opt(inst: Instance) -> Fraction:
                 members = (members - 1) & free
         best = grown
     # last[everyone ^ S] sits at position everyone - S
-    return Fraction(min(map(operator.add, best, reversed(last))), scale)
+    total = min(map(operator.add, best, reversed(last)))
+    return Fraction(total) if scale == 1 else Fraction(total, scale)
 
 
-def _smith_chain(weight: list[int], duration: tuple[Optional[int], ...], never: int) -> list[int]:
+def _smith_chain(weight: list[int], duration: list[Optional[int]], never: int) -> list[int]:
     """Chain table of one machine without releases: the ratio-order cost
     of every job set, indexed by its bitmask, or `never` for a set with
     a forbidden job.  Sets are built a job at a time; a set that gains
@@ -155,7 +159,7 @@ def _smith_chain(weight: list[int], duration: tuple[Optional[int], ...], never: 
 
 
 def _released_chain(weight: list[int], release: list[int],
-                    duration: tuple[Optional[int], ...], never: int) -> list[int]:
+                    duration: list[Optional[int]], never: int) -> list[int]:
     """Chain table of one machine with releases: the cost of every job
     set in its cheapest order, each job starting at its release or when
     the machine frees up, whichever is later.  Orders are walked as a

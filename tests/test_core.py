@@ -385,6 +385,38 @@ class TestConstructorFastPaths:
             zero_mean += expected == ((0, F(1)),)
         assert 300 < refused < 700 and zero_mean > 10
 
+    @pytest.mark.parametrize("value", [0, 7, _Rank.THREE, True, -1])
+    @pytest.mark.parametrize("prob", [F(1), F(2, 2), 1, "1"])
+    def test_one_point_pmfs_match_the_general_loop(self, value, prob):
+        # only an exact int with the exact Fraction 1, as a 1-tuple of a
+        # tuple or a dict, takes the one-point path; the generator form
+        # always runs the general loop, so its state is the yardstick
+        items = [(value, prob)]
+        forms = [((value, prob),), ([value, prob],), {value: prob}, [(value, prob)],
+                 (item for item in items)]
+        expected = _outcome(reference.normalize_pmf, items)
+        for form in forms:
+            got = _outcome(ProcDist, form)
+            if not isinstance(got, ProcDist):
+                assert got == expected, form
+                continue
+            general = ProcDist(item for item in items)
+            assert got.pmf == expected and vars(got) == vars(general), form
+            assert got == general and hash(got) == hash(general) == hash(ProcDist.point(value))
+            assert type(got.pmf[0][1]) is F and type(got.mean) is F
+            if value:
+                assert (got.mean, got.second_moment, got.scv) == reference.moments(got.pmf)
+            else:
+                assert got.mean == got.second_moment == 0
+                with pytest.raises(ZeroMeanError):
+                    got.scv
+        assert (expected[0] is ValueError) == (value is True or value == -1)
+
+    def test_a_lone_half_is_refused_in_every_spelling(self):
+        for form in [((3, F(1, 2)),), {3: F(1, 2)}, [(3, F(1, 2))], ((3, "1/2"),)]:
+            with pytest.raises(ProbSumError, match=r"^probabilities sum to 1/2, not 1$"):
+                ProcDist(form)
+
     def test_scaled_matches_a_fraction_recomputation(self):
         rng = random.Random(421)
         for _ in range(200):

@@ -9,7 +9,7 @@ import pytest
 from stochsched import greedy_time
 from stochsched.core import Instance, Job, ProcDist, fixed_assignment_cost, list_schedule
 from stochsched.errors import ForbiddenPairError, SmallMeanWarning
-from stochsched.greedy_list import Assignment, assign, expected_increase, greedy_cost
+from stochsched.greedy_list import Assignment, GreedyRun, assign, expected_increase, greedy_cost
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -118,9 +118,10 @@ def test_stochastic_jobs_score_by_mean_only():
 #
 # The package runs the greedy, the machine order and the list cost on
 # scaled integers; `reference` keeps their `Fraction` versions.  The
-# instances mix releases, forbidden pairs, distributions shared between
-# jobs and equal ones that are distinct objects, and weights and
-# probabilities whose denominators (7, 11, 13) are pairwise coprime.
+# instances mix releases, forbidden pairs, distributions and rows shared
+# between jobs, equal distributions that are distinct objects, and
+# weights and probabilities whose denominators (7, 11, 13) are pairwise
+# coprime.
 
 def _coprime_dist(rng: random.Random) -> ProcDist:
     shape = rng.randrange(3)
@@ -147,6 +148,8 @@ def _coprime_instance(rng: random.Random) -> Instance:
             row[rng.randrange(machines)] = rng.choice(pool)
         # an equal distribution that is a different object
         row = [ProcDist(d.pmf) if d is not None and rng.random() < 0.2 else d for d in row]
+        if jobs and rng.random() < 0.2:
+            row = jobs[-1].proc  # the previous job's row itself
         jobs.append(Job(job_id, rng.choice(weights), releases[job_id - 1], row))
     return Instance(machines, jobs)
 
@@ -171,15 +174,25 @@ def _ties(inst: Instance, assignment) -> int:
 @pytest.mark.parametrize("f", [None, F(1), F(2), F(7, 2)], ids=["list", "f=1", "f=2", "f=7/2"])
 def test_integer_kernel_matches_the_fraction_reference(f):
     instances = _kernel_instances(71, 300)
-    ties = releases = forbidden = 0
+    ties = releases = forbidden = shared = 0
     for inst in instances:
+        expected = reference.dispatch(inst, f)
         run = assign(inst) if f is None else greedy_time.assign_with_increases(inst, f)
-        assert run == reference.dispatch(inst, f)
+        assert type(run) is GreedyRun and run == expected
         assert all(type(x) is F for x in run.increases)
+        if f is None:
+            # the cost prices the kernel's machines apart from the scores
+            cost = greedy_cost(inst)
+            assert type(cost) is F
+            assert cost == fixed_assignment_cost(inst, run.assignment.as_mapping())
+            assert cost == reference.fixed_assignment_cost(inst, expected.assignment.as_mapping())
+        else:
+            assert greedy_time.assign(inst, f) == expected.assignment
         ties += _ties(inst, run.assignment)
         releases += inst.has_releases
         forbidden += any(d is None for job in inst.jobs for d in job.proc)
-    assert ties > 0 and releases > 0 and forbidden > 0
+        shared += len({id(job.proc) for job in inst.jobs}) < inst.n
+    assert ties > 0 and releases > 0 and forbidden > 0 and shared > 0
     # the denominators 7, 11 and 13 all reach the scales
     assert any(inst.scaled.weight_scale % 77 == 0 for inst in instances)
     assert any(inst.scaled.mean_scale % (7 * 11 * 13) == 0 for inst in instances)

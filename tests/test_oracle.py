@@ -191,6 +191,7 @@ class TestReferenceCrossCheck:
         rng = random.Random(223)
         released = 0
         seen = {"four-machines": 0, "first-only": 0, "last-only": 0, "fractional": 0}
+        integer = 0
         for _ in range(200):
             machines = rng.randint(1, 4)
             n = rng.randint(1, 5)
@@ -211,10 +212,13 @@ class TestReferenceCrossCheck:
                 job.permitted == (1,) for job in inst.jobs)
             seen["last-only"] += machines > 1 and any(
                 job.permitted == (machines,) for job in inst.jobs)
+            # a weight scale above 1, or of 1, which skips the lcm and the gcd
             seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
-            assert oracle.det_opt(inst) == reference.det_opt(inst), inst
+            integer += all(job.weight.denominator == 1 for job in inst.jobs)
+            opt = oracle.det_opt(inst)
+            assert type(opt) is F and opt == reference.det_opt(inst), inst
         assert released >= 150 if releases else released == 0
-        assert min(seen.values()) >= 30, seen
+        assert min(seen.values()) >= 30 and integer >= 20, (seen, integer)
 
 
 class TestTightnessFamily:

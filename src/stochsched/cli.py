@@ -2,10 +2,14 @@
 
 Instances travel as versioned JSON (`SCHED v1`) with rationals encoded
 as "p/q" strings; float literals are rejected outright so results never
-depend on parsing luck.  Reports render as human text, a flat CSV
-table, or JSON mirroring the Report structure, written in one pass with
-the bytes `json.dumps(..., indent=2)` gives.  Output bytes are a pure
-function of (instance, flags, seed).
+depend on parsing luck.  `parse_instance` checks the shape, reads the
+rationals and pmf tables through `core`, and leaves the value rules
+(machine count, ids, releases, signs) to `Instance`, `Job` and
+`ProcDist`.  `--f` follows the same rational grammar.  Reports render
+as human text, a flat CSV table, or JSON mirroring the Report
+structure, written in one pass with the bytes `json.dumps(...,
+indent=2)` gives.  Output bytes are a pure function of (instance,
+flags, seed).
 
 Exit codes are stable: 0 all checks passed, 1 a check failed, 2 schema
 problem, 3 unschedulable job, 4 LP infeasible/unbounded/horizon too
@@ -20,7 +24,6 @@ import io
 import json
 import math
 import random
-import re
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -28,7 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import Instance, Job, ProcDist, as_fraction, max_scv, read_format, strict_fraction
+from .core import (Instance, Job, ProcDist, as_fraction, max_scv, rational_table, read_format,
+                   strict_fraction)
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -57,69 +61,55 @@ EXIT_USAGE = 6
 
 # ---------------------------------------------------------------- instance I/O
 
-def _field(row: dict, context: str, key: str, kind: type):
-    if key not in row:
-        raise SchemaError(f"{context}: missing field {key!r}")
-    value = row[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise SchemaError(f"{context}.{key}: expected an integer, got {value!r}")
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(f"{context}.{key}: expected an array")
-    return value
-
-
 def parse_instance(text: str) -> Instance:
-    """Strict reader for the `SCHED v1` schema."""
+    """Strict reader for the `SCHED v1` schema.  It checks the shape;
+    the values of the machine count, ids, releases, weights and support
+    are checked by `Instance`, `Job` and `ProcDist`, whose refusals
+    become SchemaErrors naming the field."""
     payload = read_format(text, "SCHED v1", ("machines", "jobs"))
-    machines = _field(payload, "instance", "machines", int)
-    if machines < 1:
-        raise SchemaError("machines must be at least 1")
-    rows = _field(payload, "instance", "jobs", list)
-    if not rows:
-        raise SchemaError("instance must have at least one job")
+    try:
+        machines, rows = payload["machines"], payload["jobs"]
+    except KeyError as exc:
+        raise SchemaError(f"instance: missing field {exc}") from None
+    if not isinstance(rows, list):
+        raise SchemaError("instance.jobs: expected an array")
     jobs = []
     for pos, row in enumerate(rows):
         context = f"jobs[{pos}]"
         if not isinstance(row, dict):
             raise SchemaError(f"{context}: expected an object")
-        extra = set(row) - {"id", "w", "r", "proc"}
+        extra = row.keys() - ("id", "w", "r", "proc")
         if extra:
             raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
-        job_id = _field(row, context, "id", int)
-        weight = strict_fraction(_field(row, context, "w", object), f"{context}.w")
-        release = _field(row, context, "r", int)
-        proc_rows = _field(row, context, "proc", list)
+        try:
+            job_id, weight, release, proc = row["id"], row["w"], row["r"], row["proc"]
+        except KeyError as exc:
+            raise SchemaError(f"{context}: missing field {exc}") from None
+        if not isinstance(proc, list):
+            raise SchemaError(f"{context}.proc: expected an array")
         dists: list[Optional[ProcDist]] = []
-        for m, entry in enumerate(proc_rows):
-            where = f"{context}.proc[{m}]"
+        for m, entry in enumerate(proc):
             if entry is None:
                 dists.append(None)
                 continue
-            if not isinstance(entry, list) or not entry:
+            where = f"{context}.proc[{m}]"
+            if not entry:
                 raise SchemaError(f"{where}: expected null or a nonempty array of [value, prob]")
-            pmf = {}
-            for pair in entry:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise SchemaError(f"{where}: entries are [value, prob] pairs")
-                value, prob = pair
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise SchemaError(f"{where}: support value {value!r} must be a "
-                                      "nonnegative integer")
-                if value in pmf:
-                    raise SchemaError(f"{where}: duplicate support value {value}")
-                pmf[value] = strict_fraction(prob, where)
             try:
-                dists.append(ProcDist(pmf))
+                dists.append(ProcDist(rational_table(entry, 1, where)))
             except ValueError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
         try:
-            jobs.append(Job(job_id, weight, release, tuple(dists)))
+            jobs.append(Job(job_id, strict_fraction(weight, f"{context}.w"), release, dists))
         except ValueError as exc:
             raise SchemaError(f"{context}: {exc}") from None
     try:
-        return Instance(machines, jobs)
+        inst = Instance(machines, jobs)
     except (ValueError, ZeroMeanError) as exc:
         raise SchemaError(str(exc)) from None
+    if not jobs:  # after the machine count, which `Instance` checks first
+        raise SchemaError("instance must have at least one job")
+    return inst
 
 
 def emit_instance(inst: Instance) -> str:
@@ -588,39 +578,15 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(text)
 
 
-# Python converts between int and str only up to 4,300 digits, and a
-# result prints f exactly
-_MAX_DIGITS = 4300
-_DIGIT_RUN = re.compile(r"[\d_]+")
-_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
-
-
-def _speed_factor(text: str) -> Fraction:
-    """`--f` with its reduced numerator and denominator below
-    10**_MAX_DIGITS.  A longer digit run or an exponent past twice that
-    can only spell a larger one (or zero): refused before it is built."""
-    shown = text if len(text) <= 32 else text[:29] + "..."
-    too_long = ValueError(f"speed factor {shown!r} needs more than {_MAX_DIGITS} digits")
-    if any(len(run.replace("_", "")) > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
-        raise too_long
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent.group(1).replace("_", ""))) > 2 * _MAX_DIGITS:
-        raise too_long
-    try:
-        value = as_fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"speed factor {text!r} has a zero denominator") from None
-    if max(abs(value.numerator), value.denominator) >= 10 ** _MAX_DIGITS:
-        raise too_long
-    return value
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
     settings = dict(vars(args))
     if "instance" in settings:
         settings["instance"] = _load_instance(settings["instance"])
-    if "f" in settings:
-        settings["f"] = _speed_factor(settings["f"])
+    if "f" in settings:  # by the rational grammar of `core.as_fraction`
+        try:
+            settings["f"] = as_fraction(settings["f"])
+        except ValueError as exc:
+            raise ValueError(f"speed factor --f {exc}") from None
     return RunConfig(**settings)
 
 

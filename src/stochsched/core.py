@@ -15,8 +15,10 @@ schedule: the list cost, the list and speed beta tables (`dualfit`), the
 per-job bounds (`oracle`), the serving order of `greedy_time` and the LP
 horizon witness (`lp`) read it.  `Instance.ratio`, `priority_split` and
 the `expected_increase` references stay on `Fraction`s, independent of
-that view.  `read_format` and `strict_fraction` are the one strict JSON
-layer of the exchange formats, `SCHED v1` (`cli`) and `CERT v1` (`dualfit`).
+that view.  `_RATIONAL_TEXT` is the one grammar of rational text, for
+`as_fraction` (so `cli`'s `--f`) and `strict_fraction`; with `read_format`
+and `rational_table`, the reader of `[int key, ..., rational]` arrays,
+they are the one strict JSON layer of `SCHED v1` (`cli`) and `CERT v1`.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ __all__ = [
     "PrioritySplit",
     "as_fraction",
     "strict_fraction",
+    "rational_table",
     "read_format",
     "max_scv",
     "priority_split",
@@ -61,37 +64,73 @@ __all__ = [
 ]
 
 
-def as_fraction(value: FractionLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a number here")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+# the one grammar of a rational written as text: an integer or p/q in
+# ASCII digits with an optional sign, each part within Python's 4,300-digit
+# int limit, so no short text stands for a huge number
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
-_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def strict_fraction(value: object, where: str) -> Fraction:
-    """A rational of the exchange formats: an int, or a string that is
-    an integer or 'p/q' in ASCII digits with an optional sign.  Anything
-    else, such as a float, a bool, a decimal point, an exponent or a zero
-    denominator, raises SchemaError naming `where`, so a short text can
-    never stand for a huge integer.  A string's value is built from the
-    pattern's own digit groups."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+def _text_fraction(text: str) -> Fraction:
+    """`text` read by the rational grammar, or a ValueError that echoes
+    at most its first 32 characters."""
+    match = _RATIONAL_TEXT.fullmatch(text)
     if match:
         p, q = match.groups()
         try:
             return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
-        except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
+        except ZeroDivisionError:
+            pass
+    shown = text if len(text) <= 32 else text[:29] + "..."
+    raise ValueError(f"{shown!r} is not an integer or 'p/q' in ASCII digits with "
+                     "at most 4300 digits a part and a nonzero q")
+
+
+def as_fraction(value: FractionLike) -> Fraction:
+    """Coerce ints, 'p/q' strings, or Fractions to Fraction; a string
+    follows the rational grammar of `_RATIONAL_TEXT`."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a number here")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return _text_fraction(value)
+    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def strict_fraction(value: object, where: str) -> Fraction:
+    """A rational of the exchange formats: an int, not a bool, or a
+    string in the rational grammar.  Anything else, such as a float, a
+    decimal point or an exponent, raises SchemaError naming `where`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return _text_fraction(value)
+        except ValueError:
             pass
     raise SchemaError(f"{where}: rationals are integers or 'p/q' strings, got {value!r}")
+
+
+def rational_table(rows: object, keys: int, where: str) -> dict:
+    """Rows `[key, ..., rational]` of `keys` int keys (no bools) as a dict
+    from the key, or the tuple of keys, to the `strict_fraction`; any other
+    shape, or a key given twice, raises SchemaError naming `where`."""
+    if rows.__class__ is not list:
+        raise SchemaError(f"{where}: expected an array of rows")
+    table: dict = {}
+    for row in rows:
+        if row.__class__ is not list or len(row) != keys + 1:
+            raise SchemaError(f"{where}: each row is [{'int, ' * keys}rational], got {row!r}")
+        key = row[0] if keys == 1 else tuple(row[:keys])
+        if (key.__class__ is not int if keys == 1
+                else any(part.__class__ is not int for part in key)):
+            raise SchemaError(f"{where}: keys are integers, got {row!r}")
+        if key in table:
+            raise SchemaError(f"{where}: duplicate key {key!r}")
+        table[key] = strict_fraction(row[keys], where)
+    return table
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -36,7 +36,8 @@ Each check builds the certificate it judges and solves no LP; `cli`
 compares the bounds with the LP optimum.  The list and speed checks
 read the `ListRun` they are handed, so one subcommand runs the greedy
 and the schedule once.  A certificate's kind fixes its divisor pair,
-`scale`, and `parse_certificate` holds a text to it.
+`scale`, and `parse_certificate` holds a text to it; it reads alpha and
+beta with `core.rational_table`, one key and two keys a row.
 """
 from __future__ import annotations
 
@@ -49,8 +50,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import greedy_list, greedy_time
-from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, read_format,
-                   schedule_cost, strict_fraction)
+from .core import (FractionLike, Instance, Schedule, as_fraction, list_schedule, rational_table,
+                   read_format, schedule_cost, strict_fraction)
 from .errors import RequiresFGeq2Error, SchemaError
 from .report import Report, Violation
 
@@ -462,10 +463,6 @@ def serialize_certificate(cert: DualCertificate) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_certificate(text: str) -> DualCertificate:
     """Strict reader for `CERT v1`: rationals are integers or 'p/q'
     strings, never floats or bools, and keys are integers.  The scale
@@ -478,22 +475,10 @@ def parse_certificate(text: str) -> DualCertificate:
         if not isinstance(entries, list) or len(entries) != 2:
             raise SchemaError(f"scale must list exactly two rationals, got {entries!r}")
         scale = (strict_fraction(entries[0], "scale"), strict_fraction(entries[1], "scale"))
-        alpha = {}
-        for job_id, value in payload["alpha"]:
-            if not _is_int(job_id):
-                raise SchemaError(f"alpha key {job_id!r} is not an integer job id")
-            if job_id in alpha:
-                raise SchemaError(f"alpha lists job {job_id} twice")
-            alpha[job_id] = strict_fraction(value, f"alpha[{job_id}]")
-        beta = {}
-        for machine, slot, value in payload["beta"]:
-            if not _is_int(machine) or not _is_int(slot):
-                raise SchemaError(f"beta key {(machine, slot)!r} must be integer pairs")
-            if (machine, slot) in beta:
-                raise SchemaError(f"beta lists machine {machine}, slot {slot} twice")
-            beta[(machine, slot)] = strict_fraction(value, f"beta[{machine}, {slot}]")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed certificate: {exc}") from None
+        alpha = rational_table(payload["alpha"], 1, "alpha")
+        beta = rational_table(payload["beta"], 2, "beta")
+    except KeyError as exc:
+        raise SchemaError(f"malformed certificate: missing field {exc}") from None
     try:
         cert = DualCertificate(kind, f, alpha, beta)
     except ValueError as exc:

@@ -5,11 +5,11 @@ The increase accounts for the job's own expected completion in priority
 order plus the delay it inflicts on lower-priority jobs already there.
 The release-date greedy in `greedy_time` runs the same kernel.
 
-`_kernel` runs it on integers and returns the chosen machines and the
-integer scores over one denominator; `_dispatch` wraps them as the
-`GreedyRun` of `assign`, `greedy_time.assign` and `assign_with_increases`.
-`greedy_cost` prices the kernel's machines with `fixed_assignment_cost`,
-the independent list-schedule price, and builds no wrapper.
+Every run goes through `_dispatch`, which works on integers and returns
+the chosen machines and the scores over one denominator.  `_run` wraps
+them as the `GreedyRun` of `assign` and `assign_with_increases`;
+`greedy_time.assign`, the LP horizon witness and `greedy_cost`, which
+prices them with `fixed_assignment_cost`, read the machines alone.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def expected_increase(inst: Instance, assigned: Mapping[int, int],
     return job.weight * work_before + mean * weight_after
 
 
-def _kernel(inst: Instance, f: Optional[Fraction]) -> tuple[list[int], list[int], int]:
+def _dispatch(inst: Instance, f: Optional[Fraction]) -> tuple[list[int], list[int], int]:
     """The greedy shared by the arrival-order and release-date models.
 
     Each job, in arrival order, goes to the permitted machine with the
@@ -151,10 +151,10 @@ def _kernel(inst: Instance, f: Optional[Fraction]) -> tuple[list[int], list[int]
     return chosen, scores, denominator
 
 
-def _dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
-    """`_kernel` as a `GreedyRun`: the assignment and each job's
+def _run(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
+    """`_dispatch` as a `GreedyRun`: the assignment and each job's
     accepted score as one `Fraction`."""
-    chosen, scores, denominator = _kernel(inst, f)
+    chosen, scores, denominator = _dispatch(inst, f)
     return GreedyRun(Assignment(tuple(chosen)),
                      tuple([Fraction(score, denominator) for score in scores]))
 
@@ -165,12 +165,12 @@ def assign(inst: Instance) -> GreedyRun:
     Returns the assignment and, per job, the expected increase it was
     accepted at.  Ties go to the lowest machine index.
     """
-    return _dispatch(inst, None)
+    return _run(inst, None)
 
 
 def greedy_cost(inst: Instance) -> Fraction:
     """Expected total weighted completion time of the greedy assignment:
-    `fixed_assignment_cost` of the kernel's machine choices.  The scores
+    `fixed_assignment_cost` of `_dispatch`'s machine choices.  The scores
     are not summed, so the price does not rest on the kernel's sums."""
-    chosen, _, _ = _kernel(inst, None)
+    chosen, _, _ = _dispatch(inst, None)
     return fixed_assignment_cost(inst, dict(enumerate(chosen, start=1)))

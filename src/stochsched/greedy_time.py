@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional
 from . import greedy_list
 from .core import FractionLike, Instance, Job, as_fraction, list_schedule
 from .errors import ForbiddenPairError
-from .greedy_list import Assignment, GreedyRun, _dispatch
+from .greedy_list import Assignment, GreedyRun, _dispatch, _run
 
 __all__ = [
     "Realization",
@@ -97,14 +97,15 @@ def assign(inst: Instance, f: FractionLike) -> Assignment:
 
     The score is homogeneous of degree one in the speed: dividing all
     durations by f scales every score by 1/f, so the chosen machines are
-    the same on the original and the speed-f instance.
+    the same on the original and the speed-f instance.  The kernel's
+    machines are read alone, with no score built.
     """
-    return _dispatch(inst, _check_f(f))[0]
+    return Assignment(tuple(_dispatch(inst, _check_f(f))[0]))
 
 
 def assign_with_increases(inst: Instance, f: FractionLike) -> GreedyRun:
     """Like `assign`, but also return each job's accepted score."""
-    return _dispatch(inst, _check_f(f))
+    return _run(inst, _check_f(f))
 
 
 @dataclass(frozen=True)

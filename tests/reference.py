@@ -342,7 +342,7 @@ def dispatch(inst: Instance, f: Optional[Fraction]) -> GreedyRun:
     """The greedy of both models on `Fraction` scores, with per-machine
     buckets keyed by the `Fraction` priority ratio, a ratio memo and a
     probe memo stamped with a per-machine version.  Same contract as
-    `greedy_list._dispatch`."""
+    `greedy_list._run`."""
     ratios: list[list[Fraction]] = [[] for _ in range(inst.machines)]
     buckets: list[dict[Fraction, list[Fraction]]] = [{} for _ in range(inst.machines)]
     ratio_memo: dict[tuple[int, int, int, int], Fraction] = {}

@@ -48,7 +48,7 @@ class TestInstanceIO:
         ("[]", "object"),
         ('{"format": "SCHED v2", "machines": 1, "jobs": []}', "format"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [], "extra": 1}', "unknown"),
-        ('{"format": "SCHED v1", "machines": 0, "jobs": []}', "machines"),
+        ('{"format": "SCHED v1", "machines": 0, "jobs": []}', "machine count"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": 0.5, '
          '"r": 0, "proc": [[[1, "1"]]]}]}', "rational"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
@@ -72,7 +72,7 @@ class TestInstanceIO:
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
          '"r": 0, "proc": [[]]}]}', "nonempty array"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
-         '"r": 0, "proc": [[[1]]]}]}', "pairs"),
+         '"r": 0, "proc": [[[1]]]}]}', "[int, rational]"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
          '"r": 0, "proc": [[[1, "0"]]]}]}', "positive"),
         ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 0, "w": "1", '
@@ -180,25 +180,25 @@ class TestExitCodes:
     def test_speed_factor_beyond_float_range(self, worked_path, capsys):
         # the chain factor is a non-integer rational near 1e400, which no
         # float holds: the human format prints it exactly, with no hint
-        assert cli.main(["list", worked_path, "--f", "1e400", "--format", "json"]) == 0
+        assert cli.main(["list", worked_path, "--f", "1" + "0" * 400, "--format", "json"]) == 0
         exact = json.loads(capsys.readouterr().out)["metrics"]["chain_factor"]
         assert "/" in exact
-        assert cli.main(["list", worked_path, "--f", "1e400"]) == 0
+        assert cli.main(["list", worked_path, "--f", "1" + "0" * 400]) == 0
         assert f"  chain_factor: {exact}" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize("command", ["list", "verify"])
     def test_result_past_the_digit_limit_is_six_in_own_words(self, worked_path, capsys,
                                                              command, fmt):
-        # f = 1e2200 passes the guard, but (f - 1)/f^2 times the cost
+        # f = 10**2200 is a valid factor, but (f - 1)/f^2 times the cost
         # carries about twice its digits, more than Python prints
-        assert cli.main([command, worked_path, "--f", "1e2200", "--format", fmt]) == 6
+        assert cli.main([command, worked_path, "--f", "1" + "0" * 2200, "--format", fmt]) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: a result needs more than ") and err.count("\n") == 1
         assert err.rstrip().endswith("digits to print exactly")
 
     def test_time_prints_a_factor_of_3001_digits(self, worked_path, capsys):
-        assert cli.main(["time", worked_path, "--f", "1e3000", "--samples", "5"]) == 0
+        assert cli.main(["time", worked_path, "--f", "1" + "0" * 3000, "--samples", "5"]) == 0
         assert f"  f: 1{'0' * 3000}" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("text", ["1e5000", "1e2000000", "1e-5000", "0e99999999999",
@@ -212,18 +212,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: speed factor ") and err.count("\n") == 1
         assert "4300 digits" in err
-
-    def test_digit_limit_is_on_the_value(self):
-        assert cli._speed_factor("1e4299") == 10 ** 4299
-        assert cli._speed_factor("-1e-4299") == Fraction(-1, 10 ** 4299)
-        assert cli._speed_factor("1000e-4300") == Fraction(1, 10 ** 4297)
-        assert cli._speed_factor("0." + "0" * 4200 + "5") == Fraction(1, 2 * 10 ** 4200)
-        # both parts of each value fit in 4,300 digits, whatever the text
-        assert cli._speed_factor("5e-4300") == Fraction(1, 2 * 10 ** 4299)
-        assert cli._speed_factor("1." + "0" * 4299 + "5") == 1 + Fraction(5, 10 ** 4300)
-        for text in ("1e4300", "100e4298", "1e-4300", "0." + "0" * 4299 + "1"):
-            with pytest.raises(ValueError, match="4300 digits"):
-                cli._speed_factor(text)
 
     def test_missing_file_is_six(self):
         assert cli.main(["list", "/nonexistent/nope.json"]) == 6
@@ -363,6 +351,35 @@ class TestReport:
 
     def test_json_omits_empty_checks_and_rows(self):
         assert json.loads(cli.render(Report("r", True, {"x": 1}), "json"))["metrics"] == {"x": 1}
+
+    def test_a_failing_certificate_renders_top_level_and_nested(self):
+        # both jobs' scores raised: ten pricing rows break, min slack -9
+        inst = worked_instance()
+        cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
+        cert = dualfit.perturbed(dualfit.perturbed(cert, 1, F(21, 2)), 2, 10)
+        failed = dualfit.verify_certificate(inst, cert)
+        assert len(failed.violations) == 10 and failed.min_slack == -9
+        metrics = ("  kind: list\n  f: 1\n  alpha_sum: 49/2 (24.5)\n  beta_sum: 4\n"
+                   "  constraints_checked: 10\n")
+        # the first five violated rows, the top level's min_slack before them
+        assert cli.render(failed, "human") == (
+            "feasibility[list]: FAIL\n" + metrics + "  min_slack: -9\n"
+            "  violated price_1_1_0: 25/4 (6.25) > 2\n"
+            "  violated price_1_1_1: 25/4 (6.25) > 5/2 (2.5)\n"
+            "  violated price_1_1_2: 25/4 (6.25) > 2\n"
+            "  violated price_2_1_0: 25/6 (4.16667) > 3\n"
+            "  violated price_2_1_1: 25/6 (4.16667) > 4/3 (1.33333)\n")
+        assert cli.render(failed, "csv") == (
+            "key,value\npassed,false\nkind,list\nf,1\nalpha_sum,49/2\nbeta_sum,4\n"
+            "constraints_checked,10\n")
+        outer = Report("verify", False, {"f": F(2)}, checks=(failed,))
+        assert cli.render(outer, "human") == (
+            "verify: FAIL\n  f: 2\n  checks:\n"
+            "    [FAIL] feasibility[list] (min_slack=-9, violations=10)\n"
+            + metrics.replace("  ", "        "))
+        assert cli.render(outer, "csv") == "key,value\npassed,false\nf,2\n"
+        for report in (failed, outer):
+            assert cli.render(report, "json") == _json_oracle(report)
 
 
 def _json_oracle(report: Report) -> str:

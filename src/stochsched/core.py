@@ -2,15 +2,17 @@
 
 Everything exact: probabilities, weights and all derived quantities are
 `fractions.Fraction` or integers over a known common denominator, so
-identities tested elsewhere hold to the bit.  `ProcDist` checks its
-probabilities and sums its moments as integer counts over the lcm of
-their denominators; a one-point pmf, an `int` value with the `Fraction`
-1 given as a 1-tuple or a dict, stores that same state directly, and
-every other spelling runs the general loop.  `Instance.scaled`, built
-with the instance in the pass that validates it, holds every weight and
-mean as an integer over one weight scale and one mean scale; the greedy
-dispatch and `list_schedule` run on it and build a `Fraction` only for
-what they return.  `list_schedule` is the one kernel of the expected-duration list
+identities tested elsewhere hold to the bit.  This module is the one
+home of an instance's integers.  `ProcDist` keeps its probabilities as
+integer `counts` over their lcm `scale`; a one-point pmf, an exact `int`
+with the `Fraction` 1 in a 1-tuple or a dict, stores that state
+directly, and every other spelling runs the general loop.
+`Instance.scaled`, built in the pass that validates the instance, holds
+every weight and mean as an integer over one weight scale and one mean
+scale.  The greedy dispatch, `list_schedule` and `oracle`'s optima run
+on these views and build a `Fraction` only for what they return.
+`exact_int` is the one rule for an integer argument: an int, not a
+bool.  `list_schedule` is the one kernel of the expected-duration list
 schedule: the list cost, the list and speed beta tables (`dualfit`), the
 per-job bounds (`oracle`), the serving order of `greedy_time` and the LP
 horizon witness (`lp`) read it.  `Instance.ratio`, `priority_split` and
@@ -52,6 +54,7 @@ __all__ = [
     "Instance",
     "Scaled",
     "PrioritySplit",
+    "exact_int",
     "as_fraction",
     "strict_fraction",
     "rational_table",
@@ -85,6 +88,12 @@ def _text_fraction(text: str) -> Fraction:
                      "at most 4300 digits a part and a nonzero q")
 
 
+def exact_int(value: object) -> bool:
+    """The one rule for an integer argument: an int, a subclass of int
+    included, but not a bool."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
 def as_fraction(value: FractionLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to Fraction; a string
     follows the rational grammar of `_RATIONAL_TEXT`."""
@@ -103,7 +112,7 @@ def strict_fraction(value: object, where: str) -> Fraction:
     """A rational of the exchange formats: an int, not a bool, or a
     string in the rational grammar.  Anything else, such as a float, a
     decimal point or an exponent, raises SchemaError naming `where`."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if exact_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -124,8 +133,8 @@ def rational_table(rows: object, keys: int, where: str) -> dict:
         if row.__class__ is not list or len(row) != keys + 1:
             raise SchemaError(f"{where}: each row is [{'int, ' * keys}rational], got {row!r}")
         key = row[0] if keys == 1 else tuple(row[:keys])
-        if (key.__class__ is not int if keys == 1
-                else any(part.__class__ is not int for part in key)):
+        if ((key.__class__ is not int and not exact_int(key)) if keys == 1
+                else any(part.__class__ is not int and not exact_int(part) for part in key)):
             raise SchemaError(f"{where}: keys are integers, got {row!r}")
         if key in table:
             raise SchemaError(f"{where}: duplicate key {key!r}")
@@ -168,9 +177,10 @@ class ProcDist:
     """Finite distribution over integer processing times >= 0.
 
     `pmf` maps value -> probability; probabilities are positive and sum
-    to one.  `mean` is computed on construction, since every instance
-    that holds the distribution reads it.  Instances are immutable and
-    safe to share between jobs.
+    to one.  Construction also stores `mean` and the integer view:
+    `pmf[k]` has probability `counts[k] / scale`, `scale` the lcm of the
+    denominators.  None of them is a field, so equality, hashing and
+    repr read `pmf` alone.  Instances are immutable and safe to share.
     """
 
     pmf: tuple[tuple[int, Fraction], ...]
@@ -185,15 +195,14 @@ class ProcDist:
                 value, prob = item
                 if (value.__class__ is int and value >= 0
                         and prob.__class__ is Fraction and prob == 1):
-                    self.__dict__.update(pmf=(item,), _counts=(1,), _scale=1,
+                    self.__dict__.update(pmf=(item,), counts=(1,), scale=1,
                                          mean=Fraction(value))
                     return
         items = (pmf.items() if kind is dict or (kind is not tuple and isinstance(pmf, Mapping))
                  else pmf)
         norm: dict[int, Fraction] = {}
         for value, prob in items:
-            if ((value.__class__ is not int
-                 and (not isinstance(value, int) or isinstance(value, bool))) or value < 0):
+            if (value.__class__ is not int and not exact_int(value)) or value < 0:
                 raise ValueError(f"support value {value!r} must be a nonnegative integer")
             p = prob if prob.__class__ is Fraction else as_fraction(prob)
             if p.numerator <= 0:
@@ -203,12 +212,8 @@ class ProcDist:
             norm[value] = p
         # probability k is counts[k] / scale, so the sum check and the
         # moments are integer sums
-        if len(norm) == 1:
-            pmf = tuple(norm.items())
-            scale = pmf[0][1].denominator
-        else:
-            pmf = tuple(sorted(norm.items()))
-            scale = math.lcm(*[p.denominator for _, p in pmf])
+        pmf = tuple(sorted(norm.items()))
+        scale = math.lcm(*[p.denominator for _, p in pmf])
         counts = []
         total = first = 0
         for value, p in pmf:
@@ -218,12 +223,12 @@ class ProcDist:
             first += value * count
         if total != scale:
             raise ProbSumError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-        self.__dict__.update(pmf=pmf, _counts=tuple(counts), _scale=scale,
+        self.__dict__.update(pmf=pmf, counts=tuple(counts), scale=scale,
                              mean=Fraction(first, scale))
 
     def _power_sum(self, power: int) -> int:
-        """sum_v v^power c_v: the moment of that power times `_scale`."""
-        return sum([v ** power * c for (v, _), c in zip(self.pmf, self._counts)])
+        """sum_v v^power c_v: the moment of that power times `scale`."""
+        return sum([v ** power * c for (v, _), c in zip(self.pmf, self.counts)])
 
     @classmethod
     def point(cls, value: int) -> "ProcDist":
@@ -253,13 +258,9 @@ class ProcDist:
     def max_value(self) -> int:
         return self.pmf[-1][0]
 
-    @property
-    def is_point(self) -> bool:
-        return len(self.pmf) == 1
-
     @cached_property
     def second_moment(self) -> Fraction:
-        return Fraction(self._power_sum(2), self._scale)
+        return Fraction(self._power_sum(2), self.scale)
 
     @property
     def variance(self) -> Fraction:
@@ -273,7 +274,7 @@ class ProcDist:
         first = self._power_sum(1)
         if not first:
             raise ZeroMeanError("squared coefficient of variation needs a positive mean")
-        return Fraction(self._scale * self._power_sum(2) - first * first, first * first)
+        return Fraction(self.scale * self._power_sum(2) - first * first, first * first)
 
     def tail(self, r: FractionLike) -> Fraction:
         """P(X > r)."""
@@ -302,14 +303,12 @@ class Job:
 
     def __init__(self, id: int, weight: FractionLike, release: int,
                  proc: Sequence[Optional[ProcDist]]):
-        if ((id.__class__ is not int
-             and (not isinstance(id, int) or isinstance(id, bool))) or id < 1):
+        if (id.__class__ is not int and not exact_int(id)) or id < 1:
             raise ValueError(f"job id must be a positive integer, got {id!r}")
         w = weight if weight.__class__ is Fraction else as_fraction(weight)
         if w.numerator <= 0:
             raise ValueError(f"job {id}: weight must be positive, got {w}")
-        if ((release.__class__ is not int
-             and (not isinstance(release, int) or isinstance(release, bool))) or release < 0):
+        if (release.__class__ is not int and not exact_int(release)) or release < 0:
             raise ValueError(f"job {id}: release must be a nonnegative integer")
         proc = tuple(proc)
         for d in proc:
@@ -363,8 +362,7 @@ class Instance:
     jobs: tuple[Job, ...]
 
     def __init__(self, machines: int, jobs: Sequence[Job]):
-        if ((machines.__class__ is not int
-             and (not isinstance(machines, int) or isinstance(machines, bool))) or machines < 1):
+        if (machines.__class__ is not int and not exact_int(machines)) or machines < 1:
             raise ValueError("machine count must be a positive integer")
         jobs = tuple(jobs)
         small = 0

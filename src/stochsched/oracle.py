@@ -10,13 +10,14 @@ adding one machine's chain costs at a time in O(m 3^n) steps, and
 `stoch_opt` over information states, each packed into one int: the
 unstarted bitmask plus, per machine, a code for its running job and
 elapsed time, with every start and one-unit move read from tables built
-before the recursion.  Each scales its instance to integers once
-(weights by the lcm of their denominators, probabilities by the lcm of
-each pmf's) and builds a single `Fraction` at the end, so it stays
-exact while doing the work in ints.  Neither optimum shares
-logic with the greedy rules it judges: no priority order, expected
-increase or dispatch step of theirs is reused, so a fault in a greedy
-rule cannot also sit in the yardstick it is measured against.
+before the recursion.  Each reads the instance's integer view, the
+weights of `Instance.scaled` and each pmf's `ProcDist.counts`, and
+builds a single `Fraction` at the end.  Neither optimum shares logic
+with the greedy rules it judges: no priority order, expected increase
+or dispatch step of theirs is reused, so a fault in a greedy rule
+cannot also sit in the yardstick it is measured against.  The view is
+instance data, not greedy logic: `test_core` pins it against
+`Fraction`s, and the optima of `tests/reference.py` share none of it.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from . import greedy_list, greedy_time, lp
-from .core import FractionLike, Instance, Job, ProcDist, as_fraction, list_schedule
+from .core import FractionLike, Instance, Job, ProcDist, as_fraction, exact_int, list_schedule
 from .errors import BadMError, HypothesisViolatedError, TooLargeError
 from .report import Report, Violation
 
@@ -81,9 +82,9 @@ def det_opt(inst: Instance) -> Fraction:
     assignment takes m^n.  A chain table takes O(2^n) steps without
     releases and one step per ordered prefix, under e n!, with them.
 
-    Point-mass means are integers, and the weights are scaled by the lcm
-    of their denominators, so the program runs on ints and one
-    `Fraction` is built at the end.
+    Point-mass means are integers, and the weights are read from the
+    instance's integer view, over their lcm `weight_scale`, so the
+    program runs on ints and one `Fraction` is built at the end.
     """
     if not inst.deterministic:
         raise ValueError("the deterministic optimum needs point-mass distributions")
@@ -96,11 +97,7 @@ def det_opt(inst: Instance) -> Fraction:
     if len(jobs) > limit:
         raise TooLargeError(f"{len(jobs)} jobs exceeds the exhaustive limit of {limit}")
 
-    scale = 1
-    for job in jobs:
-        if job.weight.denominator != 1:
-            scale = math.lcm(scale, job.weight.denominator)
-    weight = [job.weight.numerator * (scale // job.weight.denominator) for job in jobs]
+    scale, _, weight, _ = inst.scaled
     # columns[i][j], job j's duration on machine i, None where i forbids j
     columns = [[None if d is None else d.pmf[0][0] for d in column]
                for column in zip(*[job.proc for job in jobs])]
@@ -198,17 +195,17 @@ def stoch_opt(inst: Instance) -> Fraction:
     completion total.  The benchmark knows the full job list up front
     (releases must be zero) but never a duration before it finishes.
 
-    The program runs on ints.  Job j's pmf on machine i is held as
-    counts a_v over its common denominator t_ij, with tail counts
-    T_ij(e) = sum_{v>e} a_v; L_j is the lcm of j's t_ij and W the lcm of
-    the weight denominators.  A state's value V is carried as
+    The program runs on ints read from the instance's integer view: job
+    j's pmf on machine i is its `ProcDist`'s counts a_v over its `scale`
+    t_ij, with tail counts T_ij(e) = sum_{v>e} a_v; L_j is the lcm of
+    j's t_ij and W the weight scale.  A state's value V is carried as
     U = V * W * prod_busy T(e) * prod_unstarted L_j, an integer:
     starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)),
     advancing gives pay * W * prod T(e) * prod L plus, over the unit's
     outcomes, prod_completing a_{e+1} * U(next).  All candidates of one
     state share its scale, so the minimum is taken on U directly, and
-    the answer is U(start) / (W * prod_j L_j).  The scaling is the
-    program's own and follows the state space, not the greedy's
+    the answer is U(start) / (W * prod_j L_j).  The scaling of states
+    is the program's own and follows the state space, not the greedy's
     priorities, so the optimum stays an independent check on them.
 
     A state is one int, the memo's key: the unstarted bitmask plus, per
@@ -238,8 +235,7 @@ def stoch_opt(inst: Instance) -> Fraction:
 
     n = inst.n
     machines = range(inst.machines)
-    w_scale = math.lcm(*(job.weight.denominator for job in inst.jobs))
-    weight = [job.weight.numerator * (w_scale // job.weight.denominator) for job in inst.jobs]
+    w_scale, _, weight, _ = inst.scaled
     # job j after e units holds slot code 1 + j * span + e; a job that
     # can still run has e < STOCH_OPT_MAX_VALUE, so e + 1 indexes a_v
     span = STOCH_OPT_MAX_VALUE + 1
@@ -255,11 +251,10 @@ def stoch_opt(inst: Instance) -> Fraction:
         pairs = []  # (i, counts a_v of v = 0..STOCH_OPT_MAX_VALUE, t_ij)
         for i, d in enumerate(job.proc):
             if d is not None:
-                t = math.lcm(*(p.denominator for _, p in d.pmf))
                 a = [0] * span
-                for v, p in d.pmf:
-                    a[v] = p.numerator * (t // p.denominator)
-                pairs.append((i, a, t))
+                for (v, _), count in zip(d.pmf, d.counts):
+                    a[v] = count
+                pairs.append((i, a, d.scale))
         lcm.append(math.lcm(*(t for _, _, t in pairs)))
         options.append([])
         first = 1 + j * span
@@ -342,9 +337,9 @@ def gen_lower_bound(k: int, m: int) -> Instance:
     """The tightness family: unit jobs (h, l) for h = 1..k, l = 1..m/h^2,
     runnable on machines 1..l only, ids handed out in decreasing l so
     the arrival tie rule serves wider jobs first."""
-    if not isinstance(k, int) or k < 1:
+    if not exact_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(m, int) or m < 1:
+    if not exact_int(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     for h in range(1, k + 1):
         if m % (h * h):
@@ -367,7 +362,7 @@ def gen_lower_bound(k: int, m: int) -> Instance:
 def lower_bound_ratio(k: int) -> tuple[Fraction, Fraction, Fraction]:
     """(greedy cost, optimal cost, their ratio) on the tightness family
     with the smallest admissible machine count, lcm of 1..k squared."""
-    if not isinstance(k, int) or k < 1:
+    if not exact_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > LOWER_BOUND_MAX_K:
         raise TooLargeError(f"k is capped at {LOWER_BOUND_MAX_K} (machine count grows as lcm)")

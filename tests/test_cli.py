@@ -82,6 +82,12 @@ class TestInstanceIO:
         ('{"format": "SCHED v1", "machines": 2, "machines": 1, "jobs": [{"id": 1, '
          '"w": "1", "r": 0, "proc": [[[1, "1"]]]}]}', "twice"),
         pytest.param("[" * 100_000, "too deep", id="nested-too-deep"),
+        ('{"format": "SCHED v1", "machines": 1}', "instance: missing field 'jobs'"),
+        ('{"format": "SCHED v1", "jobs": []}', "instance: missing field 'machines'"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": {}}]}', "jobs[0].proc: expected an array"),
+        ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, "w": "1", '
+         '"r": 0, "proc": [{"1": "1"}]}]}', "jobs[0].proc[0]: expected an array of rows"),
     ])
     def test_schema_errors(self, text, hint):
         with pytest.raises(SchemaError) as err:
@@ -266,6 +272,14 @@ class TestOutputs:
         capsys.readouterr()
         model = reference.parse_lp(target.read_text())
         assert lp.solve_lp(model).value == 4
+
+    def test_export_to_stdout_comes_before_the_report(self, worked_path, capsys):
+        assert cli.main(["lp", worked_path, "--variant", "S", "--export", "-"]) == 0
+        out = capsys.readouterr().out
+        model = lp.export_lp(lp.build_primal(cli.parse_instance(Path(worked_path).read_text()),
+                                             "S"))
+        assert out.startswith(model)
+        assert out[len(model):].startswith("lp: PASS\n") and "exported: -" in out
 
     def test_lp_export_past_the_digit_limit_is_six_in_own_words(self, tmp_path, capsys):
         # a 4,300-digit weight gives objective entries past the limit;

@@ -75,7 +75,7 @@ class TestProcDist:
 
     def test_point_mass(self):
         d = ProcDist.point(4)
-        assert d.is_point and d.mean == 4 and d.variance == 0 and d.scv == 0
+        assert len(d.pmf) == 1 and d.mean == 4 and d.variance == 0 and d.scv == 0
 
     def test_two_point_moments(self):
         d = ProcDist({1: F(1, 2), 3: F(1, 2)})
@@ -449,6 +449,19 @@ class TestConstructorFastPaths:
             assert scaled.weights == tuple(job.weight * weight_scale for job in jobs)
             assert scaled.means == {key: mean * mean_scale for key, mean in means.items()}
             assert inst.deterministic == all(len(d.pmf) == 1 for d in dists.values())
+
+    def test_counts_match_a_fraction_recomputation(self):
+        # the exact optima of `oracle` read each pmf as counts over its
+        # scale; one-point pmfs, the shortcut's included, hold (1,) over 1
+        rng = random.Random(423)
+        dists = [ProcDist.point(rng.randint(0, 6)) for _ in range(20)]
+        for _ in range(500):
+            items = _random_items(rng, broken=0)
+            dists += [ProcDist(tuple(items)), ProcDist(item for item in items)]
+        for d in dists:
+            scale = math.lcm(*[p.denominator for _, p in d.pmf])
+            assert d.scale == scale and d.counts == tuple(p * scale for _, p in d.pmf)
+            assert "counts" not in repr(d) and d == ProcDist(d.pmf)
 
     def test_int_subclasses_other_than_bool_are_accepted(self):
         d = ProcDist({_Rank.THREE: 1})

@@ -256,6 +256,10 @@ class TestSerialization:
             dualfit.parse_certificate(good.replace('"list"', '"wat"'))
         with pytest.raises(SchemaError):
             dualfit.parse_certificate(good.replace('[[1,"2"]', '[[1,"-2"]'))
+        payload = json.loads(good)
+        del payload["beta"]
+        with pytest.raises(SchemaError, match="^malformed certificate: missing field 'beta'$"):
+            dualfit.parse_certificate(json.dumps(payload))
 
     def test_round_trip_seeded_release_instances(self):
         rng = random.Random(17)

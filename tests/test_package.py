@@ -47,6 +47,9 @@ _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
     (lambda: oracle.staged_process(3, stages=1), ValueError, "at least two stages"),
     (lambda: oracle.gen_lower_bound(0, 1), ValueError, "k must be a positive integer, got 0"),
     (lambda: oracle.lower_bound_ratio(0), ValueError, "k must be a positive integer, got 0"),
+    (lambda: oracle.gen_lower_bound(True, 1), ValueError, "k must be a positive integer, got True"),
+    (lambda: oracle.gen_lower_bound(1, True), ValueError, "m must be a positive integer, got True"),
+    (lambda: oracle.lower_bound_ratio(True), ValueError, "k must be a positive integer, got True"),
     (lambda: dualfit.build_online_certificate(_WORKED, Fraction(3, 2)),
      RequiresFGeq2Error, "need f >= 2, got 3/2"),
     (lambda: dualfit.DualCertificate("list", Fraction(1), {1: Fraction(1)},
@@ -57,6 +60,7 @@ _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
 ], ids=["simplex-row-length", "simplex-sense", "lp-unknown-variable", "job-dist-forbidden",
         "expected-increase-forbidden", "realization-forbidden", "simulate-mode",
         "staged-process-one-stage", "gen-lower-bound-k0", "lower-bound-ratio-k0",
+        "gen-lower-bound-k-true", "gen-lower-bound-m-true", "lower-bound-ratio-k-true",
         "online-certificate-f-below-2", "negative-beta", "render-unknown-format",
         "cli-lowerbound-k0"])
 def test_each_refusal_raises_in_its_own_words(call, error, match, capsys):

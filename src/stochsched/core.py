@@ -243,13 +243,17 @@ class ProcDist:
         """Per support point, the smallest float at or above the exact
         cumulative probability up to and including it.  No float lies
         strictly between a partial sum and its cut, so a float draw is
-        below the cut exactly when it is below the partial sum."""
+        below the cut exactly when it is below the partial sum.  The
+        partial sums are integers `acc` over `scale`; `acc / scale` is
+        correctly rounded, and a cut below the sum moves up one float."""
+        scale = self.scale
         cuts = []
-        acc = Fraction(0)
-        for _, prob in self.pmf:
-            acc += prob
-            cut = float(acc)
-            if Fraction(cut) < acc:
+        acc = 0
+        for count in self.counts:
+            acc += count
+            cut = acc / scale
+            num, den = cut.as_integer_ratio()
+            if num * scale < acc * den:
                 cut = math.nextafter(cut, math.inf)
             cuts.append(cut)
         return tuple(cuts)

@@ -30,13 +30,16 @@ not.  The three pricing rows are written out once, in
 row's two sides are read back from its integer slack.  The beta tables
 are built in one sweep per machine, comparing each slot with integer
 completions: the list and speed tables read `core.list_schedule`, and
-the online builder scales its trace once.
+the online builder scales its trace once, reading each completion as an
+integer over the deterministic schedule's own clock, K*p for the mean
+scale K and f = p/q, with no lcm taken.
 
 Each check builds the certificate it judges and solves no LP; `cli`
 compares the bounds with the LP optimum.  The list and speed checks
 read the `ListRun` they are handed, so one subcommand runs the greedy
 and the schedule once.  A certificate's kind fixes its divisor pair,
-`scale`, and `parse_certificate` holds a text to it; it reads alpha and
+`scale`, set once when the certificate is built, and
+`parse_certificate` holds a text to it; it reads alpha and
 beta with `core.rational_table`, one key and two keys a row.
 """
 from __future__ import annotations
@@ -100,6 +103,10 @@ def _exact_sum(values) -> Fraction:
     return Fraction(sum([v.numerator * (scale // v.denominator) for v in values]), scale)
 
 
+_ONE, _THREE = Fraction(1), Fraction(3)
+_LIST_SCALE = (Fraction(2), Fraction(2))
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     kind: str
@@ -108,25 +115,23 @@ class DualCertificate:
     beta: dict[tuple[int, int], Fraction]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if any(v < 0 for v in self.alpha.values()):
+        kind, f = self.kind, self.f
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if any(v.numerator < 0 for v in self.alpha.values()):
             raise ValueError("alpha values must be nonnegative")
-        if any(v < 0 for v in self.beta.values()):
+        if any(v.numerator < 0 for v in self.beta.values()):
             raise ValueError("beta values must be nonnegative")
         # the verifier's run argument and the scale need a positive speed
-        if self.kind != "list" and self.f <= 0:
-            raise ValueError(f"{self.kind} certificates need f > 0, got {self.f}")
-        # not fields: equality and repr read the tables alone
+        if kind != "list" and f.numerator <= 0:
+            raise ValueError(f"{kind} certificates need f > 0, got {f}")
+        # not fields: equality and repr read the tables alone.  `scale`:
+        # divide alpha by scale[0] and beta by scale[1] to get the point
+        # that is feasible for the corresponding dual LP
+        object.__setattr__(self, "scale", _LIST_SCALE if kind == "list" else
+                           (_ONE, f) if kind == "speed" else (_THREE, 3 * f))
         object.__setattr__(self, "alpha_sum", _exact_sum(self.alpha.values()))
         object.__setattr__(self, "beta_sum", _exact_sum(self.beta.values()))
-
-    @property
-    def scale(self) -> tuple[Fraction, Fraction]:
-        """Divide alpha by scale[0] and beta by scale[1] to get the point
-        that is feasible for the corresponding dual LP."""
-        return {"list": (Fraction(2), Fraction(2)), "speed": (Fraction(1), self.f),
-                "online": (Fraction(3), 3 * self.f)}[self.kind]
 
     def beta_at(self, machine: int, slot: int) -> Fraction:
         return self.beta.get((machine, slot), Fraction(0))
@@ -226,9 +231,10 @@ def _online_run(inst: Instance, f: FractionLike) -> tuple[DualCertificate, Fract
     assignment, increases = greedy_time.assign_with_increases(inst, f)
     trace, det_cost = greedy_time.deterministic_schedule(inst, f, assignment)
     alpha = {job.id: increases[job.id - 1] / f for job in inst.jobs}
-    # the trace's completions as integers over their lcm, once
-    time_scale = math.lcm(*[row.completed.denominator for row in trace.jobs])
+    # the trace's completions as integers over the kernel's own clock,
+    # K*p for f = p/q, once
     scaled = inst.scaled
+    time_scale = scaled.mean_scale * f.numerator
     schedule: Schedule = {}
     for row in trace.jobs:
         completed = row.completed

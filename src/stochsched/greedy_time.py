@@ -9,7 +9,12 @@ for the job's expected duration, and the commitment is never revoked.
 All exact simulation here runs on the speed-f clock (durations divided
 by f); the wall-clock run of the deployed policy is that trace times f,
 and `simulate_wall_clock` computes it independently so the scaling can
-be checked rather than assumed.
+be checked rather than assumed.  Every trace is built by the one kernel
+`_trace`.  `simulate` and `deterministic_schedule` run it on integers:
+with f = p/q and K the instance's mean scale, a time t on the speed-f
+clock is the integer t*K*p, so a release r is r*K*p, a mean m/K is m*q
+and a drawn duration v is v*K*q.  `simulate_wall_clock` stays on
+`Fraction`s.
 
 Every trace and the Monte Carlo layout serve each machine in the order
 of `core.list_schedule`.  `expected_increase` is the list version's
@@ -161,8 +166,8 @@ def _run_machine(entries):
 
     The machine picks the best-ranked released job, holds it for `hold`,
     processes it for `proc`, and only then looks again; with nothing
-    released it sleeps until the next release.  Works for Fraction and
-    float times alike.
+    released it sleeps until the next release.  Works for int, Fraction
+    and float times alike.
     """
     order = sorted(entries)
     heap: list = []
@@ -186,53 +191,70 @@ def _run_machine(entries):
     return done
 
 
-def _trace(inst: Instance, assignment: Assignment,
-           timing: Callable[[Job, int, Fraction], tuple[Fraction, Fraction, Fraction]]
-           ) -> ScheduleTrace:
+def _trace(inst: Instance, assignment: Assignment, scale: int,
+           timing: Callable[[Job, int, int], tuple]) -> tuple[ScheduleTrace, list]:
     """Serve each machine's jobs in the order of `core.list_schedule`,
     with the (release, hold, proc) triple that `timing(job, machine,
-    mean)` returns."""
+    mean)` returns, `mean` the pair's integer mean over
+    `inst.scaled.mean_scale`.  The times are over `scale`: ints on an
+    integer clock, or Fractions with scale 1.  Each `JobTrace` builds its
+    three `Fraction`s at the end; the completions as `timing`'s numbers,
+    in job-id order, come back with the trace."""
     rows: list[Optional[JobTrace]] = [None] * inst.n
+    ends: list = [0] * inst.n
+    jobs, means = inst.jobs, inst.scaled.means
     for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
         entries = []
         for rank, (job_id, _, _) in enumerate(ranked):
-            release, hold, proc = timing(inst.job(job_id), machine, inst.mean(machine, job_id))
+            job = jobs[job_id - 1]
+            release, hold, proc = timing(job, machine, means[id(job.proc[machine - 1])])
             entries.append((release, rank, job_id, hold, proc))
         for job_id, committed, started, completed in _run_machine(entries):
-            rows[job_id - 1] = JobTrace(job_id, machine, Fraction(committed),
-                                        Fraction(started), Fraction(completed))
-    return ScheduleTrace(tuple(rows))
+            rows[job_id - 1] = JobTrace(job_id, machine, Fraction(committed, scale),
+                                        Fraction(started, scale), Fraction(completed, scale))
+            ends[job_id - 1] = completed
+    return ScheduleTrace(tuple(rows)), ends
 
 
 def simulate(inst: Instance, assignment: Assignment, realization: Realization,
              f: FractionLike, mode: str = "forced-idle") -> ScheduleTrace:
     """Trace of the policy on the speed-f clock for one realization."""
     f = _check_f_and_mode(f, mode)
+    # the integer clock of the module docstring, over K*p
+    k, q = inst.scaled.mean_scale, f.denominator
+    scale, kq = k * f.numerator, k * q
+    forced = mode == "forced-idle"
 
-    def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        release = sped_release(inst, job.id, machine, f)
-        drawn = Fraction(realization.value(job.id, machine))
-        if mode == "forced-idle":
-            return release, mean / f, drawn / f
-        return release, Fraction(0), max(drawn, mean) / f
+    def timing(job: Job, machine: int, mean: int) -> tuple[int, int, int]:
+        release = max(job.release * scale, mean * q)
+        drawn = realization.value(job.id, machine) * kq
+        if forced:
+            return release, mean * q, drawn
+        return release, 0, max(drawn, mean * q)
 
-    return _trace(inst, assignment, timing)
+    return _trace(inst, assignment, scale, timing)[0]
 
 
 def simulate_wall_clock(inst: Instance, assignment: Assignment, realization: Realization,
                         f: FractionLike, mode: str = "forced-idle") -> ScheduleTrace:
     """Trace of the deployed policy on the original clock: releases at
-    max{f*r_j, E[P_ij]}, full expected-duration hold, drawn durations."""
+    max{f*r_j, E[P_ij]}, full expected-duration hold, drawn durations.
+
+    It keeps its `Fraction` timings (scale 1) and reads each mean off the
+    distribution, not the integer mean `_trace` hands it: on the integer
+    clock it would share `simulate`'s numerators, and `wall ==
+    sped.scaled(f)` would then check nothing."""
     f = _check_f_and_mode(f, mode)
 
-    def timing(job: Job, machine: int, mean: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    def timing(job: Job, machine: int, _: int) -> tuple[Fraction, Fraction, Fraction]:
+        mean = job.dist(machine).mean
         release = max(f * job.release, mean)
         drawn = Fraction(realization.value(job.id, machine))
         if mode == "forced-idle":
             return release, mean, drawn
         return release, Fraction(0), max(drawn, mean)
 
-    return _trace(inst, assignment, timing)
+    return _trace(inst, assignment, 1, timing)[0]
 
 
 def deterministic_schedule(inst: Instance, f: FractionLike,
@@ -242,11 +264,16 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
 
     Same assignment and serving order as the stochastic run; this is the
     deterministic yardstick the dual certificate reads its table from.
+    Times run on the integer clock over K*p, and the cost is one integer
+    sum over that scale times the weight scale.
     """
     f = _check_f(f)
-    trace = _trace(inst, assignment, lambda job, machine, mean: (
-        sped_release(inst, job.id, machine, f), Fraction(0), mean / f))
-    return trace, trace.cost(inst)
+    scaled, q = inst.scaled, f.denominator
+    scale = scaled.mean_scale * f.numerator
+    trace, ends = _trace(inst, assignment, scale, lambda job, machine, mean: (
+        max(job.release * scale, mean * q), 0, mean * q))
+    total = sum([w * end for w, end in zip(scaled.weights, ends)])
+    return trace, Fraction(total, scaled.weight_scale * scale)
 
 
 def deterministic_cost(inst: Instance, f: FractionLike) -> Fraction:

@@ -554,8 +554,15 @@ def check_b2(process: StoppingProcess, trials: int, seed: int) -> Report:
         sums.append(float(acc))
         taus.append(k)
     n = len(sums)
-    mean = sum(sums) / n
-    var = sum((s - mean) ** 2 for s in sums) / (n - 1)
+    # floats added left to right, as `sum` adds them before Python 3.12;
+    # its compensated sum from 3.12 on moves the interval's last digit
+    total = spread = 0.0
+    for s in sums:
+        total += s
+    mean = total / n
+    for s in sums:
+        spread += (s - mean) ** 2
+    var = spread / (n - 1)
     ci = 1.96 * math.sqrt(var / n)
     bound = 4 * float(t)
     return Report(
@@ -589,13 +596,18 @@ def _lemma5_bounds(inst: Instance, f: Fraction,
                    assignment: greedy_list.Assignment) -> dict[int, Fraction]:
     """Per job: four times its modified release plus twice its completion
     in the expected-duration schedule, which is the expected work at or
-    above its priority on its machine."""
-    mean_scale = inst.scaled.mean_scale
+    above its priority on its machine.  With f = p/q, K the mean scale,
+    m the job's integer mean and c its integer completion, that is
+    (4*max(p*r*K, m*q) + 2*c*q) / (K*q), one `Fraction` per job."""
+    jobs, means, k = inst.jobs, inst.scaled.means, inst.scaled.mean_scale
+    p, q = f.numerator, f.denominator
+    pk, kq = p * k, k * q
     bounds: dict[int, Fraction] = {}
     for machine, rows in list_schedule(inst, assignment.as_mapping()).items():
         for job_id, _, completion in rows:
-            release = greedy_time.modified_release(inst, job_id, machine, f)
-            bounds[job_id] = 4 * release + 2 * Fraction(completion, mean_scale)
+            job = jobs[job_id - 1]
+            mean = means[id(job.proc[machine - 1])]
+            bounds[job_id] = Fraction(4 * max(job.release * pk, mean * q) + 2 * completion * q, kq)
     return bounds
 
 
@@ -612,7 +624,7 @@ def check_lemma5(inst: Instance, f: FractionLike, assignment: greedy_list.Assign
     `estimate` is not read; otherwise the Monte Carlo mean must stay
     within three intervals.
     """
-    f = as_fraction(f)
+    f = greedy_time._check_f(f)
     if not inst.deterministic and estimate.mode != "forced-idle":
         raise ValueError(f"the bound needs a forced-idle estimate, got {estimate.mode}")
     bounds = _lemma5_bounds(inst, f, assignment)

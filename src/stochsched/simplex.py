@@ -55,16 +55,22 @@ __all__ = ["solve_standard"]
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 def _scaled(values, row: Optional[int]) -> tuple[list[int], int]:
     """Integers k * v for k, the lcm of the values' denominators; and k.
 
     `values` are the costs (row None) or a row's coefficients followed
-    by its right-hand side.  A float or a bool raises TypeError naming
-    its place: neither may slip into exact arithmetic.
+    by its right-hand side.  Values that are all plain ints, such as a
+    0/1 cap row, go through as they are with k = 1.  A float or a bool
+    raises TypeError naming its place: neither may slip into exact
+    arithmetic.
     """
-    if not _EXACT.issuperset(map(type, values)):
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return list(values), 1
+    if not _EXACT.issuperset(kinds):
         for j, v in enumerate(values):
             if v.__class__ is bool or not isinstance(v, (int, Fraction)):
                 where = (f"cost {j}" if row is None else
@@ -247,5 +253,6 @@ def solve_standard(costs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
     duals = [Fraction(0)] * m
     for orig in kept:
         y = -objrow[art_of[orig] if art_of[orig] >= 0 else slack_of[orig]] * scale[orig]
-        duals[orig] = Fraction(-y if flipped[orig] else y, d * k)
+        if y:
+            duals[orig] = Fraction(-y if flipped[orig] else y, d * k)
     return value, x, duals

@@ -40,7 +40,10 @@ def random_instance(rng: random.Random, *, max_machines: int = 4, max_jobs: int 
                     max_value: int = 5, integer_mean: bool = False,
                     even_mean: bool = False, forbidden: bool = True,
                     releases: bool = False, max_release: int = 6,
-                    max_weight: int = 9) -> Instance:
+                    max_weight: int = 9, fractional_weights: bool = False) -> Instance:
+    """A seeded instance.  Weights are integers from 1 to `max_weight`;
+    with `fractional_weights` each is divided by 1, 2, 3 or 7, one more
+    draw per job, so the certificates' weight denominators are exercised."""
     m = rng.randint(1, max_machines)
     n = rng.randint(1, max_jobs)
     rel = sorted(rng.randint(0, max_release) for _ in range(n)) if releases else [0] * n
@@ -62,5 +65,8 @@ def random_instance(rng: random.Random, *, max_machines: int = 4, max_jobs: int 
             while not (integer_mean or even_mean) and dist.mean < 1:
                 dist = random_dist(rng, max_value=max_value)
             row.append(double_support(dist) if even_mean else dist)
-        jobs.append(Job(j, Fraction(rng.randint(1, max_weight)), rel[j - 1], tuple(row)))
+        weight = Fraction(rng.randint(1, max_weight))
+        if fractional_weights:
+            weight /= rng.choice((1, 2, 3, 7))
+        jobs.append(Job(j, weight, rel[j - 1], tuple(row)))
     return Instance(m, jobs)

@@ -13,6 +13,9 @@ through `core.priority_split`.  `dispatch`, `machine_order`,
 are the greedy dispatch, the machine order, the expected-duration list
 schedule, the list cost and the distribution checks written on
 `Fraction`s, where the package runs them on scaled integers.
+`speed_trace` is the speed-f trace of `greedy_time.simulate` and
+`deterministic_schedule` as a `Fraction` event loop over that list
+schedule, where the package runs a heap on an integer clock.
 `verify_certificate` scans every pricing row of a dual certificate slot
 by slot in `Fraction`s, and `beta_table` rescans every completion for
 every slot, where the package works per run of equal beta and sweeps
@@ -27,7 +30,8 @@ into a model, so the tests can check that the export is canonical.
 package's one-pass JSON writer.  The property tests require exact
 equality between these and the package's versions, so they share no
 code with them beyond the LP model classes, `lp.default_horizon`,
-`lp._check_witness` and `report.exact_text`.
+`lp._check_witness`, the trace classes of `greedy_time` and
+`report.exact_text`.
 """
 from __future__ import annotations
 
@@ -438,6 +442,41 @@ def fixed_assignment_cost(inst: Instance, assignment: Mapping[int, int]) -> Frac
     return sum((inst.job(job_id).weight * completion
                 for rows in list_schedule(inst, assignment).values()
                 for job_id, completion in rows), Fraction(0))
+
+
+def speed_trace(inst: Instance, assignment, f: Fraction, realization=None,
+                mode: str = "forced-idle") -> tuple[greedy_time.ScheduleTrace, Fraction]:
+    """The trace on the speed-f clock and its cost, by a `Fraction` event
+    loop.  Whenever a machine is free it takes the first job of its
+    `list_schedule` order whose release max(r, mean/f) has passed, or
+    sleeps until the next release.  With no `realization` the job runs
+    for mean/f with no hold (`deterministic_schedule`); otherwise a
+    forced-idle job is held for mean/f and runs for drawn/f, and a
+    max-proc job runs for max(drawn, mean)/f (`simulate`)."""
+    rows = {}
+    for machine, order in list_schedule(inst, assignment.as_mapping()).items():
+        waiting = [job_id for job_id, _ in order]
+        clock = Fraction(0)
+        while waiting:
+            release = {j: max(Fraction(inst.job(j).release), inst.mean(machine, j) / f)
+                       for j in waiting}
+            ready = [j for j in waiting if release[j] <= clock]
+            if not ready:
+                clock = min(release.values())
+                continue
+            job_id = ready[0]
+            waiting.remove(job_id)
+            mean = inst.mean(machine, job_id)
+            hold, run = Fraction(0), mean
+            if realization is not None:
+                drawn = Fraction(realization.value(job_id, machine))
+                hold, run = (mean, drawn) if mode == "forced-idle" else (Fraction(0), max(drawn, mean))
+            committed = clock
+            started = committed + hold / f
+            clock = started + run / f
+            rows[job_id] = greedy_time.JobTrace(job_id, machine, committed, started, clock)
+    trace = greedy_time.ScheduleTrace(tuple(rows[job.id] for job in inst.jobs))
+    return trace, sum((inst.job(t.job).weight * t.completed for t in trace.jobs), Fraction(0))
 
 
 # ---------------------------------------------------------- distributions

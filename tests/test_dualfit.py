@@ -321,11 +321,15 @@ class TestAgainstTheSlotScan:
     def _assert_same(self, inst, cert):
         assert dualfit.verify_certificate(inst, cert) == reference.verify_certificate(inst, cert)
 
-    def test_seeded_certificates_of_every_kind(self):
-        rng = random.Random(811)
+    def _every_kind(self, rng, fractional_weights=False):
+        """40 seeded instances, each with its list certificate and its
+        speed and online certificates at every factor, as built and with
+        one alpha shifted."""
+        violated = 0
         for _ in range(40):
             inst = random_instance(rng, max_machines=3, max_jobs=7,
-                                   releases=rng.random() < 0.5)
+                                   releases=rng.random() < 0.5,
+                                   fractional_weights=fractional_weights)
             run = dualfit.list_run(inst)
             certs = [dualfit.build_list_certificate(inst, run)]
             for f in self.FACTORS:
@@ -337,7 +341,19 @@ class TestAgainstTheSlotScan:
                 victim = rng.randint(1, inst.n)
                 delta = F(rng.randint(-40, 40), rng.randint(1, 3))
                 if cert.alpha[victim] + delta >= 0:
-                    self._assert_same(inst, dualfit.perturbed(cert, victim, delta))
+                    bad = dualfit.perturbed(cert, victim, delta)
+                    self._assert_same(inst, bad)
+                    violated += not dualfit.verify_certificate(inst, bad).passed
+        return violated
+
+    def test_seeded_certificates_of_every_kind(self):
+        self._every_kind(random.Random(811))
+
+    def test_fractional_weights_of_every_kind(self):
+        # weights over 2, 3 and 7 put the weight's denominator into every
+        # integer slack; integer weights alone leave it 1
+        rng = random.Random(839)
+        assert self._every_kind(rng, fractional_weights=True) > 0
 
     def test_the_three_mutation_shapes_of_the_acceptance_gate(self):
         rng = random.Random(823)

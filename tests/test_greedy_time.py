@@ -7,9 +7,12 @@ from stochsched.core import Instance, Job, ProcDist, list_schedule
 from stochsched import greedy_list as gl
 from stochsched import greedy_time as gt
 
+import reference
 from helpers import point_instance, random_instance, worked_instance
 
 F = Fraction
+# speeds with q = 1 and q > 1 in f = p/q
+SPEEDS = (F(2), F(5, 2), F(7, 3), F(3))
 
 
 def _one_job(weight=1, release=0, mean=2):
@@ -160,16 +163,33 @@ class TestSimulate:
         assert second.committed == 12 and second.completed == 14
 
     def test_wall_clock_is_f_times_sped_trace(self):
+        # at f = 5/2 and 7/3 the speed clock's q is not 1, so a kernel
+        # that dropped it would show here
         rng = random.Random(29)
         for _ in range(25):
-            inst = random_instance(rng, max_machines=3, max_jobs=6, releases=True)
+            inst = random_instance(rng, max_machines=3, max_jobs=6, releases=True,
+                                   fractional_weights=True)
             assignment = gt.assign(inst, F(1))
             realization = gt.draw_realization(inst, random.Random(rng.randint(0, 10**6)))
-            for f in (F(2), F(3)):
-                sped = gt.simulate(inst, assignment, realization, f)
-                wall = gt.simulate_wall_clock(inst, assignment, realization, f)
-                assert wall == sped.scaled(f)
-                assert wall.cost(inst) == f * sped.cost(inst)
+            for f in SPEEDS:
+                for mode in gt.MODES:
+                    sped = gt.simulate(inst, assignment, realization, f, mode)
+                    wall = gt.simulate_wall_clock(inst, assignment, realization, f, mode)
+                    assert wall == sped.scaled(f)
+                    assert wall.cost(inst) == f * sped.cost(inst)
+
+    def test_simulate_matches_the_fraction_event_loop(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            inst = random_instance(rng, max_machines=3, max_jobs=7, releases=True,
+                                   fractional_weights=True)
+            realization = gt.draw_realization(inst, random.Random(rng.randint(0, 10**6)))
+            for f in SPEEDS:
+                assignment = gt.assign(inst, f)
+                for mode in gt.MODES:
+                    trace = gt.simulate(inst, assignment, realization, f, mode)
+                    assert (trace, trace.cost(inst)) == reference.speed_trace(
+                        inst, assignment, f, realization, mode)
 
     def test_max_proc_mode_never_idles(self):
         inst = _one_job()
@@ -190,6 +210,24 @@ class TestDeterministicSchedule:
 
     def test_worked_instance_cost(self):
         assert gt.deterministic_cost(worked_instance(), F(2)) == 4
+
+    def test_matches_the_fraction_event_loop(self):
+        # fractional weights, means and speeds: the integer clock over
+        # K*p against a Fraction clock, trace and cost
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(60):
+            inst = random_instance(rng, max_machines=3, max_jobs=8, releases=True,
+                                   fractional_weights=True)
+            seen.update(name for name, present in (
+                ("fractional weights", inst.scaled.weight_scale > 1),
+                ("fractional means", inst.scaled.mean_scale > 1),
+            ) if present)
+            for f in SPEEDS:
+                assignment = gt.assign(inst, f)
+                assert gt.deterministic_schedule(inst, f, assignment) == \
+                    reference.speed_trace(inst, assignment, f)
+        assert seen == {"fractional weights", "fractional means"}
 
 
 class TestEstimate:

@@ -358,6 +358,21 @@ class TestPerJobBound:
                 assert oracle._lemma5_bounds(inst, f, assignment) == \
                     reference.lemma5_bounds(inst, f, assignment)
 
+    def test_bounds_match_priority_split_on_fractional_means(self):
+        # the integer bound over K*q against the Fraction one, with mean
+        # scales K > 1 and speeds f = p/q with q > 1
+        rng = random.Random(149)
+        scales = set()
+        for _ in range(40):
+            inst = random_instance(rng, max_machines=3, max_jobs=7, releases=True,
+                                   fractional_weights=True)
+            scales.add(inst.scaled.mean_scale > 1)
+            for f in (F(1), F(2), F(5, 2), F(7, 3), F(3)):
+                assignment = greedy_time.assign(inst, f)
+                assert oracle._lemma5_bounds(inst, f, assignment) == \
+                    reference.lemma5_bounds(inst, f, assignment)
+        assert scales == {False, True}
+
     def test_exact_on_the_worked_instance(self):
         inst = worked_instance()
         assignment = greedy_time.assign(inst, F(2))

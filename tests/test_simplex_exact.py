@@ -163,14 +163,17 @@ def test_int_entries_solve_like_fractions():
     ("rhs", "row 0 right-hand side"),
 ])
 def test_inexact_input_is_rejected(bad, place, where):
-    costs = [F(1), F(1)]
-    rows = [[F(1), F(1)], [F(1), F(0)]]
-    rhs = [F(2), F(1)]
-    if place == "cost":
-        costs[1] = bad
-    elif place == "coefficient":
-        rows[1][0] = bad
-    else:
-        rhs[0] = bad
-    with pytest.raises(TypeError, match=where):
-        simplex.solve_standard(costs, rows, ["=", "<="], rhs)
+    # among Fractions, and among plain ints, which skip the lcm of the
+    # denominators but not the refusal
+    for exact in (F, int):
+        costs = [exact(1), exact(1)]
+        rows = [[exact(1), exact(1)], [exact(1), exact(0)]]
+        rhs = [exact(2), exact(1)]
+        if place == "cost":
+            costs[1] = bad
+        elif place == "coefficient":
+            rows[1][0] = bad
+        else:
+            rhs[0] = bad
+        with pytest.raises(TypeError, match=where):
+            simplex.solve_standard(costs, rows, ["=", "<="], rhs)

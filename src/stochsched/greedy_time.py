@@ -307,7 +307,9 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     Each replication draws from its own child generator keyed by
     (seed, index), so results are reproducible for a fixed (seed,
     samples).  On point masses every replication is the same trace, so
-    one is simulated and its sums are added once per sample.  Event
+    one is simulated and its sums are added once per sample.  A machine
+    with one job needs no queue: its completion is release + hold +
+    proc, the floats the serving kernel would add.  Event
     times inside a replication are floats; serving priority still uses
     exact ratios.
     """
@@ -329,16 +331,26 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     weights = [float(job.weight) for job in inst.jobs]
 
     # running sums, added in replication order
+    n = inst.n
     total_sum = total_sq = 0.0
-    job_sum = [0.0] * inst.n
-    job_sq = [0.0] * inst.n
+    job_sum = [0.0] * n
+    job_sq = [0.0] * n
     draws, repeats = (1, samples) if inst.deterministic else (samples, 1)
     for rep in range(draws):
         rng = random.Random(f"{seed}:{rep}")
-        completions = [0.0] * inst.n
+        completions = [0.0] * n
         total = 0.0
         # draw in fixed (machine-block) order for reproducibility
         for entries in layout:
+            if len(entries) == 1:
+                # released at release > 0 to an idle machine; `_run_machine`
+                # adds these floats in this order
+                release, _, job_id, hold, dist = entries[0]
+                drawn = float(dist.sample(rng))
+                end = release + hold + (drawn if forced else max(drawn, float(dist.mean)))
+                completions[job_id - 1] = end
+                total += weights[job_id - 1] * end
+                continue
             drawn_entries = []
             for release, rank, job_id, hold, dist in entries:
                 drawn = float(dist.sample(rng))

@@ -13,14 +13,16 @@ be checked rather than assumed.  Every trace is built by the one kernel
 `_trace`.  `simulate` and `deterministic_schedule` run it on integers:
 with f = p/q and K the instance's mean scale, a time t on the speed-f
 clock is the integer t*K*p, so a release r is r*K*p, a mean m/K is m*q
-and a drawn duration v is v*K*q.  `simulate_wall_clock` stays on
-`Fraction`s.
+and a drawn duration v is v*K*q.  `estimate_cost` serves the same
+integers, read as wall-clock times over K*q.  `simulate_wall_clock`
+stays on `Fraction`s.
 
-Every trace and the Monte Carlo layout serve each machine in the order
-of `core.list_schedule`.  `expected_increase` is the list version's
-plus the job's own charge, independent of the dispatch kernel it checks.
-`deterministic_schedule` and `estimate_cost` read the assignment they
-are handed, so a caller runs the greedy once and shares it.
+Every trace and every Monte Carlo replication serves each machine in
+the order of `core.list_schedule`, as `_layout` lays it out.
+`expected_increase` is the list version's plus the job's own charge,
+independent of the dispatch kernel it checks.  `deterministic_schedule`
+and `estimate_cost` read the assignment they are handed, so a caller
+runs the greedy once and shares it.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ __all__ = [
     "ScheduleTrace",
     "CostEstimate",
     "modified_release",
-    "sped_release",
     "expected_increase",
     "assign",
     "assign_with_increases",
@@ -76,13 +77,6 @@ def modified_release(inst: Instance, job_id: int, machine: int, f: FractionLike)
     f = _check_f(f)
     job = inst.job(job_id)
     return max(f * job.release, job.dist(machine).mean)
-
-
-def sped_release(inst: Instance, job_id: int, machine: int, f: FractionLike) -> Fraction:
-    """Same deadline on the speed-f clock: max{r_j, E[P_ij]/f}."""
-    f = _check_f(f)
-    job = inst.job(job_id)
-    return max(Fraction(job.release), job.dist(machine).mean / f)
 
 
 def expected_increase(inst: Instance, assigned: Mapping[int, int], job_id: int,
@@ -166,8 +160,8 @@ def _run_machine(entries):
 
     The machine picks the best-ranked released job, holds it for `hold`,
     processes it for `proc`, and only then looks again; with nothing
-    released it sleeps until the next release.  Works for int, Fraction
-    and float times alike.
+    released it sleeps until the next release.  Works for int and
+    Fraction times alike.
     """
     order = sorted(entries)
     heap: list = []
@@ -191,29 +185,48 @@ def _run_machine(entries):
     return done
 
 
-def _trace(inst: Instance, assignment: Assignment, scale: int,
-           timing: Callable[[Job, int, int], tuple]) -> tuple[ScheduleTrace, list]:
-    """Serve each machine's jobs in the order of `core.list_schedule`,
-    with the (release, hold, proc) triple that `timing(job, machine,
-    mean)` returns, `mean` the pair's integer mean over
-    `inst.scaled.mean_scale`.  The times are over `scale`: ints on an
-    integer clock, or Fractions with scale 1.  Each `JobTrace` builds its
-    three `Fraction`s at the end; the completions as `timing`'s numbers,
-    in job-id order, come back with the trace."""
-    rows: list[Optional[JobTrace]] = [None] * inst.n
-    ends: list = [0] * inst.n
+def _layout(inst: Instance, assignment: Assignment, timing: Callable[[Job, int, int], tuple]):
+    """Each machine's queue in the order of `core.list_schedule`, as
+    (machine, [(release, rank, job, hold, proc), ...]) with the triple
+    that `timing(job, machine, mean)` returns, `mean` the pair's integer
+    mean over `inst.scaled.mean_scale`."""
     jobs, means = inst.jobs, inst.scaled.means
+    layout = []
     for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
         entries = []
         for rank, (job_id, _, _) in enumerate(ranked):
             job = jobs[job_id - 1]
             release, hold, proc = timing(job, machine, means[id(job.proc[machine - 1])])
             entries.append((release, rank, job_id, hold, proc))
+        layout.append((machine, entries))
+    return layout
+
+
+def _trace(inst: Instance, assignment: Assignment, scale: int,
+           timing: Callable[[Job, int, int], tuple]) -> tuple[ScheduleTrace, list]:
+    """Serve the `_layout` of `timing` on each machine, times over
+    `scale`: ints on an integer clock, or Fractions with scale 1.  Each
+    `JobTrace` builds its three `Fraction`s at the end; the completions
+    as `timing`'s numbers, in job-id order, come back with the trace."""
+    rows: list[Optional[JobTrace]] = [None] * inst.n
+    ends: list = [0] * inst.n
+    for machine, entries in _layout(inst, assignment, timing):
         for job_id, committed, started, completed in _run_machine(entries):
             rows[job_id - 1] = JobTrace(job_id, machine, Fraction(committed, scale),
                                         Fraction(started, scale), Fraction(completed, scale))
             ends[job_id - 1] = completed
     return ScheduleTrace(tuple(rows)), ends
+
+
+def _policy(scale: int, q: int, forced: bool) -> Callable[[Job, int, int], tuple[int, int, int]]:
+    """(release, hold, floor) on the integer clock over `scale` = K*p for
+    integer mean m: release max(r*K*p, m*q); forced-idle mode holds m*q,
+    max-proc mode holds 0 with floor m*q.  A job runs max(drawn, floor)."""
+    def timing(job: Job, machine: int, mean: int) -> tuple[int, int, int]:
+        mq = mean * q
+        release = max(job.release * scale, mq)
+        return (release, mq, 0) if forced else (release, 0, mq)
+    return timing
 
 
 def simulate(inst: Instance, assignment: Assignment, realization: Realization,
@@ -223,14 +236,11 @@ def simulate(inst: Instance, assignment: Assignment, realization: Realization,
     # the integer clock of the module docstring, over K*p
     k, q = inst.scaled.mean_scale, f.denominator
     scale, kq = k * f.numerator, k * q
-    forced = mode == "forced-idle"
+    policy = _policy(scale, q, mode == "forced-idle")
 
     def timing(job: Job, machine: int, mean: int) -> tuple[int, int, int]:
-        release = max(job.release * scale, mean * q)
-        drawn = realization.value(job.id, machine) * kq
-        if forced:
-            return release, mean * q, drawn
-        return release, 0, max(drawn, mean * q)
+        release, hold, floor = policy(job, machine, mean)
+        return release, hold, max(realization.value(job.id, machine) * kq, floor)
 
     return _trace(inst, assignment, scale, timing)[0]
 
@@ -268,10 +278,10 @@ def deterministic_schedule(inst: Instance, f: FractionLike,
     sum over that scale times the weight scale.
     """
     f = _check_f(f)
-    scaled, q = inst.scaled, f.denominator
+    scaled = inst.scaled
     scale = scaled.mean_scale * f.numerator
-    trace, ends = _trace(inst, assignment, scale, lambda job, machine, mean: (
-        max(job.release * scale, mean * q), 0, mean * q))
+    # max-proc's timing with no draw: no hold, and the mean as duration
+    trace, ends = _trace(inst, assignment, scale, _policy(scale, f.denominator, False))
     total = sum([w * end for w, end in zip(scaled.weights, ends)])
     return trace, Fraction(total, scaled.weight_scale * scale)
 
@@ -305,68 +315,58 @@ def estimate_cost(inst: Instance, f: FractionLike, samples: int, seed: int,
     policy on `assignment`, the greedy's `assign(inst, f)`.
 
     Each replication draws from its own child generator keyed by
-    (seed, index), so results are reproducible for a fixed (seed,
-    samples).  On point masses every replication is the same trace, so
-    one is simulated and its sums are added once per sample.  A machine
-    with one job needs no queue: its completion is release + hold +
-    proc, the floats the serving kernel would add.  Event
-    times inside a replication are floats; serving priority still uses
-    exact ratios.
+    (seed, index), in machine-block order, so results are reproducible
+    for a fixed (seed, samples).  It serves `simulate`'s integer queues,
+    read on the wall clock over K*q: its completions and weighted cost
+    are exact, and each becomes a float by one integer division.  On
+    point masses every replication is the same trace, so the first is
+    the estimate, with every interval 0.0.
     """
     f = _check_f_and_mode(f, mode)
     if samples < 1:
         raise ValueError("need at least one replication")
-    # static per-machine layout; only `proc` varies across replications
-    layout = []
-    forced = mode == "forced-idle"
-    for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
-        entries = []
-        for rank, (job_id, _, _) in enumerate(ranked):
-            job = inst.job(job_id)
-            dist = job.dist(machine)
-            release = float(max(f * job.release, dist.mean))
-            hold = float(dist.mean) if forced else 0.0
-            entries.append((release, rank, job_id, hold, dist))
-        layout.append(entries)
-    weights = [float(job.weight) for job in inst.jobs]
+    scaled, q = inst.scaled, f.denominator
+    kq = scaled.mean_scale * q
+    policy = _policy(scaled.mean_scale * f.numerator, q, mode == "forced-idle")
+
+    def static(job: Job, machine: int, mean: int) -> tuple[int, int, tuple]:
+        release, hold, floor = policy(job, machine, mean)
+        return release, hold, (floor, job.dist(machine))
+
+    # static per-machine queues; only the drawn durations vary across replications
+    layout = [entries for _, entries in _layout(inst, assignment, static)]
+    weights, cost_scale = scaled.weights, scaled.weight_scale * kq
 
     # running sums, added in replication order
-    n = inst.n
     total_sum = total_sq = 0.0
-    job_sum = [0.0] * n
-    job_sq = [0.0] * n
-    draws, repeats = (1, samples) if inst.deterministic else (samples, 1)
-    for rep in range(draws):
+    job_sum = [0.0] * inst.n
+    job_sq = [0.0] * inst.n
+    ends = [0] * inst.n
+    reps = 1 if inst.deterministic else samples
+    for rep in range(reps):
         rng = random.Random(f"{seed}:{rep}")
-        completions = [0.0] * n
-        total = 0.0
-        # draw in fixed (machine-block) order for reproducibility
+        cost = 0
         for entries in layout:
             if len(entries) == 1:
-                # released at release > 0 to an idle machine; `_run_machine`
-                # adds these floats in this order
-                release, _, job_id, hold, dist = entries[0]
-                drawn = float(dist.sample(rng))
-                end = release + hold + (drawn if forced else max(drawn, float(dist.mean)))
-                completions[job_id - 1] = end
-                total += weights[job_id - 1] * end
+                # released at release > 0 to an idle machine, as `_run_machine` serves it
+                release, _, job_id, hold, (floor, dist) = entries[0]
+                end = ends[job_id - 1] = release + hold + max(dist.sample(rng) * kq, floor)
+                cost += weights[job_id - 1] * end
                 continue
-            drawn_entries = []
-            for release, rank, job_id, hold, dist in entries:
-                drawn = float(dist.sample(rng))
-                proc = drawn if forced else max(drawn, float(dist.mean))
-                drawn_entries.append((release, rank, job_id, hold, proc))
-            for job_id, _, _, end in _run_machine(drawn_entries):
-                completions[job_id - 1] = end
-                total += weights[job_id - 1] * end
-        for _ in range(repeats):
-            total_sum += total
-            total_sq += total * total
-            for j, end in enumerate(completions):
-                job_sum[j] += end
-                job_sq[j] += end * end
+            drawn = [(release, rank, job_id, hold, max(dist.sample(rng) * kq, floor))
+                     for release, rank, job_id, hold, (floor, dist) in entries]
+            for job_id, _, _, end in _run_machine(drawn):
+                ends[job_id - 1] = end
+                cost += weights[job_id - 1] * end
+        total = cost / cost_scale
+        total_sum += total
+        total_sq += total * total
+        for j, end in enumerate(ends):
+            end /= kq
+            job_sum[j] += end
+            job_sq[j] += end * end
 
-    mean, ci = _mean_ci(total_sum, total_sq, samples)
-    per_job = [_mean_ci(s, ssq, samples) for s, ssq in zip(job_sum, job_sq)]
+    mean, ci = _mean_ci(total_sum, total_sq, reps)
+    per_job = [_mean_ci(s, ssq, reps) for s, ssq in zip(job_sum, job_sq)]
     return CostEstimate(mean, ci, samples, tuple(m for m, _ in per_job),
                         tuple(c for _, c in per_job), mode, seed)

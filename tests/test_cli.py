@@ -363,6 +363,11 @@ class TestReport:
             {"constraint": "c", "lhs": "2", "rhs": "1", "slack": "-1"}]
         assert payload["metrics"]["rows"] == [{"k": 1, "v": "1/3"}]
 
+    def test_csv_leaves_none_empty(self):
+        assert cli.render(Report("r", True, {"x": None, "y": 1}), "csv") == (
+            "key,value\npassed,true\nx,\ny,1\n")
+        assert cli.render(Report("r", True, rows=({"k": 1, "v": None},)), "csv") == "k,v\n1,\n"
+
     def test_json_omits_empty_checks_and_rows(self):
         assert json.loads(cli.render(Report("r", True, {"x": 1}), "json"))["metrics"] == {"x": 1}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,16 +29,6 @@ class TestModifiedRelease:
     def test_examples(self, release, mean, f, want):
         inst = _one_job(release=release, mean=mean)
         assert gt.modified_release(inst, 1, 1, F(f)) == want
-
-    def test_sped_release_is_quotient(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            release, mean = rng.randint(0, 9), rng.randint(1, 9)
-            f = F(rng.randint(2, 5), rng.randint(1, 2))
-            if f < 1:
-                continue
-            inst = _one_job(release=release, mean=mean)
-            assert gt.sped_release(inst, 1, 1, f) == gt.modified_release(inst, 1, 1, f) / f
 
     def test_f_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -253,8 +244,8 @@ class TestEstimate:
         assert a == b
 
     def test_point_masses_match_the_exact_trace(self):
-        # every event time is a multiple of 1/2 below 2^53, so the float
-        # layout adds exactly and each per-job mean is the exact float
+        # the estimate is the one exact trace, so it holds at speeds whose
+        # event times no float can hold, and no interval opens
         rng = random.Random(83)
         seen = set()
         for _ in range(60):
@@ -273,19 +264,45 @@ class TestEstimate:
             ) if present)
             realization = gt.Realization(tuple(
                 tuple(None if d is None else d.max_value for d in job.proc) for job in inst.jobs))
-            for f in (F(1), F(2), F(3), F(5, 2)):
+            for f in (F(1), F(2), F(3), F(5, 2), F(4, 3), F(7, 3), F(10, 7), F(11, 10)):
                 assignment = gt.assign(inst, f)
                 for mode in gt.MODES:
                     exact = gt.simulate_wall_clock(inst, assignment, realization, f, mode)
                     est = gt.estimate_cost(inst, f, rng.randint(1, 8), rng.randint(0, 99),
                                            assignment, mode)
                     assert est.per_job_mean == tuple(float(t.completed) for t in exact.jobs)
+                    assert est.mean == float(exact.cost(inst))
+                    assert est.ci95 == 0.0 and set(est.per_job_ci95) == {0.0}
         assert seen == {"releases", "forbidden pairs", "fractional weights"}
+
+    def test_one_sample_is_the_exact_wall_clock_trace(self):
+        # fractional weights and means with odd denominators: a replication
+        # is exact until each completion and the cost become one float
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(40):
+            inst = random_instance(rng, max_machines=3, max_jobs=6, releases=True,
+                                   fractional_weights=True)
+            seen.update(name for name, present in (
+                ("fractional weights", inst.scaled.weight_scale > 1),
+                ("non-dyadic means", inst.scaled.mean_scale & (inst.scaled.mean_scale - 1)),
+                ("stochastic", not inst.deterministic),
+            ) if present)
+            for f in (F(1), F(2), F(5, 2), F(4, 3), F(7, 3), F(10, 7)):
+                assignment = gt.assign(inst, f)
+                for mode in gt.MODES:
+                    seed = rng.randint(0, 99)
+                    drawn = _drawn(inst, assignment, random.Random(f"{seed}:0"))
+                    exact = gt.simulate_wall_clock(inst, assignment, drawn, f, mode)
+                    est = gt.estimate_cost(inst, f, 1, seed, assignment, mode)
+                    assert est.per_job_mean == tuple(float(t.completed) for t in exact.jobs)
+                    assert est.mean == float(exact.cost(inst))
+        assert seen == {"fractional weights", "non-dyadic means", "stochastic"}
 
     @pytest.mark.parametrize("point_masses", [True, False], ids=["point-masses", "stochastic"])
     def test_point_masses_simulate_one_replication(self, monkeypatch, point_masses):
         # weights p/q with q = 3 or 7 make the summed floats inexact, so
-        # adding one trace `samples` times must repeat the old order
+        # `samples` copies of one trace would open an interval
         rng = random.Random(2020 if point_masses else 2021)
         built = []
 
@@ -310,7 +327,12 @@ class TestEstimate:
             samples, seed = rng.randint(1, 40), rng.randint(0, 99)
             assignment = gt.assign(inst, f)
             for mode in gt.MODES:
-                expected = _per_replication_estimate(inst, f, samples, seed, assignment, mode)
+                if point_masses:
+                    # the first replication is the estimate
+                    expected = dataclasses.replace(_per_replication_estimate(
+                        inst, f, 1, seed, assignment, mode), samples=samples)
+                else:
+                    expected = _per_replication_estimate(inst, f, samples, seed, assignment, mode)
                 built.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(gt.random, "Random", Counted)
@@ -329,39 +351,31 @@ class TestEstimate:
         assert hits >= 18
 
 
-def _per_replication_estimate(inst, f, samples, seed, assignment, mode):
-    """`estimate_cost` as it ran before point masses took one trace:
-    every replication draws from its own generator and adds its sums."""
-    forced = mode == "forced-idle"
-    layout = []
+def _drawn(inst, assignment, rng):
+    """The values `estimate_cost` draws from `rng`, in its machine-block
+    order; the pairs `assignment` leaves unused stay None."""
+    values = [[None] * inst.machines for _ in inst.jobs]
     for machine, ranked in list_schedule(inst, assignment.as_mapping()).items():
-        entries = []
-        for rank, (job_id, _, _) in enumerate(ranked):
-            job = inst.job(job_id)
-            dist = job.dist(machine)
-            entries.append((float(max(f * job.release, dist.mean)), rank, job_id,
-                            float(dist.mean) if forced else 0.0, dist))
-        layout.append(entries)
-    weights = [float(job.weight) for job in inst.jobs]
+        for job_id, _, _ in ranked:
+            values[job_id - 1][machine - 1] = inst.job(job_id).dist(machine).sample(rng)
+    return gt.Realization(tuple(tuple(row) for row in values))
+
+
+def _per_replication_estimate(inst, f, samples, seed, assignment, mode):
+    """`estimate_cost` on the `Fraction` clock of `simulate_wall_clock`:
+    every replication draws from its own generator and adds the floats of
+    its exact trace."""
     total_sum = total_sq = 0.0
     job_sum = [0.0] * inst.n
     job_sq = [0.0] * inst.n
     for rep in range(samples):
-        rng = random.Random(f"{seed}:{rep}")
-        completions = [0.0] * inst.n
-        total = 0.0
-        for entries in layout:
-            drawn_entries = []
-            for release, rank, job_id, hold, dist in entries:
-                drawn = float(dist.sample(rng))
-                proc = drawn if forced else max(drawn, float(dist.mean))
-                drawn_entries.append((release, rank, job_id, hold, proc))
-            for job_id, _, _, end in gt._run_machine(drawn_entries):
-                completions[job_id - 1] = end
-                total += weights[job_id - 1] * end
+        drawn = _drawn(inst, assignment, random.Random(f"{seed}:{rep}"))
+        trace = gt.simulate_wall_clock(inst, assignment, drawn, f, mode)
+        total = float(trace.cost(inst))
         total_sum += total
         total_sq += total * total
-        for j, end in enumerate(completions):
+        for j, job in enumerate(trace.jobs):
+            end = float(job.completed)
             job_sum[j] += end
             job_sq[j] += end * end
     mean, ci = gt._mean_ci(total_sum, total_sq, samples)

@@ -161,6 +161,14 @@ class TestYMass:
                         {(1, 1): ProcDist.point(1)})
         assert y == {(1, 1, 0): F(1, 2), (1, 1, 1): F(1, 2)}
 
+    def test_a_zero_start_adds_no_mass(self):
+        # every y entry is positive, and a start of probability 0 needs no
+        # distribution on its machine
+        x = {(1, 1, 0): F(1, 2), (1, 1, 1): F(1, 2)}
+        y = lp.y_from_x(x, {(1, 1): SPREAD})
+        assert lp.y_from_x({**x, (1, 1, 4): F(0)}, {(1, 1): SPREAD}) == y
+        assert lp.y_from_x({**x, (2, 1, 0): 0}, {(1, 1): SPREAD}) == y
+
     def test_start_mass_must_be_a_distribution(self):
         with pytest.raises(NotAPolicyDistributionError):
             lp.y_from_x({(1, 1, 0): F(1, 2)}, {(1, 1): ProcDist.point(1)})

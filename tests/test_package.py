@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,8 @@ _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
                                   _REALIZATION, 2, "idle"),
      ValueError, "mode must be one of"),
     (lambda: oracle.staged_process(3, stages=1), ValueError, "at least two stages"),
+    (lambda: oracle.random_dist(random.Random(0), max_value=0),
+     ValueError, "need room for at least the value 1"),
     (lambda: oracle.gen_lower_bound(0, 1), ValueError, "k must be a positive integer, got 0"),
     (lambda: oracle.lower_bound_ratio(0), ValueError, "k must be a positive integer, got 0"),
     (lambda: oracle.gen_lower_bound(True, 1), ValueError, "k must be a positive integer, got True"),
@@ -59,10 +62,10 @@ _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
     (lambda: _exit_code(["lowerbound", "0"]), SystemExit, "^6$"),
 ], ids=["simplex-row-length", "simplex-sense", "lp-unknown-variable", "job-dist-forbidden",
         "expected-increase-forbidden", "realization-forbidden", "simulate-mode",
-        "staged-process-one-stage", "gen-lower-bound-k0", "lower-bound-ratio-k0",
-        "gen-lower-bound-k-true", "gen-lower-bound-m-true", "lower-bound-ratio-k-true",
-        "online-certificate-f-below-2", "negative-beta", "render-unknown-format",
-        "cli-lowerbound-k0"])
+        "staged-process-one-stage", "random-dist-no-room", "gen-lower-bound-k0",
+        "lower-bound-ratio-k0", "gen-lower-bound-k-true", "gen-lower-bound-m-true",
+        "lower-bound-ratio-k-true", "online-certificate-f-below-2", "negative-beta",
+        "render-unknown-format", "cli-lowerbound-k0"])
 def test_each_refusal_raises_in_its_own_words(call, error, match, capsys):
     with pytest.raises(error, match=match):
         call()

@@ -1,15 +1,9 @@
-"""Command-line front end: instance I/O, experiment runs, report output.
+"""Command-line front end: the argument parser, experiment runs, exit codes.
 
-Instances travel as versioned JSON (`SCHED v1`) with rationals encoded
-as "p/q" strings; float literals are rejected outright so results never
-depend on parsing luck.  `parse_instance` checks the shape, reads the
-rationals and pmf tables through `core`, and leaves the value rules
-(machine count, ids, releases, signs) to `Instance`, `Job` and
-`ProcDist`.  `--f` follows the same rational grammar.  Reports render
-as human text, a flat CSV table, or JSON mirroring the Report
-structure, written in one pass with the bytes `json.dumps(...,
-indent=2)` gives.  Output bytes are a pure function of (instance,
-flags, seed).
+Each subcommand reads its instance with `core.parse_instance` (the
+`SCHED v1` reader), runs into a `Report`, and writes it with
+`report.render`.  `--f` follows `core`'s rational grammar.  Output
+bytes are a pure function of (instance, flags, seed).
 
 Exit codes are stable: 0 all checks passed, 1 a check failed, 2 schema
 problem, 3 unschedulable job, 4 LP infeasible/unbounded/horizon too
@@ -18,21 +12,17 @@ small, 5 enumeration limits exceeded, 6 other usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
-import math
 import random
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dualfit, greedy_list, greedy_time, lp, oracle
-from .core import (Instance, Job, ProcDist, as_fraction, max_scv, rational_table, read_format,
-                   strict_fraction)
+# emit_instance is not used here: perfbench/workloads.py writes its
+# instance files through `cli.emit_instance`
+from .core import Instance, as_fraction, emit_instance, max_scv, parse_instance  # noqa: F401
 from .errors import (
     BadMError,
     HorizonTooSmallError,
@@ -44,11 +34,9 @@ from .errors import (
     UnschedulableError,
     ZeroMeanError,
 )
-from .report import Report, Violation, exact_text
+from .report import FORMATS, Report, render
 
-__all__ = ["RunConfig", "parse_instance", "emit_instance", "run", "render", "main"]
-
-FORMATS = ("human", "csv", "json")
+__all__ = ["RunConfig", "run", "main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,79 +45,6 @@ EXIT_UNSCHEDULABLE = 3
 EXIT_LP = 4
 EXIT_TOO_LARGE = 5
 EXIT_USAGE = 6
-
-
-# ---------------------------------------------------------------- instance I/O
-
-def parse_instance(text: str) -> Instance:
-    """Strict reader for the `SCHED v1` schema.  It checks the shape;
-    the values of the machine count, ids, releases, weights and support
-    are checked by `Instance`, `Job` and `ProcDist`, whose refusals
-    become SchemaErrors naming the field."""
-    payload = read_format(text, "SCHED v1", ("machines", "jobs"))
-    try:
-        machines, rows = payload["machines"], payload["jobs"]
-    except KeyError as exc:
-        raise SchemaError(f"instance: missing field {exc}") from None
-    if not isinstance(rows, list):
-        raise SchemaError("instance.jobs: expected an array")
-    jobs = []
-    for pos, row in enumerate(rows):
-        context = f"jobs[{pos}]"
-        if not isinstance(row, dict):
-            raise SchemaError(f"{context}: expected an object")
-        extra = row.keys() - ("id", "w", "r", "proc")
-        if extra:
-            raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
-        try:
-            job_id, weight, release, proc = row["id"], row["w"], row["r"], row["proc"]
-        except KeyError as exc:
-            raise SchemaError(f"{context}: missing field {exc}") from None
-        if not isinstance(proc, list):
-            raise SchemaError(f"{context}.proc: expected an array")
-        dists: list[Optional[ProcDist]] = []
-        for m, entry in enumerate(proc):
-            if entry is None:
-                dists.append(None)
-                continue
-            where = f"{context}.proc[{m}]"
-            if not entry:
-                raise SchemaError(f"{where}: expected null or a nonempty array of [value, prob]")
-            try:
-                dists.append(ProcDist(rational_table(entry, 1, where)))
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-        try:
-            jobs.append(Job(job_id, strict_fraction(weight, f"{context}.w"), release, dists))
-        except ValueError as exc:
-            raise SchemaError(f"{context}: {exc}") from None
-    try:
-        inst = Instance(machines, jobs)
-    except (ValueError, ZeroMeanError) as exc:
-        raise SchemaError(str(exc)) from None
-    if not jobs:  # after the machine count, which `Instance` checks first
-        raise SchemaError("instance must have at least one job")
-    return inst
-
-
-def emit_instance(inst: Instance) -> str:
-    """Canonical text: `parse_instance(emit_instance(x)) == x`, and equal
-    instances produce identical bytes."""
-    payload = {
-        "format": "SCHED v1",
-        "machines": inst.machines,
-        "jobs": [
-            {
-                "id": job.id,
-                "w": str(job.weight),
-                "r": job.release,
-                "proc": [None if d is None else [[v, str(p)] for v, p in d.pmf]
-                         for d in job.proc],
-            }
-            for job in inst.jobs
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ------------------------------------------------------------------ subcommands
@@ -296,14 +211,11 @@ def _run_oracle(config: RunConfig) -> Report:
 def _run_lowerbound(config: RunConfig) -> Report:
     if config.k < 1:
         raise ValueError("k must be at least 1")
-    if config.k > oracle.LOWER_BOUND_MAX_K:
-        # fail before grinding through the affordable prefix
-        raise TooLargeError(
-            f"k is capped at {oracle.LOWER_BOUND_MAX_K} (machine count grows as lcm)")
+    last = oracle.lower_bound_ratio(config.k)  # first: past the cap, 1..k-1 never run
     rows = []
     ratios = []
     for k in range(1, config.k + 1):
-        greedy, opt, ratio = oracle.lower_bound_ratio(k)
+        greedy, opt, ratio = oracle.lower_bound_ratio(k) if k < config.k else last
         ratios.append(ratio)
         rows.append({"k": k, "greedy": greedy, "opt": opt, "ratio": ratio,
                      "ratio_float": float(ratio)})
@@ -345,179 +257,6 @@ _RUNNERS = {
 def run(config: RunConfig) -> Report:
     """Execute one subcommand; `passed` decides exit code 0 versus 1."""
     return _RUNNERS[config.subcommand](config)
-
-
-# -------------------------------------------------------------------- rendering
-
-def _human_value(value) -> str:
-    if isinstance(value, Fraction):
-        text = exact_text(value)
-        if value.denominator == 1:
-            return text
-        try:
-            return f"{text} ({float(value):.6g})"
-        except OverflowError:  # beyond float range: the exact value alone
-            return text
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return str(value)
-
-
-def _csv_value(value) -> str:
-    if isinstance(value, Fraction):
-        return exact_text(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _render_human(report: Report) -> str:
-    lines = [f"{report.name}: {'PASS' if report.passed else 'FAIL'}"]
-    for key, value in report.metrics.items():
-        lines.append(f"  {key}: {_human_value(value)}")
-    if report.min_slack is not None:
-        lines.append(f"  min_slack: {_human_value(report.min_slack)}")
-    for violation in report.violations[:5]:
-        lines.append(f"  violated {violation.constraint}: "
-                     f"{_human_value(violation.lhs)} > {_human_value(violation.rhs)}")
-    if report.checks:
-        lines.append("  checks:")
-        for child in report.checks:
-            mark = "PASS" if child.passed else "FAIL"
-            extras = []
-            if child.min_slack is not None:
-                extras.append(f"min_slack={_human_value(child.min_slack)}")
-            if child.violations:
-                extras.append(f"violations={len(child.violations)}")
-            suffix = f" ({', '.join(extras)})" if extras else ""
-            lines.append(f"    [{mark}] {child.name}{suffix}")
-            for key, value in child.metrics.items():
-                lines.append(f"        {key}: {_human_value(value)}")
-    if report.rows:
-        columns = list(report.rows[0])
-        table = [columns] + [[_human_value(row[c]) for c in columns] for row in report.rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-        for line in table:
-            lines.append(("  " + "  ".join(v.ljust(w) for v, w in zip(line, widths))).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(report: Report) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if report.rows:
-        columns = list(report.rows[0])
-        writer.writerow(columns)
-        writer.writerows([_csv_value(row[c]) for c in columns] for row in report.rows)
-    else:
-        writer.writerow(["key", "value"])
-        writer.writerow(["passed", _csv_value(report.passed)])
-        writer.writerows([key, _csv_value(value)] for key, value in report.metrics.items())
-    return buffer.getvalue()
-
-
-_json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-# the scalar classes a report holds, each with its JSON text; a Fraction
-# is its exact 'p/q' string
-_JSON_SCALARS = {
-    str: _json_string,
-    Fraction: lambda value: f'"{exact_text(value)}"',
-    bool: lambda value: "true" if value else "false",
-    int: int.__repr__,
-    type(None): lambda value: "null",
-    float: _json_float,
-}
-
-
-def _write_object(items, out: list, pad: str) -> None:
-    """(key text, value) pairs as a JSON object, its entries one level
-    deeper than `pad`, a newline and the enclosing indent."""
-    inner = pad + "  "
-    opener = "{"
-    for key, value in items:
-        scalar = _JSON_SCALARS.get(value.__class__)
-        if scalar is not None:
-            out.append(f"{opener}{inner}{key}: {scalar(value)}")
-        else:
-            out.append(f"{opener}{inner}{key}: ")
-            _write_json(value, out, inner)
-        opener = ","
-    out.append("{}" if opener == "{" else pad + "}")
-
-
-def _write_json(value, out: list, pad: str) -> None:
-    """Append `value` as `json.dumps(..., indent=2)` spells it, after the
-    report pieces are converted as README's JSON section describes: a
-    Report or Violation is an object, a rational its 'p/q' text, a tuple
-    a list, a mapping an object with `str` keys."""
-    scalar = _JSON_SCALARS.get(value.__class__)
-    if scalar is not None:
-        out.append(scalar(value))
-    elif isinstance(value, Report):
-        metrics = value.metrics
-        if value.checks or value.rows:  # the last keys inside "metrics"
-            metrics = dict(metrics)
-            if value.checks:
-                metrics["checks"] = value.checks
-            if value.rows:
-                metrics["rows"] = value.rows
-        _write_object((('"name"', value.name), ('"passed"', value.passed), ('"metrics"', metrics),
-                       ('"violations"', value.violations), ('"min_slack"', value.min_slack)),
-                      out, pad)
-    elif isinstance(value, Violation):
-        _write_object((('"constraint"', value.constraint), ('"lhs"', value.lhs),
-                       ('"rhs"', value.rhs), ('"slack"', value.slack)), out, pad)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        opener = "["
-        for item in value:
-            out.append(opener + inner)
-            opener = ","
-            _write_json(item, out, inner)
-        out.append(pad + "]")
-    elif isinstance(value, Mapping):
-        _write_object([(_json_string(str(k)), v) for k, v in value.items()], out, pad)
-    else:  # a subclass, such as an IntEnum, is written as its scalar base
-        base = next((c for c in value.__class__.__mro__ if c in _JSON_SCALARS), None)
-        if base is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        out.append(_JSON_SCALARS[base](value))
-
-
-def _render_json(report: Report) -> str:
-    out: list[str] = []
-    _write_json(report, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def render(report: Report, fmt: str) -> str:
-    if fmt == "human":
-        return _render_human(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "json":
-        return _render_json(report)
-    raise ValueError(f"format must be one of {FORMATS}")
 
 
 # ------------------------------------------------------------------ entry point

@@ -20,7 +20,9 @@ the `expected_increase` references stay on `Fraction`s, independent of
 that view.  `_RATIONAL_TEXT` is the one grammar of rational text, for
 `as_fraction` (so `cli`'s `--f`) and `strict_fraction`; with `read_format`
 and `rational_table`, the reader of `[int key, ..., rational]` arrays,
-they are the one strict JSON layer of `SCHED v1` (`cli`) and `CERT v1`.
+they are the one strict JSON layer of `SCHED v1` and `CERT v1`
+(`certify`).  The instance format's reader and writer, `parse_instance`
+and `emit_instance`, sit beside that layer.
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ __all__ = [
     "strict_fraction",
     "rational_table",
     "read_format",
+    "parse_instance",
+    "emit_instance",
     "max_scv",
     "priority_split",
     "list_schedule",
@@ -170,6 +174,77 @@ def read_format(text: str, marker: str, fields: Iterable[str]) -> dict:
     if extra:
         raise SchemaError(f"unknown top-level fields {sorted(extra)}")
     return payload
+
+
+def parse_instance(text: str) -> Instance:
+    """Strict reader for the `SCHED v1` schema.  It checks the shape;
+    the values of the machine count, ids, releases, weights and support
+    are checked by `Instance`, `Job` and `ProcDist`, whose refusals
+    become SchemaErrors naming the field."""
+    payload = read_format(text, "SCHED v1", ("machines", "jobs"))
+    try:
+        machines, rows = payload["machines"], payload["jobs"]
+    except KeyError as exc:
+        raise SchemaError(f"instance: missing field {exc}") from None
+    if not isinstance(rows, list):
+        raise SchemaError("instance.jobs: expected an array")
+    jobs = []
+    for pos, row in enumerate(rows):
+        context = f"jobs[{pos}]"
+        if not isinstance(row, dict):
+            raise SchemaError(f"{context}: expected an object")
+        extra = row.keys() - ("id", "w", "r", "proc")
+        if extra:
+            raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
+        try:
+            job_id, weight, release, proc = row["id"], row["w"], row["r"], row["proc"]
+        except KeyError as exc:
+            raise SchemaError(f"{context}: missing field {exc}") from None
+        if not isinstance(proc, list):
+            raise SchemaError(f"{context}.proc: expected an array")
+        dists: list[Optional[ProcDist]] = []
+        for m, entry in enumerate(proc):
+            if entry is None:
+                dists.append(None)
+                continue
+            where = f"{context}.proc[{m}]"
+            if not entry:
+                raise SchemaError(f"{where}: expected null or a nonempty array of [value, prob]")
+            try:
+                dists.append(ProcDist(rational_table(entry, 1, where)))
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+        try:
+            jobs.append(Job(job_id, strict_fraction(weight, f"{context}.w"), release, dists))
+        except ValueError as exc:
+            raise SchemaError(f"{context}: {exc}") from None
+    try:
+        inst = Instance(machines, jobs)
+    except (ValueError, ZeroMeanError) as exc:
+        raise SchemaError(str(exc)) from None
+    if not jobs:  # after the machine count, which `Instance` checks first
+        raise SchemaError("instance must have at least one job")
+    return inst
+
+
+def emit_instance(inst: Instance) -> str:
+    """Canonical text: `parse_instance(emit_instance(x)) == x`, and equal
+    instances produce identical bytes."""
+    payload = {
+        "format": "SCHED v1",
+        "machines": inst.machines,
+        "jobs": [
+            {
+                "id": job.id,
+                "w": str(job.weight),
+                "r": job.release,
+                "proc": [None if d is None else [[v, str(p)] for v, p in d.pmf]
+                         for d in job.proc],
+            }
+            for job in inst.jobs
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,17 @@ schedule, the list cost and the distribution checks written on
 `deterministic_schedule` as a `Fraction` event loop over that list
 schedule, where the package runs a heap on an integer clock.
 `verify_certificate` scans every pricing row of a dual certificate slot
-by slot in `Fraction`s, and `beta_table` rescans every completion for
-every slot, where the package works per run of equal beta and sweeps
-the completions once.  `objective_coeff` and `build_primal` write
-each LP coefficient as a `Fraction` expression, where the package
-builds it from integer parts; the dual of P and P_o has no builder
+by slot in `Fraction`s, where `certify.verify_certificate` works per
+run of equal beta, and `beta_table` rescans every completion for
+every slot, where `dualfit` sweeps the completions once.
+`objective_coeff` and `build_primal` write each LP coefficient as a
+`Fraction` expression, where the package builds it from integer parts; the dual of P and P_o has no builder
 here or in the package, and the tests read it off `lp.solve_lp`'s
 multipliers.  `parse_lp` reads `lp.export_lp`'s TIDX-LP v1 text back
 into a model, so the tests can check that the export is canonical.
 `jsonable` turns a report into JSON-safe primitives, and
 `json.dumps(jsonable(report), indent=2)` is the byte oracle of the
-package's one-pass JSON writer.  The property tests require exact
+package's one-pass JSON writer in `report`.  The property tests require exact
 equality between these and the package's versions, so they share no
 code with them beyond the LP model classes, `lp.default_horizon`,
 `lp._check_witness`, the trace classes of `greedy_time` and
@@ -702,7 +702,7 @@ def jsonable(value):
     rationals become canonical 'p/q' strings so nothing is rounded.
     Sub-checks, then rows, are the last keys inside "metrics", present
     only when nonempty.  `json.dumps(jsonable(report), indent=2) + "\\n"`
-    is the byte oracle of `cli.render(report, "json")`."""
+    is the byte oracle of `report.render(report, "json")`."""
     if isinstance(value, Report):
         metrics = {k: jsonable(v) for k, v in value.metrics.items()}
         if value.checks:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from helpers import point_instance, random_instance
-from stochsched import dualfit, greedy_list, greedy_time, lp, oracle
+from stochsched import certify, dualfit, greedy_list, greedy_time, lp, oracle
 from stochsched.core import Instance, Job, ProcDist, max_scv
 from stochsched.errors import SmallMeanWarning
 
@@ -91,7 +91,7 @@ def test_criterion_2_certificate_feasibility():
             machine = inst.job(victim).permitted[0]
             mean = inst.mean(machine, victim)
             bump = mean * (cert.beta_at(machine, 0) + inst.job(victim).weight) + 1
-            report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
+            report = certify.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
             assert report.violations, "list mutation went unnoticed"
             caught += 1
         for inst in plain[10:20]:
@@ -101,7 +101,7 @@ def test_criterion_2_certificate_feasibility():
             mean = inst.mean(machine, victim)
             w = inst.job(victim).weight
             bump = mean * (cert.beta_at(machine, 0) / 2 + w / 2) + 1
-            report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
+            report = certify.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
             assert report.violations, "speed mutation went unnoticed"
             caught += 1
         for inst in released[:10]:
@@ -114,7 +114,7 @@ def test_criterion_2_certificate_feasibility():
             rhs = cert.beta_at(machine, s0) + 6 * job.weight * (
                 (s0 + F(1, 2)) / mean + F(1, 2))
             bump = rhs * mean / 2 + 1
-            report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
+            report = certify.verify_certificate(inst, dualfit.perturbed(cert, victim, bump))
             assert report.violations, "online mutation went unnoticed"
             caught += 1
         return (f"0 violations over 200 plain + 100 released instances; "

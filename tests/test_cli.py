@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from stochsched import cli, dualfit, greedy_list, greedy_time, lp
-from stochsched.core import Instance, Job, ProcDist
+from stochsched import certify, cli, dualfit, greedy_list, greedy_time, lp
+from stochsched.core import Instance, Job, ProcDist, emit_instance, parse_instance
 from stochsched.errors import SchemaError
-from stochsched.report import Report, Violation
+from stochsched.report import Report, Violation, render
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -27,7 +27,7 @@ F = Fraction
 @pytest.fixture
 def worked_path(tmp_path):
     path = tmp_path / "worked.json"
-    path.write_text(cli.emit_instance(worked_instance()))
+    path.write_text(emit_instance(worked_instance()))
     return str(path)
 
 
@@ -36,12 +36,12 @@ class TestInstanceIO:
         rng = random.Random(131)
         for _ in range(25):
             inst = random_instance(rng, releases=True)
-            assert cli.parse_instance(cli.emit_instance(inst)) == inst
+            assert parse_instance(emit_instance(inst)) == inst
 
     def test_emit_is_canonical(self):
         inst = worked_instance()
-        text = cli.emit_instance(inst)
-        assert cli.emit_instance(cli.parse_instance(text)) == text
+        text = emit_instance(inst)
+        assert emit_instance(parse_instance(text)) == text
 
     @pytest.mark.parametrize("text,hint", [
         ("{", "JSON"),
@@ -91,13 +91,13 @@ class TestInstanceIO:
     ])
     def test_schema_errors(self, text, hint):
         with pytest.raises(SchemaError) as err:
-            cli.parse_instance(text)
+            parse_instance(text)
         assert hint.lower() in str(err.value).lower()
 
     def test_weight_accepts_plain_integers(self):
         text = ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, '
                 '"w": 3, "r": 0, "proc": [[[2, "1"]]]}]}')
-        inst = cli.parse_instance(text)
+        inst = parse_instance(text)
         assert inst.job(1).weight == 3
 
 
@@ -159,7 +159,7 @@ class TestExitCodes:
     def test_signed_and_p_over_q_strings_are_rationals(self):
         text = ('{"format": "SCHED v1", "machines": 1, "jobs": [{"id": 1, '
                 '"w": "+6/4", "r": 0, "proc": [[[2, "+1/3"], [4, "2/3"]]]}]}')
-        inst = cli.parse_instance(text)
+        inst = parse_instance(text)
         assert inst.job(1).weight == F(3, 2) and inst.mean(1, 1) == F(10, 3)
 
     def test_unschedulable_is_three(self, tmp_path):
@@ -172,8 +172,9 @@ class TestExitCodes:
         assert cli.main(["lp", worked_path, "--horizon", "1"]) == 4
         assert cli.main(["verify", worked_path, "--horizon", "1"]) == 4
 
-    def test_oversized_family_is_five(self):
+    def test_oversized_family_is_five(self, capsys):
         assert cli.main(["lowerbound", "9"]) == 5
+        assert capsys.readouterr().err == "error: k is capped at 6 (machine count grows as lcm)\n"
 
     def test_low_speed_factor_is_six(self, worked_path, capsys):
         assert cli.main(["verify", worked_path, "--f", "3/2"]) == 6
@@ -260,7 +261,7 @@ class TestOutputs:
 
     def test_lp_single_unit_job(self, tmp_path, capsys):
         path = tmp_path / "one.json"
-        path.write_text(cli.emit_instance(point_instance(1, [(1, 0, (1,))])))
+        path.write_text(emit_instance(point_instance(1, [(1, 0, (1,))])))
         assert cli.main(["lp", str(path), "--variant", "P"]) == 0
         out = capsys.readouterr().out
         assert "value: 1" in out
@@ -276,7 +277,7 @@ class TestOutputs:
     def test_export_to_stdout_comes_before_the_report(self, worked_path, capsys):
         assert cli.main(["lp", worked_path, "--variant", "S", "--export", "-"]) == 0
         out = capsys.readouterr().out
-        model = lp.export_lp(lp.build_primal(cli.parse_instance(Path(worked_path).read_text()),
+        model = lp.export_lp(lp.build_primal(parse_instance(Path(worked_path).read_text()),
                                              "S"))
         assert out.startswith(model)
         assert out[len(model):].startswith("lp: PASS\n") and "exported: -" in out
@@ -285,7 +286,7 @@ class TestOutputs:
         # a 4,300-digit weight gives objective entries past the limit;
         # the export says so as the printed value would
         path = tmp_path / "heavy.json"
-        path.write_text(cli.emit_instance(point_instance(1, [("9" * 4300, 0, (2,))])))
+        path.write_text(emit_instance(point_instance(1, [("9" * 4300, 0, (2,))])))
         assert cli.main(["lp", str(path), "--variant", "P", "--export", "-"]) == 6
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -304,7 +305,7 @@ class TestOutputs:
         assert lines[1:] == ["1,1,2", "2,2,2"]
 
     def test_stdin_instance(self, monkeypatch, capsys):
-        text = cli.emit_instance(worked_instance())
+        text = emit_instance(worked_instance())
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert cli.main(["oracle", "-"]) == 0
         assert "oracle: PASS" in capsys.readouterr().out
@@ -356,7 +357,7 @@ class TestReport:
                        violations=(Violation("c", F(2), F(1)),), min_slack=F(-1))
         report = Report("parent", False, {"x": F(3), "y": 1.5},
                         checks=(child,), rows=({"k": 1, "v": F(1, 3)},))
-        payload = json.loads(cli.render(report, "json"))
+        payload = json.loads(render(report, "json"))
         assert list(payload) == ["name", "passed", "metrics", "violations", "min_slack"]
         assert list(payload["metrics"]) == ["x", "y", "checks", "rows"]
         assert payload["metrics"]["checks"][0]["violations"] == [
@@ -364,41 +365,41 @@ class TestReport:
         assert payload["metrics"]["rows"] == [{"k": 1, "v": "1/3"}]
 
     def test_csv_leaves_none_empty(self):
-        assert cli.render(Report("r", True, {"x": None, "y": 1}), "csv") == (
+        assert render(Report("r", True, {"x": None, "y": 1}), "csv") == (
             "key,value\npassed,true\nx,\ny,1\n")
-        assert cli.render(Report("r", True, rows=({"k": 1, "v": None},)), "csv") == "k,v\n1,\n"
+        assert render(Report("r", True, rows=({"k": 1, "v": None},)), "csv") == "k,v\n1,\n"
 
     def test_json_omits_empty_checks_and_rows(self):
-        assert json.loads(cli.render(Report("r", True, {"x": 1}), "json"))["metrics"] == {"x": 1}
+        assert json.loads(render(Report("r", True, {"x": 1}), "json"))["metrics"] == {"x": 1}
 
     def test_a_failing_certificate_renders_top_level_and_nested(self):
         # both jobs' scores raised: ten pricing rows break, min slack -9
         inst = worked_instance()
         cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
         cert = dualfit.perturbed(dualfit.perturbed(cert, 1, F(21, 2)), 2, 10)
-        failed = dualfit.verify_certificate(inst, cert)
+        failed = certify.verify_certificate(inst, cert)
         assert len(failed.violations) == 10 and failed.min_slack == -9
         metrics = ("  kind: list\n  f: 1\n  alpha_sum: 49/2 (24.5)\n  beta_sum: 4\n"
                    "  constraints_checked: 10\n")
         # the first five violated rows, the top level's min_slack before them
-        assert cli.render(failed, "human") == (
+        assert render(failed, "human") == (
             "feasibility[list]: FAIL\n" + metrics + "  min_slack: -9\n"
             "  violated price_1_1_0: 25/4 (6.25) > 2\n"
             "  violated price_1_1_1: 25/4 (6.25) > 5/2 (2.5)\n"
             "  violated price_1_1_2: 25/4 (6.25) > 2\n"
             "  violated price_2_1_0: 25/6 (4.16667) > 3\n"
             "  violated price_2_1_1: 25/6 (4.16667) > 4/3 (1.33333)\n")
-        assert cli.render(failed, "csv") == (
+        assert render(failed, "csv") == (
             "key,value\npassed,false\nkind,list\nf,1\nalpha_sum,49/2\nbeta_sum,4\n"
             "constraints_checked,10\n")
         outer = Report("verify", False, {"f": F(2)}, checks=(failed,))
-        assert cli.render(outer, "human") == (
+        assert render(outer, "human") == (
             "verify: FAIL\n  f: 2\n  checks:\n"
             "    [FAIL] feasibility[list] (min_slack=-9, violations=10)\n"
             + metrics.replace("  ", "        "))
-        assert cli.render(outer, "csv") == "key,value\npassed,false\nf,2\n"
+        assert render(outer, "csv") == "key,value\npassed,false\nf,2\n"
         for report in (failed, outer):
-            assert cli.render(report, "json") == _json_oracle(report)
+            assert render(report, "json") == _json_oracle(report)
 
 
 def _json_oracle(report: Report) -> str:
@@ -488,7 +489,6 @@ class TestJsonWriter:
 
     def test_every_golden_report(self, tmp_path, monkeypatch):
         reports = []
-        render = cli.render
 
         def recording(report, fmt):
             reports.append(report)
@@ -506,7 +506,7 @@ class TestJsonWriter:
         seen = set()
         for _ in range(400):
             report = _generated_report(rng)
-            assert cli.render(report, "json") == _json_oracle(report)
+            assert render(report, "json") == _json_oracle(report)
             for piece in _pieces(report):
                 if isinstance(piece, Report):
                     seen.update(name for name, present in (
@@ -543,7 +543,7 @@ class TestJsonWriter:
         child = Report("child", True, {"x": 1}, rows=({"bad": value},))
         report = Report("r", False, {"a": F(1, 2)}, checks=(child,))
         with pytest.raises(error) as ours:
-            cli.render(report, "json")
+            render(report, "json")
         with pytest.raises(error) as theirs:
             _json_oracle(report)
         assert str(ours.value) == str(theirs.value)
@@ -577,9 +577,9 @@ def test_fuzzed_texts_are_schema_errors(tmp_path, capsys):
     instances = list(_golden_instances().values())
     rejected = 0
     for index, mutant in enumerate(m for inst in instances
-                                   for m in _mutants(cli.emit_instance(inst), rng, 150)):
+                                   for m in _mutants(emit_instance(inst), rng, 150)):
         try:
-            cli.parse_instance(mutant.decode("utf-8"))
+            parse_instance(mutant.decode("utf-8"))
             continue
         except (SchemaError, UnicodeDecodeError):
             rejected += 1
@@ -589,14 +589,14 @@ def test_fuzzed_texts_are_schema_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
     assert rejected >= 300
-    certs = [dualfit.serialize_certificate(build(inst)) for inst in instances
+    certs = [certify.serialize_certificate(build(inst)) for inst in instances
              for build in (lambda inst: dualfit.build_list_certificate(
                                inst, dualfit.list_run(inst)),
                            lambda inst: dualfit.build_online_certificate(inst, 2))]
     rejected = 0
     for mutant in (m for text in certs for m in _mutants(text, rng, 100)):
         try:
-            dualfit.parse_certificate(mutant.decode("latin-1"))
+            certify.parse_certificate(mutant.decode("latin-1"))
         except SchemaError:
             rejected += 1
     assert rejected >= 400
@@ -644,7 +644,7 @@ def _count_work(argv: list, monkeypatch) -> Counter:
 ])
 def test_each_subcommand_runs_the_greedy_once(argv, expected, tmp_path, monkeypatch):
     path = tmp_path / "stochastic.json"
-    path.write_text(cli.emit_instance(_golden_instances()["stochastic"]))
+    path.write_text(emit_instance(_golden_instances()["stochastic"]))
     assert _count_work([argv[0], str(path), *argv[1:]], monkeypatch) == expected
 
 
@@ -706,7 +706,7 @@ def _cli_outputs(directory: Path) -> dict:
     its command line with instance names in place of file paths."""
     instances = _golden_instances()
     for name, inst in instances.items():
-        (directory / f"{name}.json").write_text(cli.emit_instance(inst))
+        (directory / f"{name}.json").write_text(emit_instance(inst))
     outputs = {}
     for args in _golden_invocations():
         argv = [str(directory / f"{a}.json") if a in instances else a for a in args]

@@ -8,7 +8,7 @@ import pytest
 
 from stochsched.core import Instance, Job, ProcDist, list_schedule
 from stochsched.errors import RequiresFGeq2Error, SchemaError
-from stochsched import dualfit, greedy_list, greedy_time, lp
+from stochsched import certify, dualfit, greedy_list, greedy_time, lp
 
 import reference
 from helpers import point_instance, random_instance, worked_instance
@@ -39,7 +39,7 @@ class TestListCertificate:
         # with alpha_2 raised to 4 its left side reads 4/1 > 3
         inst = worked_instance()
         cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
-        report = dualfit.verify_certificate(inst, dualfit.perturbed(cert, 2, 2))
+        report = certify.verify_certificate(inst, dualfit.perturbed(cert, 2, 2))
         row = {v.constraint: v for v in report.violations}["price_1_2_0"]
         assert (row.lhs, row.rhs) == (F(4), F(3))
 
@@ -94,13 +94,13 @@ class TestListCertificate:
             alg = greedy_list.greedy_cost(inst)
             assert cert.alpha_sum == alg
             assert cert.beta_sum == alg
-            assert dualfit.verify_certificate(inst, cert).passed
+            assert certify.verify_certificate(inst, cert).passed
 
     def test_doubled_alpha_is_caught(self):
         inst = worked_instance()
         cert = dualfit.build_list_certificate(inst, dualfit.list_run(inst))
         bad = dualfit.perturbed(cert, 2, F(2))          # alpha_2: 2 -> 4
-        report = dualfit.verify_certificate(inst, bad)
+        report = certify.verify_certificate(inst, bad)
         assert not report.passed
         names = {v.constraint for v in report.violations}
         assert "price_1_2_0" in names                    # 4 > 3 on machine 1
@@ -118,7 +118,7 @@ class TestListCertificate:
             bump = inst.mean(machine, victim) * (
                 cert.beta_at(machine, 0) + inst.job(victim).weight) + 1
             bad = dualfit.perturbed(cert, victim, bump)
-            report = dualfit.verify_certificate(inst, bad)
+            report = certify.verify_certificate(inst, bad)
             assert not report.passed
             assert any(v.constraint == f"price_{machine}_{victim}_0"
                        for v in report.violations)
@@ -229,7 +229,7 @@ class TestOnlineCertificate:
         inst = worked_instance()
         cert = dualfit.build_online_certificate(inst, F(2))
         bad = dualfit.perturbed(cert, 2, cert.alpha[2] + 3)
-        assert not dualfit.verify_certificate(inst, bad).passed
+        assert not certify.verify_certificate(inst, bad).passed
 
 
 class TestSerialization:
@@ -239,27 +239,27 @@ class TestSerialization:
         for cert in (dualfit.build_list_certificate(inst, run),
                      dualfit.build_speed_certificate(inst, F(2), run),
                      dualfit.build_online_certificate(inst, F(5, 2))):
-            text = dualfit.serialize_certificate(cert)
+            text = certify.serialize_certificate(cert)
             assert text.endswith("\n") and "\n" not in text[:-1]
-            assert dualfit.parse_certificate(text) == cert
-            assert dualfit.serialize_certificate(dualfit.parse_certificate(text)) == text
+            assert certify.parse_certificate(text) == cert
+            assert certify.serialize_certificate(certify.parse_certificate(text)) == text
 
     def test_parse_rejects_bad_input(self):
         inst = worked_instance()
-        good = dualfit.serialize_certificate(
+        good = certify.serialize_certificate(
             dualfit.build_list_certificate(inst, dualfit.list_run(inst)))
         with pytest.raises(SchemaError):
-            dualfit.parse_certificate("not json")
+            certify.parse_certificate("not json")
         with pytest.raises(SchemaError):
-            dualfit.parse_certificate(good.replace("CERT v1", "CERT v2"))
+            certify.parse_certificate(good.replace("CERT v1", "CERT v2"))
         with pytest.raises(SchemaError):
-            dualfit.parse_certificate(good.replace('"list"', '"wat"'))
+            certify.parse_certificate(good.replace('"list"', '"wat"'))
         with pytest.raises(SchemaError):
-            dualfit.parse_certificate(good.replace('[[1,"2"]', '[[1,"-2"]'))
+            certify.parse_certificate(good.replace('[[1,"2"]', '[[1,"-2"]'))
         payload = json.loads(good)
         del payload["beta"]
         with pytest.raises(SchemaError, match="^malformed certificate: missing field 'beta'$"):
-            dualfit.parse_certificate(json.dumps(payload))
+            certify.parse_certificate(json.dumps(payload))
 
     def test_round_trip_seeded_release_instances(self):
         rng = random.Random(17)
@@ -269,8 +269,8 @@ class TestSerialization:
             for cert in (dualfit.build_list_certificate(inst, run),
                          dualfit.build_speed_certificate(inst, F(2), run),
                          dualfit.build_online_certificate(inst, F(3))):
-                text = dualfit.serialize_certificate(cert)
-                assert dualfit.parse_certificate(text) == cert
+                text = certify.serialize_certificate(cert)
+                assert certify.parse_certificate(text) == cert
 
     def test_the_kind_fixes_the_scale(self):
         # with a scale of its own choosing a text could claim any bound:
@@ -280,35 +280,35 @@ class TestSerialization:
         for cert in (dualfit.build_list_certificate(inst, run),
                      dualfit.build_speed_certificate(inst, F(5, 2), run),
                      dualfit.build_online_certificate(inst, F(5, 2))):
-            payload = json.loads(dualfit.serialize_certificate(cert))
+            payload = json.loads(certify.serialize_certificate(cert))
             own = payload["scale"]
             for scale in (["1", "100"], ["1", "1000"], ["2", "2"], ["1", "5/2"],
                           ["3", "15/2"], ["1", "1"]):
                 payload["scale"] = scale
                 text = json.dumps(payload)
                 if scale == own:
-                    assert dualfit.parse_certificate(text) == cert
+                    assert certify.parse_certificate(text) == cert
                     continue
                 with pytest.raises(SchemaError, match="fixed by its kind"):
-                    dualfit.parse_certificate(text)
+                    certify.parse_certificate(text)
 
     def test_speed_and_online_need_a_positive_f(self):
         for kind in ("speed", "online"):
             with pytest.raises(ValueError):
-                dualfit.DualCertificate(kind, F(0), {1: F(1)}, {})
+                certify.DualCertificate(kind, F(0), {1: F(1)}, {})
             text = GOOD_CERT.replace('"list"', f'"{kind}"').replace('"f":"1"', '"f":"-2"')
             with pytest.raises(SchemaError):
-                dualfit.parse_certificate(text)
+                certify.parse_certificate(text)
         # a list certificate never reads f
-        cert = dualfit.DualCertificate("list", F(0), {1: F(1)}, {})
+        cert = certify.DualCertificate("list", F(0), {1: F(1)}, {})
         assert cert.alpha_sum == 1 and cert.beta_sum == 0
 
     def test_the_scale_is_read_off_the_kind(self):
-        assert [field.name for field in dataclasses.fields(dualfit.DualCertificate)] == [
+        assert [field.name for field in dataclasses.fields(certify.DualCertificate)] == [
             "kind", "f", "alpha", "beta"]
         for f in (F(2), F(5, 2), F(3)):
-            scales = {kind: dualfit.DualCertificate(kind, f, {1: F(1)}, {}).scale
-                      for kind in dualfit.KINDS}
+            scales = {kind: certify.DualCertificate(kind, f, {1: F(1)}, {}).scale
+                      for kind in certify.KINDS}
             assert scales == {"list": (2, 2), "speed": (1, f), "online": (3, 3 * f)}
 
 
@@ -319,7 +319,7 @@ class TestAgainstTheSlotScan:
     FACTORS = (F(2), F(5, 2), F(3))
 
     def _assert_same(self, inst, cert):
-        assert dualfit.verify_certificate(inst, cert) == reference.verify_certificate(inst, cert)
+        assert certify.verify_certificate(inst, cert) == reference.verify_certificate(inst, cert)
 
     def _every_kind(self, rng, fractional_weights=False):
         """40 seeded instances, each with its list certificate and its
@@ -343,7 +343,7 @@ class TestAgainstTheSlotScan:
                 if cert.alpha[victim] + delta >= 0:
                     bad = dualfit.perturbed(cert, victim, delta)
                     self._assert_same(inst, bad)
-                    violated += not dualfit.verify_certificate(inst, bad).passed
+                    violated += not certify.verify_certificate(inst, bad).passed
         return violated
 
     def test_seeded_certificates_of_every_kind(self):
@@ -379,14 +379,14 @@ class TestAgainstTheSlotScan:
             s0 = job.release
             rhs = cert.beta_at(machine, s0) + 6 * job.weight * ((s0 + F(1, 2)) / mean + F(1, 2))
             bad = dualfit.perturbed(cert, victim, rhs * mean / 2 + 1)
-            assert dualfit.verify_certificate(released, bad).violations
+            assert certify.verify_certificate(released, bad).violations
             self._assert_same(released, bad)
 
     def test_hand_made_tables_that_rise_gap_and_hold_zeros(self):
         rng = random.Random(827)
         for _ in range(150):
             inst = random_instance(rng, max_machines=3, max_jobs=5, releases=True)
-            kind = rng.choice(dualfit.KINDS)
+            kind = rng.choice(certify.KINDS)
             f = F(1) if kind == "list" else rng.choice(self.FACTORS)
             beta = {}
             for machine in range(1, inst.machines + 2):   # one machine past the instance
@@ -398,7 +398,7 @@ class TestAgainstTheSlotScan:
                         slot += 1
                     slot += rng.choice([0, 0, 1, 3])     # gaps
             alpha = {job.id: F(rng.randint(0, 60), rng.randint(1, 4)) for job in inst.jobs}
-            cert = dualfit.DualCertificate(kind, f, alpha, beta)
+            cert = certify.DualCertificate(kind, f, alpha, beta)
             self._assert_same(inst, cert)
 
     def test_beta_tables_match_the_rescan(self):
@@ -434,20 +434,20 @@ class TestAgainstTheSlotScan:
         # an extra entry would lift the objective to 2001/2
         extra = dataclasses.replace(cert, alpha={**cert.alpha, 7: F(1000)})
         with pytest.raises(ValueError, match=r"missing \[\], extra \[7\]"):
-            dualfit.verify_certificate(inst, extra)
+            certify.verify_certificate(inst, extra)
         missing = dataclasses.replace(cert, alpha={1: cert.alpha[1]})
         with pytest.raises(ValueError, match=r"missing \[2\], extra \[\]"):
-            dualfit.verify_certificate(inst, missing)
+            certify.verify_certificate(inst, missing)
         # beta rows on a machine past the instance only lower the objective
         wide = dataclasses.replace(cert, beta={**cert.beta, (3, 0): F(1)})
-        assert dualfit.verify_certificate(inst, wide).passed
+        assert certify.verify_certificate(inst, wide).passed
 
     def test_a_far_slot_is_checked_without_walking_to_it(self):
         # machine 1 gains an entry at slot 10**12: every job permitted
         # there is priced on 10**12 + 2 slots, machine 2 keeps its two
         text = GOOD_CERT.replace('[2,0,"2"]', '[1,1000000000000,"1"],[2,0,"2"]')
-        cert = dualfit.parse_certificate(text)
-        report = dualfit.verify_certificate(worked_instance(), cert)
+        cert = certify.parse_certificate(text)
+        report = certify.verify_certificate(worked_instance(), cert)
         assert report.passed
         assert report.metrics["constraints_checked"] == 2_000_000_000_008
         assert report.min_slack == F(2, 3)
@@ -495,8 +495,8 @@ GOOD_CERT = ('{"format":"CERT v1","kind":"list","f":"1","scale":["2","2"],'
 ])
 def test_malformed_certificate_is_a_schema_error(old, new):
     inst = worked_instance()
-    assert dualfit.parse_certificate(GOOD_CERT) == dualfit.build_list_certificate(
+    assert certify.parse_certificate(GOOD_CERT) == dualfit.build_list_certificate(
         inst, dualfit.list_run(inst))
     assert GOOD_CERT.count(old) == 1
     with pytest.raises(SchemaError):
-        dualfit.parse_certificate(GOOD_CERT.replace(old, new))
+        certify.parse_certificate(GOOD_CERT.replace(old, new))

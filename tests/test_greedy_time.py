@@ -237,6 +237,23 @@ class TestEstimate:
         assert abs(est.mean - 6.0) <= est.ci95
         assert est.ci95 < 0.2
 
+    def test_mean_ci_closed_form(self):
+        # the values 1 and 3: mean 2, sample variance 2, 1.96 * sqrt(2 / 2)
+        assert gt._mean_ci(4.0, 10.0, 2) == (2.0, 1.96)
+        # one value opens no interval
+        assert gt._mean_ci(5.0, 25.0, 1) == (5.0, 0.0)
+
+    def test_two_different_samples_open_an_interval(self):
+        # at speed 2 the job is released at its mean 2 and held 2, then the
+        # drawn 1 or 3 runs: a replication ends at 5 or 7, and a mean of 6
+        # means seed 0 drew one of each, d = 2 apart
+        inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
+        est = gt.estimate_cost(inst, F(2), 2, 0, gt.assign(inst, F(2)))
+        d = 7 - 5
+        assert est.mean == 6.0 and est.per_job_mean == (6.0,)
+        assert est.ci95 == 1.96 * d / 2
+        assert est.per_job_ci95 == (1.96 * d / 2,)
+
     def test_seed_and_order_determinism(self):
         inst = random_instance(random.Random(41), max_machines=2, max_jobs=5)
         a = gt.estimate_cost(inst, F(2), 300, 5, gt.assign(inst, F(2)))

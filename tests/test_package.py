@@ -1,14 +1,19 @@
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import stochsched
-from stochsched import cli, dualfit, greedy_list, greedy_time, lp, oracle, simplex
-from stochsched.errors import ForbiddenPairError, RequiresFGeq2Error
-from stochsched.report import Report
+from stochsched import certify, cli, dualfit, greedy_list, greedy_time, lp, oracle, simplex
+from stochsched.core import emit_instance
+from stochsched.errors import ForbiddenPairError, RequiresFGeq2Error, SchemaError
+from stochsched.report import Report, render
 
 from helpers import point_instance, worked_instance
 
@@ -31,6 +36,8 @@ _ONE_FORBIDDEN = point_instance(2, [(1, 0, (1, None)), (2, 0, (1, 1))])
 _UNKNOWN_COLUMN = lp.LpModel(1, ("x",), (("x", Fraction(1)),),
                              (lp.Constraint("c", (("y", Fraction(1)),), "<=", Fraction(1)),))
 _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
+_LIST_CERT = certify.serialize_certificate(dualfit.build_list_certificate(
+    _WORKED, dualfit.list_run(_WORKED)))
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -55,19 +62,54 @@ _REALIZATION = greedy_time.Realization(((1, None), (1, 1)))
     (lambda: oracle.lower_bound_ratio(True), ValueError, "k must be a positive integer, got True"),
     (lambda: dualfit.build_online_certificate(_WORKED, Fraction(3, 2)),
      RequiresFGeq2Error, "need f >= 2, got 3/2"),
-    (lambda: dualfit.DualCertificate("list", Fraction(1), {1: Fraction(1)},
+    (lambda: certify.DualCertificate("list", Fraction(1), {1: Fraction(1)},
                                      {(1, 0): Fraction(-1)}),
      ValueError, "beta values must be nonnegative"),
-    (lambda: cli.render(Report("list", True), "xml"), ValueError, "format must be one of"),
+    (lambda: certify.DualCertificate("wat", Fraction(1), {1: Fraction(1)}, {}),
+     ValueError, "kind must be one of"),
+    (lambda: certify.DualCertificate("list", Fraction(1), {1: Fraction(-1)}, {}),
+     ValueError, "alpha values must be nonnegative"),
+    (lambda: certify.DualCertificate("speed", Fraction(0), {1: Fraction(1)}, {}),
+     ValueError, "speed certificates need f > 0"),
+    (lambda: certify.parse_certificate(_LIST_CERT.replace('["2","2"]', '["2"]')),
+     SchemaError, "scale must list exactly two rationals"),
+    (lambda: render(Report("list", True), "xml"), ValueError, "format must be one of"),
     (lambda: _exit_code(["lowerbound", "0"]), SystemExit, "^6$"),
 ], ids=["simplex-row-length", "simplex-sense", "lp-unknown-variable", "job-dist-forbidden",
         "expected-increase-forbidden", "realization-forbidden", "simulate-mode",
         "staged-process-one-stage", "random-dist-no-room", "gen-lower-bound-k0",
         "lower-bound-ratio-k0", "gen-lower-bound-k-true", "gen-lower-bound-m-true",
         "lower-bound-ratio-k-true", "online-certificate-f-below-2", "negative-beta",
+        "certificate-kind", "negative-alpha", "speed-certificate-f0", "certificate-scale-length",
         "render-unknown-format", "cli-lowerbound-k0"])
 def test_each_refusal_raises_in_its_own_words(call, error, match, capsys):
     with pytest.raises(error, match=match):
         call()
     if error is SystemExit:
         assert capsys.readouterr().err == "error: k must be at least 1\n"
+
+
+_CHECKER = """
+import sys
+from stochsched import certify, core
+inst = core.parse_instance(sys.argv[1])
+report = certify.verify_certificate(inst, certify.parse_certificate(sys.argv[2]))
+print(report.passed, report.metrics["constraints_checked"])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("stochsched"))))
+"""
+
+
+def test_a_certificate_is_read_and_judged_without_its_builders():
+    """A fresh interpreter that imports only `core` and `certify` reads the
+    worked instance and its list certificate from their texts and judges
+    the certificate, loading none of the code that builds one."""
+    root = str(Path(stochsched.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _CHECKER, emit_instance(_WORKED), _LIST_CERT],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    verdict, loaded = out.splitlines()
+    assert verdict == "True 10"
+    builders = {f"stochsched.{name}" for name in
+                ("greedy_list", "greedy_time", "dualfit", "lp", "simplex", "oracle", "cli")}
+    assert "stochsched.certify" in loaded.split() and not builders & set(loaded.split())

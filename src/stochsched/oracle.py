@@ -1,5 +1,5 @@
 """Ground truth at desk scale: exact deterministic optima, an exact
-dynamic program for the adaptive stochastic optimum on tiny instances,
+dynamic program for the adaptive stochastic optimum on small instances,
 the tightness family for the list greedy, and simulation checkers for
 the single-job completion identity, the stopped-sum bound, and the
 per-job completion bound.  That last check judges the greedy run and
@@ -11,8 +11,9 @@ adding one machine's chain costs at a time in O(m 3^n) steps, and
 unstarted bitmask plus, per machine, a code for its running job and
 elapsed time, with every start and one-unit move read from tables built
 before the recursion.  Each reads the instance's integer view, the
-weights of `Instance.scaled` and each pmf's `ProcDist.counts`, and
-builds a single `Fraction` at the end.  Neither optimum shares logic
+weights and means of `Instance.scaled` and each pmf's `ProcDist.counts`,
+and builds a single `Fraction` at the end.  Each counts its work before
+its first step and refuses past a limit.  Neither optimum shares logic
 with the greedy rules it judges: no priority order, expected increase
 or dispatch step of theirs is reused, so a fault in a greedy rule
 cannot also sit in the yardstick it is measured against.  The view is
@@ -51,17 +52,18 @@ __all__ = [
     "random_dist",
 ]
 
-DET_OPT_MAX_JOBS = 9
-DET_OPT_MAX_JOBS_RELEASED = 6
-STOCH_OPT_MAX_JOBS = 4
-STOCH_OPT_MAX_MACHINES = 2
-STOCH_OPT_MAX_VALUE = 4
+DET_OPT_MAX_STEPS = 10_000_000
+STOCH_OPT_MAX_STATES = 500_000
+STOCH_OPT_MAX_DEPTH = 500
 LOWER_BOUND_MAX_K = 6
 
 
 def det_opt(inst: Instance) -> Fraction:
     """Exact optimum for point-mass instances, by a dynamic program over
-    job subsets, each subset a bitmask of 0-based job indices.
+    job subsets, each subset a bitmask of 0-based job indices, on ints:
+    the durations and weights of the instance's integer view, over
+    `mean_scale` (1 on point masses) and `weight_scale`, with one
+    `Fraction` built at the end.
 
     Machine i's chain table holds, for every set S of jobs, the cost of
     running S on machine i alone.  Without releases i serves in ratio
@@ -77,14 +79,13 @@ def det_opt(inst: Instance) -> Fraction:
     run S on the machines so far, is the minimum over T, a subset of
     the jobs outside S, of the previous best[S - T] plus the new
     machine's chain[T].  The last machine takes the complement of each
-    S with one lookup.  Disjoint pairs (S - T, T) number 3^n, so this
-    takes O(m 3^n) steps, and O(2^n) on two machines, where trying every
-    assignment takes m^n.  A chain table takes O(2^n) steps without
-    releases and one step per ordered prefix, under e n!, with them.
-
-    Point-mass means are integers, and the weights are read from the
-    instance's integer view, over their lcm `weight_scale`, so the
-    program runs on ints and one `Fraction` is built at the end.
+    S with one lookup, so each middle machine visits the 3^n disjoint
+    pairs (S - T, T), where trying every assignment takes m^n.  Counted
+    first, a pair is one step (75 ns) and a chain entry eight: a set
+    (130 ns, 50-60 bytes) or, with releases, an ordered prefix of the
+    machine's jobs (a 0.6 us call).  Past `DET_OPT_MAX_STEPS` it raises
+    `TooLargeError`; at the limit it took at most 0.63 s CPU and 74 MB
+    RSS (16 shapes of 1-150 machines, 2-CPU x86, Python 3.11).
     """
     if not inst.deterministic:
         raise ValueError("the deterministic optimum needs point-mass distributions")
@@ -93,14 +94,16 @@ def det_opt(inst: Instance) -> Fraction:
         return Fraction(0)  # the tables below need a job to size `never`
     last_release = jobs[-1].release  # releases are nondecreasing in id
     released = last_release > 0
-    limit = DET_OPT_MAX_JOBS_RELEASED if released else DET_OPT_MAX_JOBS
-    if len(jobs) > limit:
-        raise TooLargeError(f"{len(jobs)} jobs exceeds the exhaustive limit of {limit}")
-
-    scale, _, weight, _ = inst.scaled
+    w_scale, m_scale, weight, means = inst.scaled
     # columns[i][j], job j's duration on machine i, None where i forbids j
-    columns = [[None if d is None else d.pmf[0][0] for d in column]
+    columns = [[None if d is None else means[id(d)] for d in column]
                for column in zip(*[job.proc for job in jobs])]
+    n = len(jobs)
+    steps = max(len(columns) - 2, 0) * 3 ** n + (8 * len(columns) << n)
+    if released and steps <= DET_OPT_MAX_STEPS:  # so n < 21, and each p! is short
+        steps += 8 * sum(math.perm(n - c.count(None), k) for c in columns for k in range(1, n + 1))
+    if steps > DET_OPT_MAX_STEPS:
+        raise TooLargeError(f"the subset program needs {steps:,} steps, over its limit of {DET_OPT_MAX_STEPS:,}")
     # a schedule starting every job as early as it can ends each job by the
     # last release plus every permitted duration, so costs less than this
     never = 1 + sum(weight) * (last_release + sum([sum(filter(None, c)) for c in columns]))
@@ -128,6 +131,7 @@ def det_opt(inst: Instance) -> Fraction:
         best = grown
     # last[everyone ^ S] sits at position everyone - S
     total = min(map(operator.add, best, reversed(last)))
+    scale = w_scale * m_scale  # the mean scale is 1 on point masses
     return Fraction(total) if scale == 1 else Fraction(total, scale)
 
 
@@ -182,18 +186,16 @@ def _released_chain(weight: list[int], release: list[int],
 def stoch_opt(inst: Instance) -> Fraction:
     """Optimal expected cost of an adaptive, non-anticipatory policy.
 
-    Exact dynamic program over information states: which job runs on
-    each machine and for how long it has been running (conditioning its
-    remaining time), plus the set of jobs not yet started.  Decisions
-    happen at integer times; within an epoch the policy may start any
-    number of jobs on idle machines, then either all machines advance
-    one unit or, with every machine idle and work remaining, a start is
-    forced (delaying the whole remainder can never pay off).
-
-    Costs are accounted as weight-per-unit-time: every uncompleted job
-    pays its weight for each elapsed unit, which sums to the weighted
-    completion total.  The benchmark knows the full job list up front
-    (releases must be zero) but never a duration before it finishes.
+    Exact dynamic program over information states: which job runs on each
+    machine and for how long it has been running (conditioning its remaining
+    time), plus the set of jobs not yet started.  Decisions happen at
+    integer times; within an epoch the policy may start any number of jobs
+    on idle machines, then either all machines advance one unit or, with
+    every machine idle and work remaining, a start is forced (delaying the
+    whole remainder can never pay off).  Costs are accounted as
+    weight-per-unit-time: every uncompleted job pays its weight for each
+    elapsed unit, which sums to the weighted completion total.  The policy
+    knows every job up front (no releases) but no duration before it ends.
 
     The program runs on ints read from the instance's integer view: job
     j's pmf on machine i is its `ProcDist`'s counts a_v over its `scale`
@@ -204,63 +206,61 @@ def stoch_opt(inst: Instance) -> Fraction:
     advancing gives pay * W * prod T(e) * prod L plus, over the unit's
     outcomes, prod_completing a_{e+1} * U(next).  All candidates of one
     state share its scale, so the minimum is taken on U directly, and
-    the answer is U(start) / (W * prod_j L_j).  The scaling of states
-    is the program's own and follows the state space, not the greedy's
-    priorities, so the optimum stays an independent check on them.
+    the answer is U(start) / (W * prod_j L_j).
 
     A state is one int, the memo's key: the unstarted bitmask plus, per
-    machine i, a slot code times stride_i = 2^n B^i, with
-    B = 1 + n (STOCH_OPT_MAX_VALUE + 1).  The code is 0 on an idle
-    machine and 1 + j (STOCH_OPT_MAX_VALUE + 1) + e while job j has run
-    e units, so a start trades j's bit for its first code, a unit more
-    of work adds stride_i and a completion takes the code away.  Two
-    tables are built before the recursion: each job's start options
-    (machine, a_0, L_j / t_ij, and the first code times the stride, or 0
-    when T(0) = 0), and for each (machine, code) the move one unit on
-    (w_j, T(e), a_{e+1}, the code times the stride, and the stride, or 0
-    when T(e+1) = 0 and the job cannot continue).  A unit's outcomes are
-    built machine by machine, and a branch of probability zero is never
-    made.
+    machine i, a slot code times stride_i = 2^n B^i, with B = 1 + n span
+    and span = 1 + the largest support value.  The code is 0 on an idle
+    machine and 1 + j span + e while job j has run e units, so a start
+    trades j's bit for its first code, a unit more of work adds stride_i
+    and a completion takes the code away.  Each start and one-unit move
+    is read from a table built before the recursion, and a unit's
+    outcomes are built machine by machine, none of probability zero.
+
+    The work is bounded first.  Machine i is idle or holds one of its
+    sum_j top_ij codes (top_ij the largest value of j on i), and k busy
+    machines leave 2^(n-k) unstarted sets: at most sum_k ways_k 2^(n-k)
+    states, ways_k the ways to give k machines a code each.  A call
+    starts a job or runs the busy ones a unit, so calls nest at most
+    n + sum_j max_i top_ij deep.  Past either limit (the depth is half of
+    Python's default recursion limit) it raises `TooLargeError`; at the
+    state limit it took at most 1.2 s CPU and 85 MB RSS (30 shapes of 1-5
+    machines, 2-CPU x86, Python 3.11).
     """
     if inst.has_releases:
         raise ValueError("the adaptive-optimum program handles release-free instances only")
-    if inst.machines > STOCH_OPT_MAX_MACHINES or inst.n > STOCH_OPT_MAX_JOBS:
-        raise TooLargeError(
-            f"limits are {STOCH_OPT_MAX_MACHINES} machines and {STOCH_OPT_MAX_JOBS} jobs")
-    for job in inst.jobs:
-        for d in job.proc:
-            if d is not None and d.max_value > STOCH_OPT_MAX_VALUE:
-                raise TooLargeError(f"support values above {STOCH_OPT_MAX_VALUE} "
-                                    "blow up the state space")
-
     n = inst.n
     machines = range(inst.machines)
+    top = [[0 if d is None else d.max_value for d in job.proc] for job in inst.jobs]  # 0: forbidden
+    ways = [1] + [0] * n  # ways[k]: the ways to give k machines a (job, units run) code each
+    for codes in map(sum, zip(*top)):
+        for k in range(n, 0, -1):
+            ways[k] += ways[k - 1] * codes
+    states, depth = sum(w << n - k for k, w in enumerate(ways)), n + sum(map(max, top))
+    if states > STOCH_OPT_MAX_STATES or depth > STOCH_OPT_MAX_DEPTH:
+        raise TooLargeError(f"the state program may visit {states:,} states {depth:,} calls deep, over its limits "
+                            f"of {STOCH_OPT_MAX_STATES:,} states and {STOCH_OPT_MAX_DEPTH:,} calls")
     w_scale, _, weight, _ = inst.scaled
-    # job j after e units holds slot code 1 + j * span + e; a job that
-    # can still run has e < STOCH_OPT_MAX_VALUE, so e + 1 indexes a_v
-    span = STOCH_OPT_MAX_VALUE + 1
+    # a job that can still run has e below its largest value, so e + 1 indexes a_v
+    span = 1 + max(map(max, top), default=0)
     base = 1 + n * span
     stride = [base ** i << n for i in machines]
-    lcm: list[int] = []
+    lcm = [math.lcm(*(d.scale for d in job.proc if d is not None)) for job in inst.jobs]
     # options[j]: (i, a_0, L_j / t_ij, first code * stride_i, or 0 when T(0) = 0)
-    options: list[list[tuple[int, int, int, int]]] = []
+    options: list[list[tuple[int, int, int, int]]] = [[] for _ in inst.jobs]
     # moves[i][code]: (w_j, T(e), a_{e+1}, code * stride_i, stride_i or 0 when
     # T(e+1) = 0); () for code 0, an idle machine
     moves: list[list[tuple]] = [[()] * base for _ in machines]
     for j, job in enumerate(inst.jobs):
-        pairs = []  # (i, counts a_v of v = 0..STOCH_OPT_MAX_VALUE, t_ij)
-        for i, d in enumerate(job.proc):
-            if d is not None:
-                a = [0] * span
-                for (v, _), count in zip(d.pmf, d.counts):
-                    a[v] = count
-                pairs.append((i, a, d.scale))
-        lcm.append(math.lcm(*(t for _, _, t in pairs)))
-        options.append([])
         first = 1 + j * span
-        for i, a, t in pairs:
+        for i, d in enumerate(job.proc):
+            if d is None:
+                continue
+            a = [0] * span  # counts a_v of v = 0..span - 1
+            for (v, _), count in zip(d.pmf, d.counts):
+                a[v] = count
             tail = [sum(a[e + 1:]) for e in range(span)]
-            options[j].append((i, a[0], lcm[j] // t, first * stride[i] if tail[0] else 0))
+            options[j].append((i, a[0], lcm[j] // d.scale, first * stride[i] if tail[0] else 0))
             for e in range(span - 1):
                 if tail[e]:
                     code = first + e

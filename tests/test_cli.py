@@ -176,6 +176,41 @@ class TestExitCodes:
         assert cli.main(["lowerbound", "9"]) == 5
         assert capsys.readouterr().err == "error: k is capped at 6 (machine count grows as lcm)\n"
 
+    def test_oracle_solves_what_fixed_shape_limits_refused(self, tmp_path, capsys):
+        # a support value past 4 and a third machine: both exited 5 while
+        # the oracle's reach was set by fixed shape limits
+        spread = ProcDist({1: F(1, 2), 5: F(1, 2)})
+        one = tmp_path / "one.json"
+        one.write_text(emit_instance(Instance(1, [Job(1, F(1), 0, [spread])])))
+        assert cli.main(["oracle", str(one)]) == 0
+        assert "  opt_value: 3\n" in capsys.readouterr().out
+        three = Instance(3, [Job(1, F(2), 0, [spread, ProcDist.point(2), None]),
+                             Job(2, F(1), 0, [ProcDist.point(3), ProcDist({2: F(1, 3), 4: F(2, 3)}),
+                                              spread]),
+                             Job(3, F(3), 0, [None, spread, ProcDist.point(1)])])
+        path = tmp_path / "three.json"
+        path.write_text(emit_instance(three))
+        assert cli.main(["oracle", str(path), "--format", "json"]) == 0
+        opt = json.loads(capsys.readouterr().out)["metrics"]["opt_value"]
+        assert F(opt) == reference.stoch_opt(three)
+
+    @pytest.mark.parametrize("inst,err", [
+        (point_instance(1, [(1, 0, (1,))] * 21),
+         "the subset program needs 16,777,216 steps, over its limit of 10,000,000"),
+        (Instance(4, [Job(j, F(1), 0, [ProcDist({1: F(1, 2), 4: F(1, 2)})] * 4)
+                      for j in range(1, 7)]),
+         "the state program may visit 1,827,904 states 30 calls deep, over its limits "
+         "of 500,000 states and 500 calls"),
+        (Instance(1, [Job(1, F(1), 0, [ProcDist({1: F(1, 2), 2000: F(1, 2)})])]),
+         "the state program may visit 2,002 states 2,001 calls deep, over its limits "
+         "of 500,000 states and 500 calls"),
+    ], ids=["det-steps", "stoch-states", "stoch-depth"])
+    def test_oracle_past_its_limit_is_five(self, tmp_path, capsys, inst, err):
+        path = tmp_path / "big.json"
+        path.write_text(emit_instance(inst))
+        assert cli.main(["oracle", str(path)]) == 5
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_low_speed_factor_is_six(self, worked_path, capsys):
         assert cli.main(["verify", worked_path, "--f", "3/2"]) == 6
         assert cli.main(["list", worked_path, "--f", "1/2"]) == 6

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,13 +37,16 @@ class TestDetOpt:
             oracle.det_opt(inst)
 
     def test_size_limits(self):
-        big = point_instance(1, [(1, 0, (1,)) for _ in range(10)])
-        with pytest.raises(TooLargeError):
-            oracle.det_opt(big)
-        released = point_instance(
-            1, [(1, j, (1,)) for j in range(7)])
-        with pytest.raises(TooLargeError):
-            oracle.det_opt(released)
+        # 3^15 pairs on the middle machine, and 986,409 ordered prefixes on
+        # each of two machines with releases: each is refused before any
+        # table is built
+        wide = point_instance(3, [(1, 0, (1, 1, 1)) for _ in range(15)])
+        released = point_instance(2, [(1, j, (1, 2)) for j in range(9)])
+        for inst, steps in ((wide, "15,135,339"), (released, "15,790,736")):
+            start = time.process_time()
+            with pytest.raises(TooLargeError, match=f"needs {steps} steps"):
+                oracle.det_opt(inst)
+            assert time.process_time() - start < 0.05
 
     def test_unit_jobs_spread_evenly(self):
         # n unit jobs of weight 1 on m identical machines: with n = q m + r,
@@ -121,15 +125,25 @@ class TestStochOpt:
             oracle.stoch_opt(inst)
 
     def test_size_limits(self):
-        wide = point_instance(3, [(1, 0, (1, 1, 1))])
-        with pytest.raises(TooLargeError):
-            oracle.stoch_opt(wide)
-        long_support = Instance(1, [Job(1, F(1), 0, (ProcDist.point(5),))])
-        with pytest.raises(TooLargeError):
-            oracle.stoch_opt(long_support)
-        many = point_instance(1, [(1, 0, (1,)) for _ in range(5)])
-        with pytest.raises(TooLargeError):
-            oracle.stoch_opt(many)
+        # six jobs of support {1, 4} on four machines: 24 codes a machine,
+        # 1,827,904 states; 17 unit jobs on one machine: 1,245,184
+        spread = ProcDist({1: F(1, 2), 4: F(1, 2)})
+        wide = Instance(4, [Job(j, F(1), 0, [spread] * 4) for j in range(1, 7)])
+        many = point_instance(1, [(1, 0, (1,)) for _ in range(17)])
+        for inst, states in ((wide, "1,827,904"), (many, "1,245,184")):
+            start = time.process_time()
+            with pytest.raises(TooLargeError, match=f"visit {states} states"):
+                oracle.stoch_opt(inst)
+            assert time.process_time() - start < 0.05
+
+    def test_long_support_is_refused_before_the_recursion_limit(self):
+        # 2,001 nested calls would pass Python's default recursion limit
+        long = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 2000: F(1, 2)}),))])
+        with pytest.raises(TooLargeError, match="2,001 calls deep"):
+            oracle.stoch_opt(long)
+        # the deepest search the limit admits runs under a test runner's stack
+        deepest = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 499: F(1, 2)}),))])
+        assert oracle.stoch_opt(deepest) == 250
 
 
 WEIGHTS = (F(1), F(3, 2), F(2, 3), F(5, 4), F(7))
@@ -174,15 +188,58 @@ class TestReferenceCrossCheck:
             seen["two-by-four"] += machines == 2 and inst.n == 4
             seen["zero-on-two-machines"] += machines == 2 and any(
                 d is not None and 0 in d.support for job in inst.jobs for d in job.proc)
-            seen["max-value"] += any(d is not None and d.max_value == oracle.STOCH_OPT_MAX_VALUE
+            seen["max-value"] += any(d is not None and d.max_value == 4
                                      for job in inst.jobs for d in job.proc)
             assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
         assert min(seen.values()) >= 20, seen
 
+    def test_stoch_opt_matches_reference_past_the_former_caps(self):
+        # three machines, and support values of 5 and 6, which the program
+        # refused while its reach was set by fixed shape limits
+        rng = random.Random(229)
+        seen = {"three-machines": 0, "three-by-four": 0, "value-5": 0, "value-6": 0}
+        for _ in range(100):
+            machines = rng.choice((1, 2, 3, 3))
+            max_value = 4 if machines == 3 else 6
+            jobs = []
+            for job_id in range(1, rng.randint(1, 4) + 1):
+                row = []
+                for allowed in _mask(rng, machines):
+                    dist = None
+                    while allowed and (dist is None or dist.mean < 1):
+                        dist = oracle.random_dist(rng, max_value=max_value)
+                    row.append(dist)
+                jobs.append(Job(job_id, rng.choice(WEIGHTS), 0, row))
+            inst = Instance(machines, jobs)
+            tops = {d.max_value for job in inst.jobs for d in job.proc if d is not None}
+            seen["three-machines"] += machines == 3
+            seen["three-by-four"] += machines == 3 and inst.n == 4
+            seen["value-5"] += 5 in tops
+            seen["value-6"] += 6 in tops
+            assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
+        assert min(seen.values()) >= 5, seen
+
     @pytest.mark.parametrize("machines", [1, 2, 3])
+    def test_det_opt_with_releases_at_seven_jobs_matches_reference(self, machines):
+        # seven jobs with releases, past the former cap of six
+        rng = random.Random(233 + machines)
+        starts = sorted(rng.randint(0, 8) for _ in range(7))
+        jobs = [Job(job_id, rng.choice(WEIGHTS), starts[job_id - 1],
+                    [ProcDist.point(rng.randint(1, 4)) if allowed else None
+                     for allowed in _mask(rng, machines)])
+                for job_id in range(1, 8)]
+        inst = Instance(machines, jobs)
+        assert inst.has_releases and oracle.det_opt(inst) == reference.det_opt(inst)
+
+    @pytest.mark.parametrize("machines", [1, 2, 3, 7])
     def test_det_opt_of_no_jobs_matches_reference(self, machines):
         inst = Instance(machines, [])
         assert oracle.det_opt(inst) == reference.det_opt(inst) == 0
+
+    @pytest.mark.parametrize("machines", [1, 2, 3, 7])
+    def test_stoch_opt_of_no_jobs_matches_reference(self, machines):
+        inst = Instance(machines, [])
+        assert oracle.stoch_opt(inst) == reference.stoch_opt(inst) == 0
 
     @pytest.mark.parametrize("releases", [False, True])
     def test_det_opt_matches_reference(self, releases):

@@ -547,13 +547,29 @@ def priority_split(inst: Instance, machine: int, job_id: int) -> PrioritySplit:
 
 
 def max_scv(inst: Instance) -> Fraction:
-    """Largest squared coefficient of variation over permitted pairs."""
-    best = Fraction(0)
+    """Largest squared coefficient of variation over permitted pairs,
+    on the integer view: each distinct distribution's
+    (S sum v^2 c_v - (sum v c_v)^2) / (sum v c_v)^2, as `ProcDist.scv`
+    states it, compared with the best so far by cross-multiplying, and
+    one `Fraction` built at the end.  A shared distribution is read once,
+    by `id` as in `Instance.__init__`; a point mass has 0."""
+    num, den = 0, 1
+    seen: set[int] = set()
     for job in inst.jobs:
         for d in job.proc:
-            if d is not None and d.scv > best:
-                best = d.scv
-    return best
+            if d is None or len(d.counts) == 1 or id(d) in seen:
+                continue
+            seen.add(id(d))
+            first = second = 0
+            for (v, _), count in zip(d.pmf, d.counts):
+                moment = v * count
+                first += moment
+                second += v * moment
+            square = first * first  # positive, as an instance's means are
+            spread = d.scale * second - square
+            if spread * den > num * square:
+                num, den = spread, square
+    return Fraction(num, den)
 
 
 def list_schedule(inst: Instance, assignment: Mapping[int, int]) -> Schedule:

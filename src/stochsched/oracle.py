@@ -10,7 +10,11 @@ adding one machine's chain costs at a time in O(m 3^n) steps, and
 `stoch_opt` over information states, each packed into one int: the
 unstarted bitmask plus, per machine, a code for its running job and
 elapsed time, with every start and one-unit move read from tables built
-before the recursion.  Each reads the instance's integer view, the
+before the recursion.  A state with every job started is priced in
+closed form, sum_busy w_j R_ij(e) prod_{k != i} T_k(e_k) (R the residual
+and T the tail counts), and each running vector's busy machines, pay,
+tails, closed form and unit outcomes are read once into a table that
+every unstarted set shares.  Each reads the instance's integer view, the
 weights and means of `Instance.scaled` and each pmf's `ProcDist.counts`,
 and builds a single `Fraction` at the end.  Each counts its work before
 its first step and refuses past a limit.  Neither optimum shares logic
@@ -27,7 +31,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import greedy_list, greedy_time, lp
 from .core import FractionLike, Instance, Job, ProcDist, as_fraction, exact_int, list_schedule
@@ -199,14 +203,20 @@ def stoch_opt(inst: Instance) -> Fraction:
 
     The program runs on ints read from the instance's integer view: job
     j's pmf on machine i is its `ProcDist`'s counts a_v over its `scale`
-    t_ij, with tail counts T_ij(e) = sum_{v>e} a_v; L_j is the lcm of
-    j's t_ij and W the weight scale.  A state's value V is carried as
+    t_ij, with tail counts T_ij(e) = sum_{v>e} a_v and residual counts
+    R_ij(e) = sum_{v>e} (v - e) a_v; L_j is the lcm of j's t_ij and W the
+    weight scale.  A state's value V is carried as
     U = V * W * prod_busy T(e) * prod_unstarted L_j, an integer:
     starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)),
     advancing gives pay * W * prod T(e) * prod L plus, over the unit's
     outcomes, prod_completing a_{e+1} * U(next).  All candidates of one
     state share its scale, so the minimum is taken on U directly, and
-    the answer is U(start) / (W * prod_j L_j).
+    the answer is U(start) / (W * prod_j L_j).  Once every job has
+    started no decision is left, and U is the closed form
+    sum_busy i w_j R_i(e_i) prod_{k != i} T_k(e_k), each running job's
+    weight times its expected remaining time; so starting the last job
+    j on i gives L_j U(rest) + (L_j / t_ij) w_j R_ij(0) prod T(e), and
+    the search never walks the unit-by-unit chains of those states.
 
     A state is one int, the memo's key: the unstarted bitmask plus, per
     machine i, a slot code times stride_i = 2^n B^i, with B = 1 + n span
@@ -214,8 +224,14 @@ def stoch_opt(inst: Instance) -> Fraction:
     machine and 1 + j span + e while job j has run e units, so a start
     trades j's bit for its first code, a unit more of work adds stride_i
     and a completion takes the code away.  Each start and one-unit move
-    is read from a table built before the recursion, and a unit's
-    outcomes are built machine by machine, none of probability zero.
+    is read from a table built before the recursion.  The running part
+    of a state, state >> n, keys a second table, filled the first time
+    a running vector is seen and shared by every unstarted set: its busy
+    machines, their pay and prod T(e), its closed form, and the unit's
+    outcomes as (prod_completing a_{e+1}, state delta), none of
+    probability zero.  A vector that leaves one job to start meets one
+    unstarted set only, so its entry is built for that state and not
+    kept.
 
     The work is bounded first.  Machine i is idle or holds one of its
     sum_j top_ij codes (top_ij the largest value of j on i), and k busy
@@ -224,8 +240,9 @@ def stoch_opt(inst: Instance) -> Fraction:
     starts a job or runs the busy ones a unit, so calls nest at most
     n + sum_j max_i top_ij deep.  Past either limit (the depth is half of
     Python's default recursion limit) it raises `TooLargeError`; at the
-    state limit it took at most 1.2 s CPU and 85 MB RSS (30 shapes of 1-5
-    machines, 2-CPU x86, Python 3.11).
+    state limit it took at most 0.8 s CPU and 72 MB RSS (30 shapes of 1-5
+    machines, each pair uniform on 1..v for v of 1-15, 2-CPU x86,
+    Python 3.11).
     """
     if inst.has_releases:
         raise ValueError("the adaptive-optimum program handles release-free instances only")
@@ -241,87 +258,111 @@ def stoch_opt(inst: Instance) -> Fraction:
         raise TooLargeError(f"the state program may visit {states:,} states {depth:,} calls deep, over its limits "
                             f"of {STOCH_OPT_MAX_STATES:,} states and {STOCH_OPT_MAX_DEPTH:,} calls")
     w_scale, _, weight, _ = inst.scaled
-    # a job that can still run has e below its largest value, so e + 1 indexes a_v
+    # a running job has e below its largest value, so its codes fit in span
     span = 1 + max(map(max, top), default=0)
     base = 1 + n * span
     stride = [base ** i << n for i in machines]
     lcm = [math.lcm(*(d.scale for d in job.proc if d is not None)) for job in inst.jobs]
-    # options[j]: (i, a_0, L_j / t_ij, first code * stride_i, or 0 when T(0) = 0)
-    options: list[list[tuple[int, int, int, int]]] = [[] for _ in inst.jobs]
-    # moves[i][code]: (w_j, T(e), a_{e+1}, code * stride_i, stride_i or 0 when
-    # T(e+1) = 0); () for code 0, an idle machine
+    # options[j]: (j's bit, i's bit, a_0, L_j / t_ij, first code * stride_i,
+    # L_j / t_ij * w_j R(0)); T(0) > 0, as every mean is positive
+    options: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in inst.jobs]
+    # moves[i][code]: (i's bit, w_j, T(e), w_j R(e), the unit's branches as
+    # (a_{e+1}, -code * stride_i) when j can complete and (1, stride_i) when
+    # it can run on); () for code 0, an idle machine
     moves: list[list[tuple]] = [[()] * base for _ in machines]
     for j, job in enumerate(inst.jobs):
-        first = 1 + j * span
+        first, w = 1 + j * span, weight[j]
         for i, d in enumerate(job.proc):
             if d is None:
                 continue
-            a = [0] * span  # counts a_v of v = 0..span - 1
-            for (v, _), count in zip(d.pmf, d.counts):
-                a[v] = count
-            tail = [sum(a[e + 1:]) for e in range(span)]
-            options[j].append((i, a[0], lcm[j] // d.scale, first * stride[i] if tail[0] else 0))
-            for e in range(span - 1):
-                if tail[e]:
-                    code = first + e
-                    moves[i][code] = (weight[j], tail[e], a[e + 1], code * stride[i],
-                                      stride[i] if tail[e + 1] else 0)
-    # per unstarted set, a bitmask of 0-based jobs: prod L_j, sum of weights,
-    # and each start (j's bit, then j's option)
-    subsets = range(1 << n)
-    lcm_prod = [math.prod(lcm[j] for j in range(n) if mask >> j & 1) for mask in subsets]
-    pay_of = [sum(weight[j] for j in range(n) if mask >> j & 1) for mask in subsets]
-    starts_of = [[(1 << j, *option) for j in range(n) if mask >> j & 1 for option in options[j]]
-                 for mask in subsets]
+            a = {v: count for (v, _), count in zip(d.pmf, d.counts)}
+            row, step, place, high = moves[i], stride[i], 1 << i, d.max_value
+            t = r = 0  # T(e) and R(e), from T(high) = R(high) = 0 down
+            onward = ()
+            for e in range(high - 1, -1, -1):
+                hit = a.get(e + 1, 0)
+                t += hit
+                r += t
+                branches = ((hit, -(first + e) * step),) + onward if hit else onward
+                row[first + e] = (place, w, t, w * r, branches)
+                onward = ((1, step),)
+            widen = lcm[j] // d.scale
+            options[j].append((1 << j, place, a.get(0, 0), widen, first * step, widen * w * r))
+    # per unstarted set, a bitmask of 0-based jobs: prod L_j, sum of weights
+    # and each start; a set whose highest job is j is a set below 2^j plus j
+    lcm_prod, pay_of, starts_of = [1], [0], [[]]
+    for j, own in enumerate(options):
+        lcm_j, w = lcm[j], weight[j]
+        lcm_prod += [p * lcm_j for p in lcm_prod]
+        pay_of += [p + w for p in pay_of]
+        starts_of += [s + own for s in starts_of]
 
     everyone = (1 << n) - 1
     memo = {0: 0}
+    table: dict[int, tuple] = {}  # running vector (a state >> n): its entry
+
+    def entry_of(running: int) -> tuple:
+        """The table entry of a running vector: the busy machines' bits,
+        their pay, prod T(e), U with no job left to start (in closed
+        form), and the unit's outcomes as (prod_completing a_{e+1},
+        state delta)."""
+        busy = pay = closed = 0
+        prod = 1
+        outcomes: Sequence[tuple[int, int]] = ()
+        rest = running
+        for row in moves:
+            rest, code = divmod(rest, base)
+            if code:
+                place, w, t, wr, branches = row[code]
+                busy |= place
+                pay += w
+                closed = closed * t + wr * prod  # the closed form, a machine at a time
+                prod *= t
+                outcomes = ([(factor * f, delta + d) for factor, delta in outcomes for f, d in branches]
+                            if outcomes else branches)
+            if not rest:
+                break  # every machine left is idle
+        entry = (busy, pay, prod, closed, outcomes)
+        if n - busy.bit_count() > 1:  # else its one unstarted set is its only reader
+            table[running] = entry
+        return entry
 
     def value(state: int) -> int:
-        """U of a state not yet in the memo; each successor is read from
-        the memo when it is there, without a call."""
+        """U of a state with a job to start, not yet in the memo; each
+        successor is read from the memo when it is there, without a call."""
         unstarted = state & everyone
-        slots = []  # per machine, its move, or () when it is idle
         running = state >> n
-        for row in moves:
-            running, code = divmod(running, base)
-            slots.append(row[code])
+        busy, pay, prod, closed, outcomes = table.get(running) or entry_of(running)
+        scale = lcm_prod[unstarted]
         best: Optional[int] = None
 
-        for bit, i, a0, widen, placed in starts_of[unstarted]:
-            if slots[i]:
-                continue
-            rest = state - bit
-            u = 0
-            if a0:  # completes instantly at the current epoch, at zero cost
-                u = a0 * (memo[rest] if rest in memo else value(rest))
-            if placed:
-                rest += placed
-                u += memo[rest] if rest in memo else value(rest)
-            u *= widen
-            if best is None or u < best:
-                best = u
-
-        if any(slots):
-            # advance one unit: everyone uncompleted pays its weight
-            pay = pay_of[unstarted]
-            scale = lcm_prod[unstarted]
-            outcomes = [(1, state)]  # (prod_completing a_{e+1}, next state)
-            for move in slots:
-                if not move:
+        if unstarted & (unstarted - 1):
+            for bit, place, a0, widen, placed, _ in starts_of[unstarted]:
+                if busy & place:
                     continue
-                w, t, hit, here, onward = move
-                pay += w
-                scale *= t
-                grown = []
-                for factor, nxt in outcomes:
-                    if hit:
-                        grown.append((factor * hit, nxt - here))
-                    if onward:
-                        grown.append((factor, nxt + onward))
-                outcomes = grown
-            u = pay * scale
-            for factor, nxt in outcomes:
+                rest = state - bit
+                u = 0
+                if a0:  # completes instantly at the current epoch, at zero cost
+                    u = a0 * (memo[rest] if rest in memo else value(rest))
+                rest += placed
+                u = (u + (memo[rest] if rest in memo else value(rest))) * widen
+                if best is None or u < best:
+                    best = u
+        else:
+            # the last job: a start leaves no decision and, as a_0 + T(0) = t_ij,
+            # costs L_j closed + (L_j / t_ij) w_j R(0) prod, so the cheapest
+            # start has the least (L_j / t_ij) w_j R(0), its option's last field
+            for _, place, _, _, _, lead in starts_of[unstarted]:
+                if not busy & place and (best is None or lead < best):
+                    best = lead
+            if best is not None:
+                best = scale * closed + best * prod
+
+        if outcomes:
+            # advance one unit: everyone uncompleted pays its weight
+            u = (pay_of[unstarted] + pay) * scale * prod
+            for factor, delta in outcomes:
+                nxt = state + delta
                 u += factor * (memo[nxt] if nxt in memo else value(nxt))
             if best is None or u < best:
                 best = u

@@ -316,6 +316,42 @@ class TestJobAndInstance:
         assert max_scv(inst) == 0
         mixed = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
         assert max_scv(mixed) == F(1, 4)
+        points = point_instance(3, [(1, 0, (2, None, 5)), (3, 0, (1, 4, None)), (2, 0, (6, 6, 6))])
+        assert max_scv(points) == 0 and max_scv(Instance(2, [])) == 0
+
+    def test_max_scv_matches_each_distributions_scv(self):
+        # the integer form against the largest `ProcDist.scv`, on rows that
+        # share distributions and whole rows, forbid pairs and hold a 0
+        from stochsched.oracle import random_dist
+        rng = random.Random(331)
+        seen = {"fractional": 0, "shared": 0, "shared-row": 0, "forbidden": 0, "zero": 0}
+        for _ in range(200):
+            machines = rng.randint(1, 3)
+            pool = []
+            for _ in range(rng.randint(1, 4)):
+                dist = None
+                while dist is None or dist.mean < 1:
+                    dist = random_dist(rng, max_value=6)
+                pool.append(dist)
+            jobs = []
+            for job_id in range(1, rng.randint(1, 5) + 1):
+                if jobs and rng.random() < 0.2:
+                    row = jobs[-1].proc
+                else:
+                    row = [rng.choice(pool) for _ in range(machines)]
+                    if machines > 1 and rng.random() < 0.3:
+                        row[rng.randrange(machines)] = None
+                    row = tuple(row)
+                jobs.append(Job(job_id, F(rng.randint(1, 9)), 0, row))
+            inst = Instance(machines, jobs)
+            dists = [d for job in inst.jobs for d in job.proc if d is not None]
+            seen["fractional"] += any(d.scale > 1 for d in dists)
+            seen["shared"] += len({id(d) for d in dists}) < len(dists)
+            seen["shared-row"] += any(a.proc is b.proc for a, b in zip(inst.jobs, inst.jobs[1:]))
+            seen["forbidden"] += any(None in job.proc for job in inst.jobs)
+            seen["zero"] += any(0 in d.support for d in dists)
+            assert max_scv(inst) == max(d.scv for d in dists), inst
+        assert min(seen.values()) >= 20, seen
 
 
 def _random_items(rng: random.Random, broken: float = 0.25) -> list[tuple[object, object]]:

@@ -84,6 +84,11 @@ class TestStochOpt:
         inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),))])
         assert oracle.stoch_opt(inst) == 2
 
+    def test_one_job_costs_its_expected_duration(self):
+        # nothing is left to start once the job runs: the closed form gives E[D]
+        inst = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 5: F(1, 2)}),))])
+        assert oracle.stoch_opt(inst) == 3
+
     def test_spread_then_point(self):
         inst = Instance(1, [
             Job(1, F(1), 0, (ProcDist({1: F(1, 2), 3: F(1, 2)}),)),
@@ -218,6 +223,33 @@ class TestReferenceCrossCheck:
             seen["value-6"] += 6 in tops
             assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
         assert min(seen.values()) >= 5, seen
+
+    def test_stoch_opt_matches_reference_with_no_more_jobs_than_machines(self):
+        # with every job started the program prices a state in closed form;
+        # with n <= m most states it reaches are such states
+        rng = random.Random(241)
+        seen = {"zero": 0, "fractional": 0, "forbidden": 0, "four-machines": 0,
+                "as-many-jobs-as-machines": 0}
+        for _ in range(60):
+            machines = rng.randint(2, 4)
+            jobs = []
+            for job_id in range(1, rng.randint(1, machines) + 1):
+                row = []
+                for allowed in _mask(rng, machines):
+                    dist = None
+                    while allowed and (dist is None or dist.mean < 1):
+                        dist = oracle.random_dist(rng, max_value=3)
+                    row.append(dist)
+                jobs.append(Job(job_id, rng.choice(WEIGHTS), 0, row))
+            inst = Instance(machines, jobs)
+            seen["zero"] += any(d is not None and 0 in d.support
+                                for job in inst.jobs for d in job.proc)
+            seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
+            seen["forbidden"] += any(None in job.proc for job in inst.jobs)
+            seen["four-machines"] += machines == 4
+            seen["as-many-jobs-as-machines"] += inst.n == machines
+            assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
+        assert min(seen.values()) >= 15, seen
 
     @pytest.mark.parametrize("machines", [1, 2, 3])
     def test_det_opt_with_releases_at_seven_jobs_matches_reference(self, machines):

@@ -50,7 +50,7 @@ class BadMError(SchedError):
 
 
 class HypothesisViolatedError(SchedError):
-    """A sampled stopping process broke one of its stated hypotheses."""
+    """A stopping process broke one of its stated hypotheses."""
 
 
 class RequiresFGeq2Error(SchedError):

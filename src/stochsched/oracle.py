@@ -1,8 +1,9 @@
 """Ground truth at desk scale: exact deterministic optima, an exact
 dynamic program for the adaptive stochastic optimum on small instances,
-the tightness family for the list greedy, and simulation checkers for
-the single-job completion identity, the stopped-sum bound, and the
-per-job completion bound.  That last check judges the greedy run and
+the tightness family for the list greedy, and checkers for the
+single-job completion identity, the stopped-sum bound (an exact
+expectation over each process's paths), and the per-job completion
+bound.  That last check judges the greedy run and
 the forced-idle Monte Carlo estimate it is handed; it runs neither.
 
 The two optima are exact dynamic programs: `det_opt` over job subsets,
@@ -499,53 +500,42 @@ def identity_fuzz(rng: random.Random, cases: int) -> tuple[Report, Report]:
 class StoppingProcess:
     """Adapted sequence of (A_k, Y_k) pairs against a threshold T.
 
-    `step(rng, k)` returns the k-th pair; the contract is 0 <= A_k <= T
-    and Y_k >= A_k always, with E[Y_k | history] at most 2 A_k.  The
-    first two are validated per sample; the conditional-mean budget is
-    the process designer's promise.
+    `step(k)` returns A_k and the law of Y_k as (probability, Y)
+    branches.  The contract is 0 <= A_k <= T, Y_k >= A_k on every branch
+    and E[Y_k] <= 2 A_k; the law depends on k alone, so that mean is
+    also the one conditional on the history.  `check_b2` checks all
+    three exactly at every step it reaches.
     """
 
     label: str
     threshold: Fraction
-    step: Callable[[random.Random, int], tuple[Fraction, Fraction]]
+    step: Callable[[int], tuple[FractionLike, Sequence[tuple[FractionLike, FractionLike]]]]
 
 
 def constant_process(threshold: FractionLike) -> StoppingProcess:
     t = as_fraction(threshold)
-    return StoppingProcess("constant", t, lambda rng, k: (t, t))
+    return StoppingProcess("constant", t, lambda k: (t, ((1, t),)))
 
 
 def doubling_process(threshold: FractionLike) -> StoppingProcess:
     """A = T and Y is T or 3T with equal probability: E[Y] = 2A, the
     whole conditional-mean budget spent in one step."""
     t = as_fraction(threshold)
-
-    def step(rng: random.Random, k: int) -> tuple[Fraction, Fraction]:
-        return t, (t if rng.random() < 0.5 else 3 * t)
-
-    return StoppingProcess("doubling", t, step)
+    law = ((Fraction(1, 2), t), (Fraction(1, 2), 3 * t))
+    return StoppingProcess("doubling", t, lambda k: (t, law))
 
 
 def staged_process(threshold: FractionLike, stages: int = 8) -> StoppingProcess:
-    """Creep to just under T deterministically, then spend the full
-    budget on the final step; the stopped mean approaches 3T from below
-    as stages grow, our closest constructive approach to the 4T bound."""
+    """Creep to T - T/stages deterministically, then spend the full
+    budget on the final step as `doubling_process` does: the stopped
+    mean is exactly 3T - T/stages."""
     t = as_fraction(threshold)
     if stages < 2:
         raise ValueError("need at least two stages")
     crumb = t / stages
-
-    def step(rng: random.Random, k: int) -> tuple[Fraction, Fraction]:
-        if k < stages:
-            return crumb, crumb
-        return t, (t if rng.random() < 0.5 else 3 * t)
-
-    return StoppingProcess(f"staged[{stages}]", t, step)
-
-
-# the heavy process's step A as a share of T, and its tail probability q
-_HEAVY_CHUNK = Fraction(1, 8)
-_HEAVY_TAIL_PROB = Fraction(1, 16)
+    final = doubling_process(t).step(stages)
+    return StoppingProcess(f"staged[{stages}]", t,
+                           lambda k: (crumb, ((1, crumb),)) if k < stages else final)
 
 
 def heavy_process(threshold: FractionLike) -> StoppingProcess:
@@ -554,83 +544,71 @@ def heavy_process(threshold: FractionLike) -> StoppingProcess:
     t = as_fraction(threshold)
     if t <= 0:
         raise ValueError("threshold must be positive")
-    a = _HEAVY_CHUNK * t
-    q = _HEAVY_TAIL_PROB
-    cutoff = float(q)
-
-    def step(rng: random.Random, k: int) -> tuple[Fraction, Fraction]:
-        return a, (a + a / q if rng.random() < cutoff else a)
-
-    return StoppingProcess("heavy", t, step)
+    a, q = t / 8, Fraction(1, 16)
+    law = ((1 - q, a), (q, a + a / q))
+    return StoppingProcess("heavy", t, lambda k: (a, law))
 
 
-def check_b2(process: StoppingProcess, trials: int, seed: int) -> Report:
-    """Simulate the stopped sum and test E[sum_{k<=tau} Y_k] <= 4T.
+def check_b2(process: StoppingProcess) -> Report:
+    """Compute E[sum_{k<=tau} Y_k] exactly and test it against 4T, with
+    tau the first k whose running sum reaches T.
 
-    Each trial runs the process until the running sum reaches T,
-    validating the sample-path hypotheses as it goes; a violation means
-    the process specification is broken, not the bound.
+    The paths still below T advance one step at a time, merged by their
+    running sum, and each step's law is checked against the hypotheses
+    when it is first reached; a violation means the process
+    specification is broken, not the bound.  Returns the stopped mean
+    and E[tau] as `Fraction`s.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials for an interval")
     t = process.threshold
     if t <= 0:
         raise ValueError("threshold must be positive")
-    sums = []
-    taus = []
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        acc = Fraction(0)
-        k = 0
-        while acc < t:
-            k += 1
-            a, y = process.step(rng, k)
-            a, y = as_fraction(a), as_fraction(y)
-            if not 0 <= a <= t:
-                raise HypothesisViolatedError(
-                    f"{process.label}: A_{k} = {a} outside [0, T={t}]")
+    label = process.label
+    below = {Fraction(0): Fraction(1)}  # running sum under T -> its probability
+    mean = mean_stop = Fraction(0)
+    k = 0
+    while below:
+        k += 1
+        a, law = process.step(k)
+        a = as_fraction(a)
+        law = [(as_fraction(p), as_fraction(y)) for p, y in law]
+        if not 0 <= a <= t:
+            raise HypothesisViolatedError(f"{label}: A_{k} = {a} outside [0, T={t}]")
+        for p, y in law:
+            if p <= 0:
+                raise HypothesisViolatedError(f"{label}: Y_{k} = {y} has probability {p}")
             if y < a:
-                raise HypothesisViolatedError(f"{process.label}: Y_{k} = {y} < A_{k} = {a}")
-            acc += y
-        sums.append(float(acc))
-        taus.append(k)
-    n = len(sums)
-    # floats added left to right, as `sum` adds them before Python 3.12;
-    # its compensated sum from 3.12 on moves the interval's last digit
-    total = spread = 0.0
-    for s in sums:
-        total += s
-    mean = total / n
-    for s in sums:
-        spread += (s - mean) ** 2
-    var = spread / (n - 1)
-    ci = 1.96 * math.sqrt(var / n)
-    bound = 4 * float(t)
+                raise HypothesisViolatedError(f"{label}: Y_{k} = {y} < A_{k} = {a}")
+        total = sum((p for p, _ in law), Fraction(0))
+        if total != 1:
+            raise HypothesisViolatedError(f"{label}: step {k}'s probabilities sum to {total}")
+        drift = sum((p * y for p, y in law), Fraction(0))
+        if drift > 2 * a:
+            raise HypothesisViolatedError(f"{label}: E[Y_{k}] = {drift} > 2 A_{k} = {2 * a}")
+        going: dict[Fraction, Fraction] = {}
+        for acc, reach in below.items():
+            for p, y in law:
+                s, w = acc + y, reach * p
+                if s >= t:
+                    mean += w * s
+                    mean_stop += w * k
+                else:
+                    going[s] = going.get(s, 0) + w
+        below = going
     return Report(
-        name=f"stopped-sum[{process.label}]",
-        passed=mean <= bound + 3 * ci,
-        metrics={
-            "threshold": t,
-            "trials": trials,
-            "mean": mean,
-            "ci95": ci,
-            "bound": bound,
-            "mean_stop": sum(taus) / n,
-        },
+        name=f"stopped-sum[{label}]",
+        passed=mean <= 4 * t,
+        metrics={"threshold": t, "mean": mean, "bound": 4 * t, "mean_stop": mean_stop},
     )
 
 
-def appendix_checks(rng: random.Random, cases: int, trials: int,
-                    seed: int) -> tuple[Report, ...]:
+def appendix_checks(rng: random.Random, cases: int) -> tuple[Report, ...]:
     """The appendix's checks: `identity_fuzz` on `cases` distributions
     per family, then `check_b2` on the four stopped-sum processes at
-    threshold 8, each over `trials` trials from `seed`."""
+    threshold 8."""
     threshold = Fraction(8)
     processes = (constant_process(threshold), doubling_process(threshold),
                  staged_process(threshold), heavy_process(threshold))
-    # before the fuzz, which alone draws from `rng`: a refused trial count costs none
-    stopped = [check_b2(p, trials, seed) for p in processes]
-    return (*identity_fuzz(rng, cases), *stopped)
+    return (*identity_fuzz(rng, cases), *(check_b2(p) for p in processes))
 
 
 def _lemma5_bounds(inst: Instance, f: Fraction,

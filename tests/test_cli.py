@@ -264,7 +264,8 @@ class TestExitCodes:
         ["time", "WORKED", "--samples", "0"],
         ["time", "WORKED", "--f", "1/2"],
         ["appendix", "--samples", "1"],
-    ], ids=["no-instance", "unknown-format", "zero-samples", "f-below-1", "one-trial"])
+    ], ids=["no-instance", "unknown-format", "zero-samples", "f-below-1",
+            "appendix-has-no-samples-option"])
     def test_usage_error_is_six(self, worked_path, capsys, argv):
         assert cli.main([worked_path if arg == "WORKED" else arg for arg in argv]) == 6
         assert capsys.readouterr().out == ""
@@ -356,7 +357,7 @@ class TestOutputs:
     def test_appendix_is_byte_deterministic(self, capsys):
         outputs = set()
         for _ in range(2):
-            assert cli.main(["appendix", "--samples", "50", "--format", "json"]) == 0
+            assert cli.main(["appendix", "--format", "json"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
 
@@ -731,7 +732,7 @@ def _golden_invocations() -> list:
     # max-proc runs the per-job bound on its own forced-idle estimate
     calls.extend(["time", "stochastic", "--mode", "max-proc", "--samples", "50", "--format", fmt]
                  for fmt in FORMATS)
-    for extra in (["lowerbound", "3"], ["appendix", "--samples", "20"]):
+    for extra in (["lowerbound", "3"], ["appendix"]):
         calls.extend([*extra, "--format", fmt] for fmt in FORMATS)
     return calls
 

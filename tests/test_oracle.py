@@ -325,8 +325,8 @@ class TestTightnessFamily:
         assert inst.n == 36 + 9 + 4 == 49
 
     def test_bad_machine_count(self):
-        with pytest.raises(BadMError):
-            oracle.gen_lower_bound(2, 6)      # 6 is not divisible by 4
+        with pytest.raises(BadMError, match="m=6 is not divisible by 4"):
+            oracle.gen_lower_bound(2, 6)
 
     def test_ratio_values(self):
         greedy, opt, ratio = oracle.lower_bound_ratio(1)
@@ -350,6 +350,27 @@ class TestRandomDist:
         for _ in range(200):
             d = oracle.random_dist(rng, integer_mean=True)
             assert d.mean.denominator == 1 and d.mean >= 1
+
+    def test_integer_means_come_in_all_three_shapes(self):
+        rng = random.Random(113)
+        # perfbench draws its inputs from this stream, so its order is pinned
+        first = [oracle.random_dist(rng, integer_mean=True).pmf for _ in range(3)]
+        assert first == [((6, 1),), ((0, F(3, 4)), (4, F(1, 4))), ((4, F(1, 2)), (6, F(1, 2)))]
+        shapes = set()
+        for _ in range(200):
+            d = oracle.random_dist(rng, integer_mean=True)
+            assert d.mean.denominator == 1 and d.mean >= 1
+            if len(d.pmf) == 1:
+                shapes.add("point")
+                continue
+            (low, p_low), (high, p_high) = d.pmf
+            if low > 0:                 # only the symmetric pair keeps off 0
+                assert p_low == p_high == F(1, 2)
+                shapes.add("symmetric")
+            elif p_high != F(1, 2):     # only {0, top} weighs its points unequally
+                assert p_high == d.mean / high
+                shapes.add("zero-inflated")
+        assert shapes == {"point", "symmetric", "zero-inflated"}
 
     def test_general_distributions_are_valid(self):
         rng = random.Random(109)
@@ -385,37 +406,49 @@ class TestSingleJobIdentity:
 
 
 class TestStoppedSums:
-    def test_families_respect_the_bound(self):
-        t = F(8)
-        for process in (oracle.constant_process(t), oracle.doubling_process(t),
-                        oracle.staged_process(t), oracle.heavy_process(t)):
-            report = oracle.check_b2(process, 600, 11)
-            assert report.passed
-            assert report.metrics["mean"] <= float(4 * t)
+    @pytest.mark.parametrize("make, mean, mean_stop", [
+        (oracle.constant_process, F(8), F(1)),
+        (oracle.doubling_process, F(16), F(1)),
+        (oracle.staged_process, F(23), F(8)),
+        # 32 (1 - (15/16)^8) and half of it: eight steps of T/8, each
+        # stopping at once with probability 1/16
+        (oracle.heavy_process, F(1732076671, 134217728), F(1732076671, 268435456)),
+    ], ids=["constant", "doubling", "staged", "heavy"])
+    def test_exact_stopped_means(self, make, mean, mean_stop):
+        report = oracle.check_b2(make(F(8)))
+        assert report.passed
+        assert report.metrics == {"threshold": 8, "mean": mean, "bound": 32,
+                                  "mean_stop": mean_stop}
+        assert all(type(v) is F for v in report.metrics.values())
 
     def test_heavy_family_needs_a_positive_threshold(self):
         for t in (F(0), F(-1)):
             with pytest.raises(ValueError, match="threshold must be positive"):
                 oracle.heavy_process(t)
 
-    def test_staged_family_approaches_three_t(self):
+    def test_staged_family_is_three_t_less_a_stage(self):
         t = F(8)
-        report = oracle.check_b2(oracle.staged_process(t, stages=32), 1500, 17)
-        assert 2.5 * float(t) < report.metrics["mean"] < 3 * float(t)
+        report = oracle.check_b2(oracle.staged_process(t, stages=32))
+        assert report.metrics["mean"] == 3 * t - t / 32
+        assert report.metrics["mean_stop"] == 32
 
-    def test_hypothesis_violations_are_refused(self):
-        shrinking = oracle.StoppingProcess(
-            "bad-shrink", F(4), lambda rng, k: (F(2), F(1)))     # Y < A
-        with pytest.raises(HypothesisViolatedError):
-            oracle.check_b2(shrinking, 10, 0)
-        oversized = oracle.StoppingProcess(
-            "bad-big", F(4), lambda rng, k: (F(5), F(5)))        # A > T
-        with pytest.raises(HypothesisViolatedError):
-            oracle.check_b2(oversized, 10, 0)
+    @pytest.mark.parametrize("step, match", [
+        (lambda k: (F(2), ((1, F(1)),)), r"Y_1 = 1 < A_1 = 2"),
+        (lambda k: (F(5), ((1, F(5)),)), r"A_1 = 5 outside \[0, T=4\]"),
+        (lambda k: (F(1), ((1, F(1)),)) if k < 3 else (F(1), ((1, F(3)),)),
+         r"E\[Y_3\] = 3 > 2 A_3 = 2"),
+        (lambda k: (F(2), ((F(1, 2), F(2)), (F(1, 3), F(4)))),
+         r"step 1's probabilities sum to 5/6"),
+        (lambda k: (F(2), ((F(3, 2), F(2)), (F(-1, 2), F(4)))),
+         r"Y_1 = 4 has probability -1/2"),
+    ], ids=["y-below-a", "a-above-t", "mean-above-2a", "mass-not-one", "negative-mass"])
+    def test_hypothesis_violations_are_refused(self, step, match):
+        with pytest.raises(HypothesisViolatedError, match=match):
+            oracle.check_b2(oracle.StoppingProcess("bad", F(4), step))
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            oracle.check_b2(oracle.constant_process(F(0)), 10, 0)
+            oracle.check_b2(oracle.constant_process(F(0)))
 
 
 class TestPerJobBound:

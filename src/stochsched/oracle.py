@@ -10,11 +10,12 @@ The two optima are exact dynamic programs: `det_opt` over job subsets,
 adding one machine's chain costs at a time in O(m 3^n) steps, and
 `stoch_opt` over information states, each packed into one int: the
 unstarted bitmask plus, per machine, a code for its running job and
-elapsed time, with every start and one-unit move read from tables built
+elapsed time, with every start and every jump to the next information
+epoch (the next support value of a running job) read from tables built
 before the recursion.  A state with every job started is priced in
 closed form, sum_busy w_j R_ij(e) prod_{k != i} T_k(e_k) (R the residual
 and T the tail counts), and each running vector's busy machines, pay,
-tails, closed form and unit outcomes are read once into a table that
+tails, closed form and jump outcomes are read once into a table that
 every unstarted set shares.  Each reads the instance's integer view, the
 weights and means of `Instance.scaled` and each pmf's `ProcDist.counts`,
 and builds a single `Fraction` at the end.  Each counts its work before
@@ -194,13 +195,20 @@ def stoch_opt(inst: Instance) -> Fraction:
     Exact dynamic program over information states: which job runs on each
     machine and for how long it has been running (conditioning its remaining
     time), plus the set of jobs not yet started.  Decisions happen at
-    integer times; within an epoch the policy may start any number of jobs
-    on idle machines, then either all machines advance one unit or, with
-    every machine idle and work remaining, a start is forced (delaying the
-    whole remainder can never pay off).  Costs are accounted as
-    weight-per-unit-time: every uncompleted job pays its weight for each
-    elapsed unit, which sums to the weighted completion total.  The policy
-    knows every job up front (no releases) but no duration before it ends.
+    information epochs only: time 0 and each time a running job may end,
+    a support value of its duration.  Within an epoch the policy may start
+    any number of jobs on idle machines, then either jumps to the next
+    epoch or, with every machine idle and work remaining, a start is forced
+    (delaying the whole remainder can never pay off).  Nothing is lost:
+    between two epochs no job can end, so the policy learns nothing, and a
+    start inside such a gap is dominated by the same start at the gap's
+    start.  The earlier schedule can copy the later one by idling that
+    machine after the job ends for as long as the start was moved, and it
+    learns that end no later; each other job ends when it did.  Costs are
+    accounted as weight-per-unit-time: every uncompleted job pays its
+    weight for each elapsed unit, which sums to the weighted completion
+    total.  The policy knows every job up front (no releases) but no
+    duration before it ends.
 
     The program runs on ints read from the instance's integer view: job
     j's pmf on machine i is its `ProcDist`'s counts a_v over its `scale`
@@ -208,28 +216,34 @@ def stoch_opt(inst: Instance) -> Fraction:
     R_ij(e) = sum_{v>e} (v - e) a_v; L_j is the lcm of j's t_ij and W the
     weight scale.  A state's value V is carried as
     U = V * W * prod_busy T(e) * prod_unstarted L_j, an integer:
-    starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)),
-    advancing gives pay * W * prod T(e) * prod L plus, over the unit's
-    outcomes, prod_completing a_{e+1} * U(next).  All candidates of one
-    state share its scale, so the minimum is taken on U directly, and
-    the answer is U(start) / (W * prod_j L_j).  Once every job has
-    started no decision is left, and U is the closed form
+    starting j on i gives (L_j / t_ij) * (a_0 U(rest) + U(occupied)).
+    The jump from a state with a busy machine is d units, the least gap
+    over the busy machines from e to the next support value of their job.
+    T is constant across a gap, so a machine whose gap is longer runs on
+    d units with factor 1, and one whose gap is d completes with a_{e+d}
+    or, when T(e+d) > 0, runs on with factor 1: jumping gives
+    d * pay * W * prod T(e) * prod L plus, over the jump's outcomes,
+    prod_completing a_{e+d} * U(next).  All candidates of one state share
+    its scale, so the minimum is taken on U directly, and the answer is
+    U(start) / (W * prod_j L_j).  Once every job has started no decision
+    is left, and U is the closed form
     sum_busy i w_j R_i(e_i) prod_{k != i} T_k(e_k), each running job's
     weight times its expected remaining time; so starting the last job
     j on i gives L_j U(rest) + (L_j / t_ij) w_j R_ij(0) prod T(e), and
-    the search never walks the unit-by-unit chains of those states.
+    the search never walks the chains of those states.
 
     A state is one int, the memo's key: the unstarted bitmask plus, per
     machine i, a slot code times stride_i = 2^n B^i, with B = 1 + n span
     and span = 1 + the largest support value.  The code is 0 on an idle
     machine and 1 + j span + e while job j has run e units, so a start
-    trades j's bit for its first code, a unit more of work adds stride_i
-    and a completion takes the code away.  Each start and one-unit move
-    is read from a table built before the recursion.  The running part
-    of a state, state >> n, keys a second table, filled the first time
-    a running vector is seen and shared by every unstarted set: its busy
-    machines, their pay and prod T(e), its closed form, and the unit's
-    outcomes as (prod_completing a_{e+1}, state delta), none of
+    trades j's bit for its first code, d units more of work add
+    d stride_i and a completion takes the code away.  Each start, and
+    each code's gap with the branches of a jump that long, is read from
+    a table built before the recursion.  The running part of a state,
+    state >> n, keys a second table, filled the first time a running
+    vector is seen and shared by every unstarted set: its busy machines,
+    their pay and prod T(e), its closed form, d prod T(e), and the
+    jump's outcomes as (prod_completing a_{e+d}, state delta), none of
     probability zero.  A vector that leaves one job to start meets one
     unstarted set only, so its entry is built for that state and not
     kept.
@@ -237,13 +251,15 @@ def stoch_opt(inst: Instance) -> Fraction:
     The work is bounded first.  Machine i is idle or holds one of its
     sum_j top_ij codes (top_ij the largest value of j on i), and k busy
     machines leave 2^(n-k) unstarted sets: at most sum_k ways_k 2^(n-k)
-    states, ways_k the ways to give k machines a code each.  A call
-    starts a job or runs the busy ones a unit, so calls nest at most
-    n + sum_j max_i top_ij deep.  Past either limit (the depth is half of
-    Python's default recursion limit) it raises `TooLargeError`; at the
-    state limit it took at most 0.8 s CPU and 72 MB RSS (30 shapes of 1-5
-    machines, each pair uniform on 1..v for v of 1-15, 2-CPU x86,
-    Python 3.11).
+    states, ways_k the ways to give k machines a code each; on gapped
+    supports most of those codes are never reached.  A call starts a job
+    or jumps, which takes some running job to its next support value, so
+    calls nest at most n + sum_j max_i |{v > 0 in support_ij}| deep.
+    Past either limit (the depth is half of Python's default recursion
+    limit) it raises `TooLargeError`; at the state limit it took at most
+    0.95 s CPU and 76 MB RSS (75 shapes of 1-5 machines, each pair
+    uniform on 1..v for v of 1-15, best of 2 runs, 2-CPU x86, Python
+    3.11).
     """
     if inst.has_releases:
         raise ValueError("the adaptive-optimum program handles release-free instances only")
@@ -254,7 +270,9 @@ def stoch_opt(inst: Instance) -> Fraction:
     for codes in map(sum, zip(*top)):
         for k in range(n, 0, -1):
             ways[k] += ways[k - 1] * codes
-    states, depth = sum(w << n - k for k, w in enumerate(ways)), n + sum(map(max, top))
+    # each jump takes a running job to its next support value above 0
+    points = [max(len(d.pmf) - (d.pmf[0][0] == 0) for d in job.proc if d is not None) for job in inst.jobs]
+    states, depth = sum(w << n - k for k, w in enumerate(ways)), n + sum(points)
     if states > STOCH_OPT_MAX_STATES or depth > STOCH_OPT_MAX_DEPTH:
         raise TooLargeError(f"the state program may visit {states:,} states {depth:,} calls deep, over its limits "
                             f"of {STOCH_OPT_MAX_STATES:,} states and {STOCH_OPT_MAX_DEPTH:,} calls")
@@ -267,9 +285,9 @@ def stoch_opt(inst: Instance) -> Fraction:
     # options[j]: (j's bit, i's bit, a_0, L_j / t_ij, first code * stride_i,
     # L_j / t_ij * w_j R(0)); T(0) > 0, as every mean is positive
     options: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in inst.jobs]
-    # moves[i][code]: (i's bit, w_j, T(e), w_j R(e), the unit's branches as
-    # (a_{e+1}, -code * stride_i) when j can complete and (1, stride_i) when
-    # it can run on); () for code 0, an idle machine
+    # moves[i][code]: (i's bit, w_j, T(e), w_j R(e), the gap g to j's next
+    # support value, the branches of a jump of g as (a_{e+g}, -code * stride_i)
+    # and, when T(e+g) > 0, (1, g stride_i)); () for code 0, an idle machine
     moves: list[list[tuple]] = [[()] * base for _ in machines]
     for j, job in enumerate(inst.jobs):
         first, w = 1 + j * span, weight[j]
@@ -279,14 +297,17 @@ def stoch_opt(inst: Instance) -> Fraction:
             a = {v: count for (v, _), count in zip(d.pmf, d.counts)}
             row, step, place, high = moves[i], stride[i], 1 << i, d.max_value
             t = r = 0  # T(e) and R(e), from T(high) = R(high) = 0 down
-            onward = ()
+            after = high  # the least support value above e
             for e in range(high - 1, -1, -1):
                 hit = a.get(e + 1, 0)
+                if hit:
+                    after = e + 1
                 t += hit
                 r += t
-                branches = ((hit, -(first + e) * step),) + onward if hit else onward
-                row[first + e] = (place, w, t, w * r, branches)
-                onward = ((1, step),)
+                gap, ends = after - e, ((a[after], -(first + e) * step),)
+                if after < high:
+                    ends += ((1, gap * step),)
+                row[first + e] = (place, w, t, w * r, gap, ends)
             widen = lcm[j] // d.scale
             options[j].append((1 << j, place, a.get(0, 0), widen, first * step, widen * w * r))
     # per unstarted set, a bitmask of 0-based jobs: prod L_j, sum of weights
@@ -305,25 +326,34 @@ def stoch_opt(inst: Instance) -> Fraction:
     def entry_of(running: int) -> tuple:
         """The table entry of a running vector: the busy machines' bits,
         their pay, prod T(e), U with no job left to start (in closed
-        form), and the unit's outcomes as (prod_completing a_{e+1},
-        state delta)."""
+        form), the jump d to the next epoch times prod T(e), and the
+        jump's outcomes as (prod_completing a_{e+d}, state delta), none
+        of probability zero."""
         busy = pay = closed = 0
         prod = 1
-        outcomes: Sequence[tuple[int, int]] = ()
+        jump = span  # more than any gap
+        held = []  # per busy machine: (gap, its jump's branches, stride_i)
         rest = running
-        for row in moves:
+        for row, step in zip(moves, stride):
             rest, code = divmod(rest, base)
             if code:
-                place, w, t, wr, branches = row[code]
+                place, w, t, wr, gap, ends = row[code]
                 busy |= place
                 pay += w
                 closed = closed * t + wr * prod  # the closed form, a machine at a time
                 prod *= t
-                outcomes = ([(factor * f, delta + d) for factor, delta in outcomes for f, d in branches]
-                            if outcomes else branches)
+                if gap < jump:
+                    jump = gap
+                held.append((gap, ends, step))
             if not rest:
                 break  # every machine left is idle
-        entry = (busy, pay, prod, closed, outcomes)
+        outcomes: Sequence[tuple[int, int]] = ()
+        for gap, ends, step in held:
+            # a machine whose gap is the jump may end; any other runs on
+            branches = ends if gap == jump else ((1, jump * step),)
+            outcomes = ([(factor * f, delta + d) for factor, delta in outcomes for f, d in branches]
+                        if outcomes else branches)
+        entry = (busy, pay, prod, closed, jump * prod, outcomes)
         if n - busy.bit_count() > 1:  # else its one unstarted set is its only reader
             table[running] = entry
         return entry
@@ -333,7 +363,7 @@ def stoch_opt(inst: Instance) -> Fraction:
         successor is read from the memo when it is there, without a call."""
         unstarted = state & everyone
         running = state >> n
-        busy, pay, prod, closed, outcomes = table.get(running) or entry_of(running)
+        busy, pay, prod, closed, due, outcomes = table.get(running) or entry_of(running)
         scale = lcm_prod[unstarted]
         best: Optional[int] = None
 
@@ -360,8 +390,8 @@ def stoch_opt(inst: Instance) -> Fraction:
                 best = scale * closed + best * prod
 
         if outcomes:
-            # advance one unit: everyone uncompleted pays its weight
-            u = (pay_of[unstarted] + pay) * scale * prod
+            # jump to the next epoch: everyone uncompleted pays its weight per unit
+            u = (pay_of[unstarted] + pay) * scale * due
             for factor, delta in outcomes:
                 nxt = state + delta
                 u += factor * (memo[nxt] if nxt in memo else value(nxt))

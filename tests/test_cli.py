@@ -194,15 +194,23 @@ class TestExitCodes:
         opt = json.loads(capsys.readouterr().out)["metrics"]["opt_value"]
         assert F(opt) == reference.stoch_opt(three)
 
+    def test_oracle_solves_a_long_gap(self, tmp_path, capsys):
+        # 2,000 units but two support values: the depth counts support
+        # values, not units
+        path = tmp_path / "long.json"
+        path.write_text(emit_instance(Instance(1, [Job(1, F(1), 0, [ProcDist({1: F(1, 2), 2000: F(1, 2)})])])))
+        assert cli.main(["oracle", str(path)]) == 0
+        assert "  opt_value: 2001/2 (1000.5)\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("inst,err", [
         (point_instance(1, [(1, 0, (1,))] * 21),
          "the subset program needs 16,777,216 steps, over its limit of 10,000,000"),
         (Instance(4, [Job(j, F(1), 0, [ProcDist({1: F(1, 2), 4: F(1, 2)})] * 4)
                       for j in range(1, 7)]),
-         "the state program may visit 1,827,904 states 30 calls deep, over its limits "
+         "the state program may visit 1,827,904 states 18 calls deep, over its limits "
          "of 500,000 states and 500 calls"),
-        (Instance(1, [Job(1, F(1), 0, [ProcDist({1: F(1, 2), 2000: F(1, 2)})])]),
-         "the state program may visit 2,002 states 2,001 calls deep, over its limits "
+        (Instance(1, [Job(1, F(1), 0, [ProcDist({v: F(1, 500) for v in range(1, 501)})])]),
+         "the state program may visit 502 states 501 calls deep, over its limits "
          "of 500,000 states and 500 calls"),
     ], ids=["det-steps", "stoch-states", "stoch-depth"])
     def test_oracle_past_its_limit_is_five(self, tmp_path, capsys, inst, err):

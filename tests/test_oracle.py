@@ -9,7 +9,7 @@ from stochsched.errors import BadMError, HypothesisViolatedError, TooLargeError
 from stochsched import greedy_list, greedy_time, oracle
 
 import reference
-from helpers import point_instance, random_instance, worked_instance
+from helpers import double_support, point_instance, random_instance, worked_instance
 
 F = Fraction
 
@@ -142,13 +142,51 @@ class TestStochOpt:
             assert time.process_time() - start < 0.05
 
     def test_long_support_is_refused_before_the_recursion_limit(self):
-        # 2,001 nested calls would pass Python's default recursion limit
-        long = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 2000: F(1, 2)}),))])
-        with pytest.raises(TooLargeError, match="2,001 calls deep"):
+        # each jump takes a running job to its next support value, so 500
+        # support values may nest 501 calls, past the limit
+        long = Instance(1, [Job(1, F(1), 0, (_uniform(1, 500),))])
+        with pytest.raises(TooLargeError, match="502 states 501 calls deep"):
             oracle.stoch_opt(long)
-        # the deepest search the limit admits runs under a test runner's stack
-        deepest = Instance(1, [Job(1, F(1), 0, (ProcDist({1: F(1, 2), 499: F(1, 2)}),))])
+        # the deepest count the limit admits; one job is priced in closed form
+        deepest = Instance(1, [Job(1, F(1), 0, (_uniform(1, 499),))])
         assert oracle.stoch_opt(deepest) == 250
+        # a search that really nests that deep runs under a test runner's
+        # stack: starting the long job first walks its 497 support values
+        # in nested calls, 2 + 497 + 1 = 500
+        nested = Instance(1, [Job(1, F(1), 0, (_uniform(1, 497),)), Job(2, F(1), 0, (ProcDist.point(1),))])
+        assert oracle.stoch_opt(nested) == 1 + (1 + 249)
+
+    def test_a_wide_gap_costs_one_jump(self):
+        # 2,000 units in two support values, so two epochs a job; the
+        # second job waits behind the first or takes the other machine
+        long = ProcDist({1: F(1, 2), 2000: F(1, 2)})
+        assert oracle.stoch_opt(Instance(1, [Job(1, F(1), 0, (long,))])) == F(2001, 2)
+        two = Instance(2, [Job(1, F(1), 0, (long, None)), Job(2, F(1), 0, (long, ProcDist.point(3)))])
+        # job 2 on machine 2 ends at 3, job 1 at its mean
+        assert oracle.stoch_opt(two) == F(2001, 2) + 3
+
+    def test_doubling_every_support_value_doubles_the_optimum(self):
+        # every gap is then at least 2, so each advance of the doubled
+        # instance is a jump of several units, and its epochs are twice
+        # the original's
+        rng = random.Random(257)
+        seen = {"contiguous": 0, "zero": 0, "three-machines": 0}
+        for _ in range(60):
+            inst = random_instance(rng, max_machines=3, max_jobs=3, max_value=4,
+                                   fractional_weights=True)
+            doubled = Instance(inst.machines, [
+                Job(job.id, job.weight, 0, [None if d is None else double_support(d) for d in job.proc])
+                for job in inst.jobs])
+            supports = [d.support for job in inst.jobs for d in job.proc if d is not None]
+            seen["contiguous"] += any(len(s) > 1 and s[-1] - s[0] == len(s) - 1 for s in supports)
+            seen["zero"] += any(s[0] == 0 for s in supports)
+            seen["three-machines"] += inst.machines == 3
+            assert oracle.stoch_opt(doubled) == 2 * oracle.stoch_opt(inst), inst
+        assert min(seen.values()) >= 10, seen
+
+
+def _uniform(low: int, high: int) -> ProcDist:
+    return ProcDist({v: F(1, high - low + 1) for v in range(low, high + 1)})
 
 
 WEIGHTS = (F(1), F(3, 2), F(2, 3), F(5, 4), F(7))
@@ -250,6 +288,46 @@ class TestReferenceCrossCheck:
             seen["as-many-jobs-as-machines"] += inst.n == machines
             assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
         assert min(seen.values()) >= 15, seen
+
+    def test_stoch_opt_matches_reference_on_gapped_supports(self):
+        # the program jumps a busy machine to its job's next support value;
+        # the reference steps one unit at a time.  Gapped supports make
+        # jumps of several units, busy machines with unequal gaps make the
+        # longer gap run on, and a rare long value is the widest gap
+        rng = random.Random(263)
+        gapped = ((1, 4), (0, 3), (2, 9), (1, 5, 11), (3, 4, 10))
+        seen = {"gapped": 0, "rare-long": 0, "zero": 0, "three-machines": 0,
+                "fractional": 0, "forbidden": 0}
+        for _ in range(60):
+            machines = rng.choice((1, 2, 2, 3))
+            jobs = []
+            for job_id in range(1, rng.randint(1, 3 if machines == 3 else 4) + 1):
+                row = []
+                for allowed in _mask(rng, machines):
+                    dist = None
+                    while allowed and (dist is None or dist.mean < 1):
+                        kind = rng.randrange(4)
+                        if kind == 0:  # a rare long value
+                            rare = F(1, rng.choice((8, 16, 20)))
+                            dist = ProcDist({1: 1 - rare, 12: rare})
+                        elif kind == 1:
+                            dist = oracle.random_dist(rng, max_value=6)
+                        else:
+                            values = rng.choice(gapped)
+                            raw = [rng.randint(1, 5) for _ in values]
+                            dist = ProcDist({v: F(a, sum(raw)) for v, a in zip(values, raw)})
+                    row.append(dist)
+                jobs.append(Job(job_id, rng.choice(WEIGHTS), 0, row))
+            inst = Instance(machines, jobs)
+            supports = [d.support for job in inst.jobs for d in job.proc if d is not None]
+            seen["gapped"] += any(b - a > 1 for s in supports for a, b in zip(s, s[1:]))
+            seen["rare-long"] += (1, 12) in supports
+            seen["zero"] += any(s[0] == 0 for s in supports)
+            seen["three-machines"] += machines == 3
+            seen["fractional"] += any(job.weight.denominator > 1 for job in inst.jobs)
+            seen["forbidden"] += any(None in job.proc for job in inst.jobs)
+            assert oracle.stoch_opt(inst) == reference.stoch_opt(inst), inst
+        assert min(seen.values()) >= 8, seen
 
     @pytest.mark.parametrize("machines", [1, 2, 3])
     def test_det_opt_with_releases_at_seven_jobs_matches_reference(self, machines):
